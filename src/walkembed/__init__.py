@@ -4,8 +4,8 @@ Exact classifiers for which integer-supported laws are embeddable by the
 classic constructions (barycenter rules, chipped first-exit compositions,
 uniformly-integrable stop-count matrices, the always-available minimal
 embedder), executable stopping rules for each certificate, exact stopped
-laws, a Monte Carlo harness with interchangeable numba/numpy backends, and
-the self-similar set of embeddable atom weights.
+laws, a vectorized numpy Monte Carlo harness checked against the rule
+state machines, and the self-similar set of embeddable atom weights.
 """
 
 from .classic import (
@@ -65,7 +65,14 @@ from .rules import (
     rule_from_json,
     rule_to_json,
 )
-from .sim import ExactLaw, SimReport, exact_law, sample_pairs, simulate
+from .sim import (
+    ExactLaw,
+    SimReport,
+    exact_law,
+    sample_pairs,
+    simulate,
+    simulate_reference,
+)
 from .uiset import (
     IfsSystem,
     IntervalUnion,

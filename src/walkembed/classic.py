@@ -16,7 +16,7 @@ Four constructions, all exact:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -93,11 +93,15 @@ def chip_apply(u: PotentialFunction, step: ChipStep) -> PotentialFunction:
         idx = k - lo
         if chord < vals[idx]:
             vals[idx] = chord
-    # drop hull extension that stayed on the asymptote
-    while lo < u.lo and vals[0] == -abs(Q(lo) - u.mean):
+    # drop hull extension that stayed on the asymptote; an end whose inner
+    # neighbour fell below the asymptote is a kink (an atom) and stays
+    def on_asymptote(k):
+        return vals[k - lo] == -abs(Q(k) - u.mean)
+
+    while lo < u.lo and on_asymptote(lo) and on_asymptote(lo + 1):
         vals.pop(0)
         lo += 1
-    while hi > u.hi and vals[-1] == -abs(Q(hi) - u.mean):
+    while hi > u.hi and on_asymptote(hi) and on_asymptote(hi - 1):
         vals.pop()
         hi -= 1
     return PotentialFunction(lo, hi, u.mean, tuple(vals))

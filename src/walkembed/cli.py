@@ -33,7 +33,12 @@ from .classic import (
     hall_rule,
     minimal_certificate,
 )
-from .matrices import StoppingMatrix, search_matrix, verify_matrix
+from .matrices import (
+    CountViolation,
+    StoppingMatrix,
+    search_matrix,
+    verify_matrix,
+)
 from .measures import IntegerMeasure, MeasureError, barycenter, potential
 from .rational import format_rational, parse_rational
 from .rules import (
@@ -129,38 +134,11 @@ def cmd_embed(args) -> int:
     elif args.method == "minimal":
         rule = MinimalRule(minimal_certificate(mu))
     elif args.method == "hall":
-        rr = hall_rule(mu)
-        _emit(json.loads(rule_to_json_randomized(rr)))
-        return OK
+        rule = hall_rule(mu)
     else:  # pragma: no cover - argparse restricts choices
         return INVALID
     print(rule_to_json(rule))
     return OK
-
-
-def rule_to_json_randomized(rr) -> str:
-    return json.dumps(
-        {
-            "kind": "randomizedRule",
-            "payload": [
-                {"u": u, "v": v, "w": format_rational(w)}
-                for u, v, w in rr.joint_law
-            ],
-        },
-        sort_keys=True,
-    )
-
-
-def _load_rule(text: str):
-    data = json.loads(text)
-    if data.get("kind") == "randomizedRule":
-        from .classic import RandomizedRule
-
-        return RandomizedRule(
-            tuple((int(e["u"]), int(e["v"]), parse_rational(e["w"]))
-                  for e in data["payload"])
-        )
-    return rule_from_json(text)
 
 
 def cmd_verify(args) -> int:
@@ -174,16 +152,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact_law(args) -> int:
-    rule = _load_rule(_read(args.rule))
+    rule = rule_from_json(_read(args.rule))
     el = exact_law(rule, max_stage=args.max_stage)
     print(el.to_json())
     return OK
 
 
 def cmd_simulate(args) -> int:
-    rule = _load_rule(_read(args.rule))
+    rule = rule_from_json(_read(args.rule))
     rep = simulate(rule, trials=args.trials, seed=args.seed,
-                   max_steps=args.max_steps, backend=args.backend)
+                   max_steps=args.max_steps)
     print(rep.to_json())
     return OK
 
@@ -256,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int,
                    default=int(os.environ.get("WALKEMBED_SEED", "0")))
     s.add_argument("--max-steps", type=int, default=1_000_000)
-    s.add_argument("--backend", choices=["auto", "numba", "numpy"], default=None)
     s.set_defaults(fn=cmd_simulate)
 
     w = sub.add_parser("set", help="the embeddable-weight fractal set")
@@ -276,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MeasureError, ValueError, KeyError, OSError,
+    except (MeasureError, CountViolation, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID

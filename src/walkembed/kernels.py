@@ -1,15 +1,11 @@
 """Monte Carlo kernels for walking stopping rules at scale.
 
-Two interchangeable backends produce bit-identical results:
-
-* "numba": per-trial scalar loops compiled with numba (the fast path);
-* "numpy": synchronized vectorized stepping over all active trials.
-
-Both draw increments from per-trial splitmix64 streams seeded from
-(seed, trial index), so a given (seed, trial) always sees the same walk no
-matter the backend or the order trials are processed in.  Backend choice:
-the WALKEMBED_BACKEND environment variable ("auto", "numba", "numpy"),
-overridable per call; "auto" uses numba when it imports.
+All trials step in lockstep as vectorized numpy arrays.  Increments come
+from per-trial splitmix64 streams seeded from (seed, trial index), so a
+given (seed, trial) always sees the same walk no matter the order trials
+are processed in.  `sim.simulate_reference` replays the executable rule
+state machines on the same streams; the tests hold every kernel to it bit
+for bit.
 
 Each kernel returns (positions, steps, stopped): final site, number of
 steps consumed, and whether the rule actually stopped within `max_steps`
@@ -18,25 +14,10 @@ steps consumed, and whether the rule actually stopped within `max_steps`
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
+# read by the benchmark's set-up child (perfbench/run.py)
+HAVE_NUMBA = False
 
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -66,176 +47,13 @@ def stream_states(seed: int, trials: int) -> np.ndarray:
     return out
 
 
+# read by the benchmark's set-up child (perfbench/run.py)
 def resolve_backend(requested: str | None = None) -> str:
-    name = requested or os.environ.get("WALKEMBED_BACKEND", "auto")
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return name
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# numba backend: scalar per-trial loops
-
-
-@njit(cache=True)
-def _nb_next(state):
-    state = state + np.uint64(GAMMA)
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return state, z
-
-
-@njit(cache=True)
-def _nb_two_point(states, us, vs, max_steps):
-    n = states.shape[0]
-    pos = np.zeros(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    stopped = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        s = states[i]
-        p = 0
-        u, v = us[i], vs[i]
-        if p == u or p == v:
-            stopped[i] = True
-            continue
-        for t in range(1, max_steps + 1):
-            s, z = _nb_next(s)
-            p += 1 if (z >> np.uint64(63)) else -1
-            if p == u or p == v:
-                steps[i] = t
-                stopped[i] = True
-                break
-        pos[i] = p
-        if not stopped[i]:
-            steps[i] = max_steps
-    return pos, steps, stopped
-
-
-@njit(cache=True)
-def _nb_exit_composition(states, chips_a, chips_b, max_steps):
-    n = states.shape[0]
-    m = chips_a.shape[0]
-    pos = np.zeros(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    stopped = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        s = states[i]
-        p = 0
-        idx = 0
-        while idx < m and not (chips_a[idx] < p < chips_b[idx]):
-            idx += 1
-        if idx >= m:
-            stopped[i] = True
-            continue
-        for t in range(1, max_steps + 1):
-            s, z = _nb_next(s)
-            p += 1 if (z >> np.uint64(63)) else -1
-            while idx < m and not (chips_a[idx] < p < chips_b[idx]):
-                idx += 1
-            if idx >= m:
-                steps[i] = t
-                stopped[i] = True
-                break
-        pos[i] = p
-        if not stopped[i]:
-            steps[i] = max_steps
-    return pos, steps, stopped
-
-
-@njit(cache=True)
-def _nb_max_threshold(states, levels, lo, hi, max_steps):
-    n = states.shape[0]
-    pos = np.zeros(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    stopped = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        s = states[i]
-        p = 0
-        mx = 0
-        th = levels[-lo]
-        if mx >= th:
-            stopped[i] = True
-            continue
-        for t in range(1, max_steps + 1):
-            s, z = _nb_next(s)
-            p += 1 if (z >> np.uint64(63)) else -1
-            if p > mx:
-                mx = p
-            if p > hi:
-                th = p
-            elif p < lo:
-                th = levels[0]
-            else:
-                th = levels[p - lo]
-            if mx >= th:
-                pos[i] = p
-                steps[i] = t
-                stopped[i] = True
-                break
-        if not stopped[i]:
-            pos[i] = p
-            steps[i] = max_steps
-    return pos, steps, stopped
-
-
-@njit(cache=True)
-def _nb_minimal(states, sites, cuts, max_steps):
-    n = states.shape[0]
-    m = sites.shape[0]
-    pos = np.zeros(n, dtype=np.int64)
-    steps = np.zeros(n, dtype=np.int64)
-    stopped = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        s = states[i]
-        p = 0
-        low = 0.0
-        width = 1.0
-        target = 0
-        resolved = False
-        # resolution check at time zero (single-cell partitions)
-        j = 0
-        while j < m - 1 and cuts[j] <= low:
-            j += 1
-        if low + width <= cuts[j]:
-            resolved = True
-            target = sites[j]
-        if resolved and p == target:
-            stopped[i] = True
-            continue
-        for t in range(1, max_steps + 1):
-            s, z = _nb_next(s)
-            up = (z >> np.uint64(63)) != 0
-            p += 1 if up else -1
-            if not resolved:
-                width *= 0.5
-                if up:
-                    low += width
-                probe = low if t < MAX_DYADIC_BITS else low + width * 0.5
-                j = 0
-                while j < m - 1 and cuts[j] <= probe:
-                    j += 1
-                if t >= MAX_DYADIC_BITS or low + width <= cuts[j]:
-                    resolved = True
-                    target = sites[j]
-            if resolved and p == target:
-                pos[i] = p
-                steps[i] = t
-                stopped[i] = True
-                break
-        if not stopped[i]:
-            pos[i] = p
-            steps[i] = max_steps
-    return pos, steps, stopped
-
-
-# ---------------------------------------------------------------------------
-# numpy backend: synchronized vectorized stepping
+# lockstep stepping
 
 
 def _np_next(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,41 +187,35 @@ def _np_minimal(states, sites, cuts, max_steps):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# entry points: seed the streams, then step
 
 
-def run_two_point(seed, us, vs, max_steps, backend=None):
+def run_two_point(seed, us, vs, max_steps):
     states = stream_states(seed, len(us))
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
-    fn = _nb_two_point if resolve_backend(backend) == "numba" else _np_two_point
-    return fn(states, us, vs, max_steps)
+    return _np_two_point(states, us, vs, max_steps)
 
 
-def run_exit_composition(seed, trials, chips, max_steps, backend=None):
+def run_exit_composition(seed, trials, chips, max_steps):
     states = stream_states(seed, trials)
     a = np.asarray([c.a for c in chips], dtype=np.int64)
     b = np.asarray([c.b for c in chips], dtype=np.int64)
-    fn = (_nb_exit_composition if resolve_backend(backend) == "numba"
-          else _np_exit_composition)
-    return fn(states, a, b, max_steps)
+    return _np_exit_composition(states, a, b, max_steps)
 
 
-def run_max_threshold(seed, trials, thresholds, max_steps, backend=None):
+def run_max_threshold(seed, trials, thresholds, max_steps):
     states = stream_states(seed, trials)
     table = dict(thresholds)
     lo, hi = min(table), max(table)
     if not lo <= 0 <= hi:
         raise ValueError("threshold table must cover the origin")
     levels = np.asarray([table[s] for s in range(lo, hi + 1)], dtype=np.int64)
-    fn = (_nb_max_threshold if resolve_backend(backend) == "numba"
-          else _np_max_threshold)
-    return fn(states, levels, lo, hi, max_steps)
+    return _np_max_threshold(states, levels, lo, hi, max_steps)
 
 
-def run_minimal(seed, trials, sites, cut_points, max_steps, backend=None):
+def run_minimal(seed, trials, sites, cut_points, max_steps):
     states = stream_states(seed, trials)
     sites = np.asarray(sites, dtype=np.int64)
     cuts = np.asarray([float(c) for c in cut_points], dtype=np.float64)
-    fn = _nb_minimal if resolve_backend(backend) == "numba" else _np_minimal
-    return fn(states, sites, cuts, max_steps)
+    return _np_minimal(states, sites, cuts, max_steps)

@@ -14,12 +14,6 @@ from fractions import Fraction
 
 Q = Fraction  # rational type alias used throughout the package
 
-#: Marker returned by digit-weighted sums that diverge.  For digits bounded
-#: by 3 the half-weight series is always <= 6, so the marker is never
-#: produced by `digit_half_weight`; it exists so callers summing unbounded
-#: digit streams can reuse the same contract.
-INFINITE_WEIGHT = float("inf")
-
 
 @dataclass(frozen=True)
 class Base4Expansion:
@@ -115,9 +109,8 @@ def digit_half_weight(e: Base4Expansion) -> Q:
     """Exact value of sum_{i>=0} 2^{-i} a_i for the expansion's digits.
 
     The periodic tail is summed in closed form: one period contributes a
-    geometric block with ratio 2^{-len(period)}.  Always finite here
-    (digits <= 3 give a value <= 6); see `INFINITE_WEIGHT` for the
-    divergence marker of the general contract.
+    geometric block with ratio 2^{-len(period)}.  Always finite: digits
+    <= 3 give a value <= 6.
     """
     total = Q(e.integer_part)
     for i, d in enumerate(e.preperiod, start=1):

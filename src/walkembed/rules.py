@@ -15,12 +15,14 @@ pathCountMatrix   stop-count matrices; the path's rank among alive histories
 randomizedPair    an externally drawn pair (u, v), stop at first visit
 minimalTheorem1   dyadic reading of the up-step indicator stream selects a
                   target atom, then stop at its first visit
+randomizedRule    wire form of `classic.RandomizedRule`, a law over
+                  randomizedPair draws (no state machine of its own)
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .classic import ChipStep, MinimalCertificate, RandomizedRule
@@ -286,8 +288,6 @@ class MinimalState:
         self._resolve()
 
     def _resolve(self) -> None:
-        if self.target is not None:
-            return
         cuts = self.cert.cut_points
         prev = Q(0)
         for site, cut in zip(self.cert.sites, cuts):
@@ -305,10 +305,13 @@ class MinimalState:
         if self.stopped:
             raise PrefixError("step after the rule has stopped")
         self.position += eps
-        self.width /= 2
-        if eps == 1:
-            self.low += self.width
-        self._resolve()
+        if self.target is None:
+            # once the target is fixed the interval is never read again;
+            # halving it anyway would grow its denominator every step
+            self.width /= 2
+            if eps == 1:
+                self.low += self.width
+            self._resolve()
         self._check()
 
 
@@ -355,18 +358,24 @@ def decide(rule, path: WalkPath) -> Decision:
     return Decision(False, None, None)
 
 
-_KINDS = {}
-
-
 def rule_to_json(rule) -> str:
-    return json.dumps({"kind": rule.kind, "payload": rule.payload()},
-                      sort_keys=True)
+    if isinstance(rule, RandomizedRule):  # a law over pair rules
+        kind = "randomizedRule"
+        payload = [{"u": u, "v": v, "w": format_rational(w)}
+                   for u, v, w in rule.joint_law]
+    else:
+        kind, payload = rule.kind, rule.payload()
+    return json.dumps({"kind": kind, "payload": payload}, sort_keys=True)
 
 
 def rule_from_json(text: str):
     data = json.loads(text)
     kind = data.get("kind")
     payload = data.get("payload")
+    if kind == "randomizedRule":
+        return RandomizedRule(tuple((int(e["u"]), int(e["v"]),
+                                     parse_rational(e["w"]))
+                                    for e in payload))
     if kind == "exitComposition":
         return ExitCompositionRule(tuple(ChipStep(int(a), int(b))
                                          for a, b in payload))

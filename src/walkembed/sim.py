@@ -1,17 +1,19 @@
 """Simulation harness and exact stopped-law evaluation.
 
 `simulate` runs a stopping rule for many independent walks through the
-compiled kernels and reports the empirical law, with truncation (trials
+vectorized kernels and reports the empirical law, with truncation (trials
 that never stopped within the step budget) reported separately and never
-folded into the law.  `exact_law` computes the stopped law of a rule by
-exact dynamic programming over merged rule states, with a certified
+folded into the law.  `simulate_reference` replays the rule's executable
+state machine on the same per-trial streams; it is the reference the
+kernels are tested against.  `exact_law` computes the stopped law of a rule
+by exact dynamic programming over merged rule states, with a certified
 residual: the rational mass not yet stopped at the stage cap.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -85,9 +87,9 @@ def sample_pairs(rule: RandomizedRule, trials: int, seed: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (u, v) pairs from the joint law of a randomized rule.
 
-    Sampling is done once with the same splitmix64 streams both backends
-    use (one draw from each trial's stream, before any walk steps), so the
-    resolved pairs are backend-independent.
+    Sampling is done once, one draw from a splitmix64 stream per trial
+    (seeded apart from the walk streams), so `simulate` and
+    `simulate_reference` resolve the same pair for every trial.
     """
     entries = list(rule.joint_law)
     cum = np.cumsum([float(w) for _, _, w in entries])
@@ -100,45 +102,60 @@ def sample_pairs(rule: RandomizedRule, trials: int, seed: int
     return us, vs
 
 
-def simulate(rule, trials: int, seed: int, max_steps: int = 1_000_000,
-             backend: str | None = None) -> SimReport:
+def simulate(rule, trials: int, seed: int,
+             max_steps: int = 1_000_000) -> SimReport:
     """Monte Carlo run of a stopping rule; see the rule kinds in `rules`."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     if isinstance(rule, RandomizedRule):
         us, vs = sample_pairs(rule, trials, seed)
-        out = kernels.run_two_point(seed, us, vs, max_steps, backend)
+        out = kernels.run_two_point(seed, us, vs, max_steps)
     elif isinstance(rule, RandomizedPairRule):
         us = np.full(trials, rule.u, dtype=np.int64)
         vs = np.full(trials, rule.v, dtype=np.int64)
-        out = kernels.run_two_point(seed, us, vs, max_steps, backend)
+        out = kernels.run_two_point(seed, us, vs, max_steps)
     elif isinstance(rule, ExitCompositionRule):
-        out = kernels.run_exit_composition(seed, trials, rule.steps,
-                                           max_steps, backend)
+        out = kernels.run_exit_composition(seed, trials, rule.steps, max_steps)
     elif isinstance(rule, MaxThresholdRule):
         out = kernels.run_max_threshold(seed, trials, dict(rule.thresholds),
-                                        max_steps, backend)
+                                        max_steps)
     elif isinstance(rule, MinimalRule):
         cert = rule.certificate
         out = kernels.run_minimal(seed, trials, cert.sites, cert.cut_points,
-                                  max_steps, backend)
+                                  max_steps)
     elif isinstance(rule, PathCountMatrixRule):
         # matrix rules live on a bounded strip, so stopping is fast; the
-        # rank profile is replayed in Python on the same per-trial streams
-        return _simulate_matrix(rule, trials, seed, max_steps)
+        # rank profile does not vectorize, so the state machine runs
+        return simulate_reference(rule, trials, seed, max_steps)
     else:
         raise TypeError(f"cannot simulate {type(rule).__name__}")
     pos, steps, stopped = out
-    return _report(pos, steps, stopped, trials, seed,
-                   kernels.resolve_backend(backend), max_steps)
+    return _report(pos, steps, stopped, trials, seed, "numpy", max_steps)
 
 
-def _simulate_matrix(rule: PathCountMatrixRule, trials: int, seed: int,
-                     max_steps: int) -> SimReport:
+def simulate_reference(rule, trials: int, seed: int,
+                       max_steps: int = 1_000_000) -> SimReport:
+    """Step `rule.new_state()` once per trial on the splitmix64 stream that
+    `simulate` gives that trial.
+
+    A randomized rule first draws its pairs with `sample_pairs`, then each
+    trial steps the pair rule it drew.  Every kernel of `simulate` must
+    reproduce this replay exactly.
+    """
+    if isinstance(rule, RandomizedRule):
+        us, vs = sample_pairs(rule, trials, seed)
+        per_trial = [RandomizedPairRule(int(u), int(v))
+                     for u, v in zip(us, vs)]
+    else:
+        per_trial = [rule] * trials
     pos = np.zeros(trials, dtype=np.int64)
     steps = np.zeros(trials, dtype=np.int64)
     stopped = np.zeros(trials, dtype=bool)
-    for i in range(trials):
+    for i, trial_rule in enumerate(per_trial):
         s = kernels.mix64((seed + i * kernels.STREAM) & kernels.MASK)
-        state = rule.new_state()
+        state = trial_rule.new_state()
         t = 0
         while not state.stopped and t < max_steps:
             s = (s + kernels.GAMMA) & kernels.MASK

@@ -11,8 +11,6 @@ import time
 from fractions import Fraction as Q
 from itertools import product
 
-import pytest
-
 from walkembed import (
     ChipStep,
     ChwStatus,
@@ -58,19 +56,6 @@ def assert_within_tolerance(report, mu):
         assert err <= atom_tolerance(p), (s, err, atom_tolerance(p))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed criteria measure the work."""
-    mu = measure({-1: Q(1, 2), 1: Q(1, 2)})
-    simulate(hall_rule(mu), 8, seed=0, max_steps=16, backend="numba")
-    simulate(MinimalRule(minimal_certificate(mu)), 8, seed=0, max_steps=16,
-             backend="numba")
-    simulate(ExitCompositionRule((ChipStep(-1, 1),)), 8, seed=0, max_steps=16,
-             backend="numba")
-    simulate(MaxThresholdRule(((-1, 0), (0, 1), (1, 1))), 8, seed=0,
-             max_steps=16, backend="numba")
-
-
 def test_criterion_1_classifier_vs_brute_force():
     # exact classifier agrees with the horizon-5 enumeration oracle on all
     # 1025 grid points j/4^5
@@ -101,7 +86,7 @@ def test_criterion_3_strict_inclusion_chain():
     assert not classify_triple(Q(1, 3), Q(1, 3), Q(1, 3)).member
     mu3 = measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)})
     rep = simulate(MinimalRule(minimal_certificate(mu3)), TRIALS, seed=42,
-                   max_steps=1_000_000, backend="numba")
+                   max_steps=1_000_000)
     assert rep.tv_distance(mu3) <= Q(1, 100)
 
     # 5/16 measure: UI member by matrix search, but no chip sequence of
@@ -215,7 +200,7 @@ def test_criterion_7_statistical_suite():
     ]
     for i, mu in enumerate(hall_targets):
         rep = simulate(hall_rule(mu), TRIALS, seed=200 + i,
-                       max_steps=1_000_000, backend="numba")
+                       max_steps=1_000_000)
         assert_within_tolerance(rep, mu)
 
     minimal_targets = [
@@ -225,7 +210,7 @@ def test_criterion_7_statistical_suite():
     ]
     for i, mu in enumerate(minimal_targets):
         rep = simulate(MinimalRule(minimal_certificate(mu)), TRIALS,
-                       seed=100 + i, max_steps=1_000_000, backend="numba")
+                       seed=100 + i, max_steps=1_000_000)
         assert_within_tolerance(rep, mu)
 
     assert time.monotonic() - start < 60.0

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from walkembed import (
     ChipStep,
     ChwStatus,
+    ExitCompositionRule,
     azema_yor_check,
     chip_apply,
     chw_search,
+    exact_law,
     hall_rule,
     hall_stopped_law,
     measure,
+    measure_from_potential,
     minimal_certificate,
     potential,
     replay_chips,
@@ -99,6 +102,19 @@ class TestChipping:
         u0 = replay_chips(())
         u1 = chip_apply(u0, ChipStep(0, 1))
         assert all(u1.value_at(k) == u0.value_at(k) for k in range(-4, 5))
+
+
+    def test_replay_keeps_kinks_on_asymptote(self):
+        # the hull ends -3 and 5 lie on the asymptote while their inner
+        # neighbours lie below it, so both are atoms and must stay
+        chips = (ChipStep(-1, 3), ChipStep(-3, 0), ChipStep(0, 3),
+                 ChipStep(1, 5))
+        mu = measure_from_potential(replay_chips(chips))
+        assert mu == measure({-3: Q(1, 4), 0: Q(1, 2), 1: Q(1, 8),
+                              5: Q(1, 8)})
+        el = exact_law(ExitCompositionRule(chips))
+        for s in mu.support:
+            assert abs(el.law[s] - mu.weight(s)) <= el.residual
 
 
 class TestHall:

@@ -153,14 +153,20 @@ class TestVerifyAndLaws:
         assert code == 0
         assert out["law"] == {"-2": "1/3", "0": "1/3", "2": "1/3"}
 
+    def test_exact_law_infeasible_matrix(self, capsys, tmp_path):
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 1, "rows": [{"site": 0, "head": [0, 5]}]}}))
+        assert main(["exact-law", str(r)]) == 2
+        assert "a[0][1] = 5 exceeds arrival count 2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_simulate_pair_rule(self, capsys, tmp_path):
         r = tmp_path / "rule.json"
         r.write_text('{"kind": "randomizedPair", "payload": {"u": -2, "v": 2}}')
         code, out = run(capsys, ["simulate", str(r), "--trials", "1000",
-                                 "--seed", "7", "--max-steps", "4096",
-                                 "--backend", "numpy"])
+                                 "--seed", "7", "--max-steps", "4096"])
         assert code == 0
         assert out["trials"] == 1000
         assert out["truncated"] == 0
@@ -171,9 +177,19 @@ class TestSimulate:
         r = tmp_path / "rule.json"
         r.write_text('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}}')
         code, out = run(capsys, ["simulate", str(r), "--trials", "10",
-                                 "--max-steps", "64", "--backend", "numpy"])
+                                 "--max-steps", "64"])
         assert code == 0
         assert out["seed"] == 123
+
+    @pytest.mark.parametrize("flags", [["--max-steps", "-5"],
+                                       ["--trials", "0"]])
+    def test_bad_budget_rejected(self, capsys, tmp_path, flags):
+        r = tmp_path / "rule.json"
+        r.write_text('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}}')
+        assert main(["simulate", str(r), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestSetAndPotential:

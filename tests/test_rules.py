@@ -21,6 +21,7 @@ from walkembed import (
     WalkPath,
     alive_class_rank,
     decide,
+    hall_rule,
     measure,
     minimal_certificate,
     rule_from_json,
@@ -108,6 +109,22 @@ class TestAliveClassRank:
             state.step(1)
 
 
+class TestMinimalState:
+    def test_interval_frozen_once_target_fixed(self):
+        # sites (-1, 3), cut at 1/2: a first up-step fixes the target 3,
+        # which the walk below never reaches
+        rule = MinimalRule(minimal_certificate(measure({-1: Q(1, 2),
+                                                        3: Q(1, 2)})))
+        state = rule.new_state()
+        state.step(1)
+        assert state.target == 3
+        fixed = (state.low, state.width)
+        for eps in (-1, 1) * 8:
+            state.step(eps)
+        assert not state.stopped
+        assert (state.low, state.width) == fixed
+
+
 class TestAdaptedness:
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.kind)
     @given(incs=increments)
@@ -171,6 +188,14 @@ class TestJson:
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.kind)
     def test_round_trip(self, rule):
         assert rule_from_json(rule_to_json(rule)) == rule
+
+    def test_randomized_rule_round_trip(self):
+        rule = hall_rule(measure({-2: Q(1, 3), 0: Q(1, 3), 2: Q(1, 3)}))
+        text = rule_to_json(rule)
+        assert text == ('{"kind": "randomizedRule", "payload": ['
+                        '{"u": -2, "v": 0, "w": "1/3"}, '
+                        '{"u": -2, "v": 2, "w": "2/3"}]}')
+        assert rule_from_json(text) == rule
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

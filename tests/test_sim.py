@@ -19,6 +19,7 @@ from walkembed import (
     minimal_certificate,
     sample_pairs,
     simulate,
+    simulate_reference,
 )
 
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
@@ -34,14 +35,20 @@ BACKEND_RULES = [
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("rule", BACKEND_RULES, ids=lambda r: r.kind)
-    def test_bit_identical_backends(self, rule):
-        a = simulate(rule, 2_000, seed=7, max_steps=256, backend="numba")
-        b = simulate(rule, 2_000, seed=7, max_steps=256, backend="numpy")
+    """Each numpy kernel against the state-machine replay, bit for bit."""
+
+    @staticmethod
+    def assert_same_run(rule, trials, seed, max_steps):
+        a = simulate(rule, trials, seed=seed, max_steps=max_steps)
+        b = simulate_reference(rule, trials, seed=seed, max_steps=max_steps)
         assert a.counts == b.counts
         assert a.truncated == b.truncated
         assert a.mean_steps == b.mean_steps
-        assert (a.backend, b.backend) == ("numba", "numpy")
+        assert (a.backend, b.backend) == ("numpy", "python")
+
+    @pytest.mark.parametrize("rule", BACKEND_RULES, ids=lambda r: r.kind)
+    def test_kernel_matches_state_machine(self, rule):
+        self.assert_same_run(rule, 2_000, seed=7, max_steps=256)
 
     def test_hall_pairs_backend_independent(self):
         rule = hall_rule(MU_UNIFORM3)
@@ -51,23 +58,21 @@ class TestBackendParity:
         support = {(u, v) for u, v, _ in rule.joint_law}
         assert set(zip(us1.tolist(), vs1.tolist())) <= support
 
-    def test_hall_simulation_backends_agree(self):
-        rule = hall_rule(MU_UNIFORM3)
-        a = simulate(rule, 2_000, seed=3, max_steps=256, backend="numba")
-        b = simulate(rule, 2_000, seed=3, max_steps=256, backend="numpy")
-        assert a.counts == b.counts
+    def test_hall_kernel_matches_state_machine(self):
+        self.assert_same_run(hall_rule(MU_UNIFORM3), 2_000, seed=7,
+                             max_steps=256)
 
 
 class TestSimulate:
     def test_two_point_split(self):
         rep = simulate(RandomizedPairRule(-2, 2), 20_000, seed=1,
-                       max_steps=4096, backend="numba")
+                       max_steps=4096)
         assert rep.truncated == 0
         assert abs(rep.frequency(2) - Q(1, 2)) < Q(1, 50)
 
     def test_truncation_reported(self):
         rep = simulate(RandomizedPairRule(-2, 2), 500, seed=1,
-                       max_steps=1, backend="numpy")
+                       max_steps=1)
         assert rep.truncated == 500
         assert rep.counts == {}
         assert rep.tv_distance(measure({-2: Q(1, 2), 2: Q(1, 2)})) == 1
@@ -79,18 +84,16 @@ class TestSimulate:
         assert rep.tv_distance(MU_516) < Q(1, 25)
 
     def test_report_json_deterministic(self):
-        r1 = simulate(RandomizedPairRule(-1, 1), 100, seed=9, max_steps=64,
-                      backend="numpy")
-        r2 = simulate(RandomizedPairRule(-1, 1), 100, seed=9, max_steps=64,
-                      backend="numpy")
+        r1 = simulate(RandomizedPairRule(-1, 1), 100, seed=9, max_steps=64)
+        r2 = simulate(RandomizedPairRule(-1, 1), 100, seed=9, max_steps=64)
         assert r1.to_json() == r2.to_json()
         assert '"counts"' in r1.to_json()
 
     def test_seed_changes_draws(self):
         r1 = simulate(RandomizedPairRule(-2, 2), 1_000, seed=1,
-                      max_steps=256, backend="numpy")
+                      max_steps=256)
         r2 = simulate(RandomizedPairRule(-2, 2), 1_000, seed=2,
-                      max_steps=256, backend="numpy")
+                      max_steps=256)
         assert r1.counts != r2.counts
 
 
