@@ -16,9 +16,10 @@ Four constructions, all exact:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 
 from .measures import (
     BarycenterFunction,
@@ -333,16 +334,22 @@ class MinimalCertificate:
 
     sites: tuple[int, ...]
     weights: tuple[Fraction, ...]
-    cut_points: tuple[Fraction, ...]  # increasing, last == 1
+    cut_points: tuple[Fraction, ...] = field(init=False)  # increasing, last == 1
+
+    def __post_init__(self) -> None:
+        if len(self.sites) != len(self.weights):
+            raise ValueError(f"{len(self.sites)} sites but "
+                             f"{len(self.weights)} weights")
+        for w in self.weights:
+            if w <= 0:
+                raise ValueError(f"weights must be positive, got {w}")
+        cuts = tuple(accumulate(self.weights))
+        if not cuts or cuts[-1] != 1:
+            raise ValueError(f"weights sum to {sum(self.weights)}, not 1")
+        object.__setattr__(self, "cut_points", cuts)
 
 
 def minimal_certificate(mu: IntegerMeasure) -> MinimalCertificate:
     order = sorted(mu.atoms.items(), key=lambda kv: (-kv[1], kv[0]))
-    sites = tuple(k for k, _ in order)
-    weights = tuple(w for _, w in order)
-    cuts = []
-    acc = Q(0)
-    for w in weights:
-        acc += w
-        cuts.append(acc)
-    return MinimalCertificate(sites, weights, tuple(cuts))
+    return MinimalCertificate(tuple(k for k, _ in order),
+                              tuple(w for _, w in order))

@@ -112,14 +112,21 @@ class StoppingMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StoppingMatrix":
+        if not isinstance(data, dict):
+            raise ValueError('matrix JSON must be an object with an "N" key')
         rows = {}
-        for r in data.get("rows", []):
-            rows[int(r["site"])] = MatrixRow(
-                tuple(int(x) for x in r.get("head", [])),
-                r.get("tail", "zero"),
-                tuple(int(x) for x in r.get("period", [])),
-            )
-        return cls(int(data["N"]), rows)
+        try:
+            for r in data.get("rows", []):
+                if not isinstance(r, dict):
+                    raise ValueError(f"matrix row must be an object, got {r!r}")
+                rows[int(r["site"])] = MatrixRow(
+                    tuple(int(x) for x in r.get("head", [])),
+                    r.get("tail", "zero"),
+                    tuple(int(x) for x in r.get("period", [])),
+                )
+            return cls(int(data["N"]), rows)
+        except TypeError as exc:  # a field of the wrong shape
+            raise ValueError(f"malformed matrix JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

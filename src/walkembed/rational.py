@@ -130,6 +130,8 @@ def format_rational(x: Q) -> str:
 
 
 def parse_rational(s: str) -> Q:
+    if not isinstance(s, str):
+        raise ValueError(f"not a rational string: {s!r}")
     try:
         return Q(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

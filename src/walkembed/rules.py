@@ -370,8 +370,16 @@ def rule_to_json(rule) -> str:
 
 def rule_from_json(text: str):
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError('rule JSON must be an object with "kind" and "payload"')
     kind = data.get("kind")
-    payload = data.get("payload")
+    try:
+        return _rule_from_payload(kind, data.get("payload"))
+    except TypeError as exc:  # a payload of the wrong shape
+        raise ValueError(f"malformed {kind} payload: {exc}") from exc
+
+
+def _rule_from_payload(kind, payload):
     if kind == "randomizedRule":
         return RandomizedRule(tuple((int(e["u"]), int(e["v"]),
                                      parse_rational(e["w"]))
@@ -387,12 +395,7 @@ def rule_from_json(text: str):
     if kind == "randomizedPair":
         return RandomizedPairRule(int(payload["u"]), int(payload["v"]))
     if kind == "minimalTheorem1":
-        sites = tuple(int(s) for s in payload["sites"])
-        weights = tuple(parse_rational(w) for w in payload["weights"])
-        total = Q(0)
-        cuts = []
-        for w in weights:
-            total += w
-            cuts.append(total)
-        return MinimalRule(MinimalCertificate(sites, weights, tuple(cuts)))
+        return MinimalRule(MinimalCertificate(
+            tuple(int(s) for s in payload["sites"]),
+            tuple(parse_rational(w) for w in payload["weights"])))
     raise ValueError(f"unknown rule kind {kind!r}")

@@ -192,6 +192,60 @@ class TestSimulate:
         assert captured.err.startswith("error: ")
 
 
+class TestWireFormat:
+    """Malformed input exits 2 with a one-line error, never a traceback."""
+
+    @staticmethod
+    def assert_rejected(capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["exact-law", "simulate"])
+    @pytest.mark.parametrize("sites, weights, message", [
+        ([-1, 1], ["1/2", "1/3"], "weights sum to 5/6"),
+        ([-1, 1, 3], ["1/2", "1/2"], "3 sites but 2 weights"),
+        ([-1, 1], ["1/2", "1/2", "0"], "2 sites but 3 weights"),
+        ([-1, 0, 1], ["1/2", "0", "1/2"], "weights must be positive"),
+        ([-1, 1], ["3/2", "-1/2"], "weights must be positive"),
+    ], ids=["sum-5/6", "more-sites", "more-weights", "zero", "negative"])
+    def test_minimal_weights_rejected(self, capsys, tmp_path, command,
+                                      sites, weights, message):
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "minimalTheorem1", "payload": {
+            "sites": sites, "weights": weights}}))
+        assert message in self.assert_rejected(capsys, [command, str(r)])
+
+    @pytest.mark.parametrize("command, text", [
+        ("exact-law", "null"),
+        ("exact-law", "[1, 2]"),
+        ("simulate", "null"),
+        ("simulate", "[1, 2]"),
+        ("verify", "null"),
+        ("verify", "[1, 2]"),
+        ("exact-law", '{"kind": "exitComposition", "payload": null}'),
+        ("simulate", '{"kind": "randomizedPair", "payload": [-1, 1]}'),
+        ("exact-law", '{"kind": "pathCountMatrix", "payload": [1]}'),
+        ("verify", '{"N": 1, "rows": [[0, 1]]}'),
+        ("classify", '{"atoms": {"0": 0.5, "-1": 0.25, "1": 0.25}}'),
+        ("potential", '{"atoms": {"0": 1}}'),
+    ], ids=["exact-law-null", "exact-law-list", "simulate-null",
+            "simulate-list", "verify-null", "verify-list",
+            "null-chip-payload", "list-pair-payload", "list-matrix-payload",
+            "list-matrix-row", "float-weights", "int-weight"])
+    def test_malformed_json_rejected(self, capsys, tmp_path, command, text):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        mu = tmp_path / "mu.json"
+        mu.write_text(MU_516_JSON)
+        argv = {"classify": ["classify", "--measure", str(f)],
+                "verify": ["verify", str(f), str(mu)]}.get(
+                    command, [command, str(f)])
+        self.assert_rejected(capsys, argv)
+
+
 class TestSetAndPotential:
     def test_set_cover(self, capsys):
         code, out = run(capsys, ["set", "--depth", "1"])

@@ -2,7 +2,10 @@
 
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from walkembed import (
     ChipStep,
@@ -15,6 +18,7 @@ from walkembed import (
     StoppingMatrix,
     exact_law,
     hall_rule,
+    kernels,
     measure,
     minimal_certificate,
     sample_pairs,
@@ -73,6 +77,48 @@ class TestBackendParity:
         rule = MinimalRule(minimal_certificate(mu))
         rep = self.assert_same_run(rule, 2_000, seed=7, max_steps=4_099)
         assert rep.truncated > 0
+
+
+class TestSeeding:
+    """The vectorized stream seeding against the scalar splitmix64."""
+
+    @given(st.integers(-2**70, 2**70), st.integers(0, 64))
+    def test_stream_states_match_scalar_mix(self, seed, n):
+        # seed ^ 0x5DEECE66D seeds the pair draws of sample_pairs
+        for s in (seed, seed ^ 0x5DEECE66D):
+            got = kernels.stream_states(s, n)
+            want = np.asarray(
+                [kernels.mix64((s + i * kernels.STREAM) & kernels.MASK)
+                 for i in range(n)], dtype=np.uint64)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+
+class TestTruncatedSteps:
+    """Trials still running at `max_steps` report exactly that many steps."""
+
+    # for the uniform target a quarter of the trials is still reading
+    # selector bits at step 3; the non-centred one has fixed every target
+    # after one step and is cut during its block-stepped first passage
+    @pytest.mark.parametrize("atoms, max_steps", [
+        ({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}, 3),
+        ({-1: Q(1, 2), 3: Q(1, 2)}, 4_099),
+    ], ids=["selection", "first-passage"])
+    def test_minimal(self, atoms, max_steps):
+        cert = minimal_certificate(measure(atoms))
+        _, steps, stopped = kernels.run_minimal(
+            7, 2_000, cert.sites, cert.cut_points, max_steps)
+        assert stopped.any() and not stopped.all()
+        assert (steps[~stopped] == max_steps).all()
+        assert (steps[stopped] <= max_steps).all()
+
+    def test_two_point(self):
+        us = np.full(500, -4)
+        vs = np.full(500, 4)
+        _, steps, stopped = kernels.run_two_point(7, us, vs, 16)
+        assert stopped.any() and not stopped.all()
+        assert (steps[~stopped] == 16).all()
+        assert (steps[stopped] <= 16).all()
 
 
 class TestSimulate:
