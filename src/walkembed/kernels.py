@@ -135,7 +135,7 @@ def _np_exit_composition(states, chips_a, chips_b, max_steps):
 
     def settle(which, pos_vals):
         cur = idx_state[which]
-        while True:
+        while m > 0:  # an empty composition stops every trial at time zero
             running = cur < m
             a = chips_a[np.minimum(cur, m - 1)]
             b = chips_b[np.minimum(cur, m - 1)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .measures import IntegerMeasure, MeasureError
-from .rational import Q
+from .rational import Q, parse_int
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,12 @@ class StoppingMatrix:
             for r in data.get("rows", []):
                 if not isinstance(r, dict):
                     raise ValueError(f"matrix row must be an object, got {r!r}")
-                rows[int(r["site"])] = MatrixRow(
-                    tuple(int(x) for x in r.get("head", [])),
+                rows[parse_int(r["site"])] = MatrixRow(
+                    tuple(parse_int(x) for x in r.get("head", [])),
                     r.get("tail", "zero"),
-                    tuple(int(x) for x in r.get("period", [])),
+                    tuple(parse_int(x) for x in r.get("period", [])),
                 )
-            return cls(int(data["N"]), rows)
+            return cls(parse_int(data["N"]), rows)
         except TypeError as exc:  # a field of the wrong shape
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
 

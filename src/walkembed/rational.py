@@ -138,6 +138,17 @@ def parse_rational(s: str) -> Q:
         raise ValueError(f"not a rational: {s!r}") from exc
 
 
+def parse_int(x) -> int:
+    """A JSON integer field: an `int` that is not a `bool`.
+
+    Floats, bools and strings are rejected rather than truncated, so a
+    malformed site or count cannot silently turn into a different rule.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"not an integer: {x!r}")
+    return x
+
+
 def format_expansion(e: Base4Expansion) -> str:
     """Serialize as "a0.pre(period)", digits 0-3."""
     out = f"{e.integer_part}." + "".join(str(d) for d in e.preperiod)

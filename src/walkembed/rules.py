@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .classic import ChipStep, MinimalCertificate, RandomizedRule
 from .matrices import StoppingMatrix
-from .rational import Q, format_rational, parse_rational
+from .rational import Q, format_rational, parse_int, parse_rational
 
 
 class PrefixError(ValueError):
@@ -129,6 +129,13 @@ class MaxThresholdState:
 class MaxThresholdRule:
     kind = "maxThreshold"
     thresholds: tuple[tuple[int, int], ...]  # (site, level), sorted
+
+    def __post_init__(self):
+        sites = [s for s, _ in self.thresholds]
+        if not (sites and sites == list(range(sites[0], sites[-1] + 1))
+                and sites[0] <= 0 <= sites[-1]):
+            raise ValueError("threshold table needs one level per site of "
+                             f"an interval containing 0, got sites {sites}")
 
     def new_state(self) -> MaxThresholdState:
         table = dict(self.thresholds)
@@ -381,21 +388,22 @@ def rule_from_json(text: str):
 
 def _rule_from_payload(kind, payload):
     if kind == "randomizedRule":
-        return RandomizedRule(tuple((int(e["u"]), int(e["v"]),
+        return RandomizedRule(tuple((parse_int(e["u"]), parse_int(e["v"]),
                                      parse_rational(e["w"]))
                                     for e in payload))
     if kind == "exitComposition":
-        return ExitCompositionRule(tuple(ChipStep(int(a), int(b))
+        return ExitCompositionRule(tuple(ChipStep(parse_int(a), parse_int(b))
                                          for a, b in payload))
     if kind == "maxThreshold":
-        return MaxThresholdRule(tuple(sorted((int(s), int(t))
+        return MaxThresholdRule(tuple(sorted((parse_int(s), parse_int(t))
                                              for s, t in payload)))
     if kind == "pathCountMatrix":
         return PathCountMatrixRule(StoppingMatrix.from_json_dict(payload))
     if kind == "randomizedPair":
-        return RandomizedPairRule(int(payload["u"]), int(payload["v"]))
+        return RandomizedPairRule(parse_int(payload["u"]),
+                                  parse_int(payload["v"]))
     if kind == "minimalTheorem1":
         return MinimalRule(MinimalCertificate(
-            tuple(int(s) for s in payload["sites"]),
+            tuple(parse_int(s) for s in payload["sites"]),
             tuple(parse_rational(w) for w in payload["weights"])))
     raise ValueError(f"unknown rule kind {kind!r}")

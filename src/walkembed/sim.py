@@ -6,12 +6,16 @@ that never stopped within the step budget) reported separately and never
 folded into the law.  `simulate_reference` replays the rule's executable
 state machine on the same per-trial streams; it is the reference the
 kernels are tested against.  `exact_law` computes the stopped law of a rule
-by exact dynamic programming over merged rule states, with a certified
-residual: the rational mass not yet stopped at the stage cap.
+exactly, with a certified residual: the rational mass not yet stopped at the
+stage cap.  For exit-composition, max-threshold and minimal rules it runs a
+dynamic program over integer path counts per merged rule state; the rule's
+state machine is the transition function, stepped once per distinct state
+and direction and memoized, and the only division happens at the end.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,6 +200,8 @@ def exact_law(rule, max_stage: int = 64) -> ExactLaw:
     The returned residual is the exact probability mass not yet stopped;
     rules that terminate within the horizon report residual zero.
     """
+    if max_stage < 0:
+        raise ValueError(f"max_stage must be at least 0, got {max_stage}")
     max_steps = 2 * max_stage
     if isinstance(rule, RandomizedRule):
         from .classic import hall_stopped_law
@@ -234,43 +240,57 @@ def _minimal_state_key(state):
 
 
 def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
-    """State-merged DP: distinct rule states with their exact probabilities."""
-    law: dict[int, Fraction] = {}
+    """State-merged DP over integer path counts, with memoized transitions.
+
+    `counts[k]` is the number of increment words of the current length t
+    that reach merged state `k`; each carries mass 2^-t.  Stopped mass is
+    kept as integer numerators over 2^t, doubled once per step, so the loop
+    only adds and shifts integers and divides once at the end.
+
+    States with equal keys have equal futures, so the rule's own state
+    machine is stepped once per distinct key and direction: a copy of one
+    representative state takes the step, and the outcome (stopped at a
+    site, or the child's key) is reused on every later visit of that key.
+    """
     init = rule.new_state()
     if init.stopped:
         return ExactLaw({init.position: Q(1)}, Q(0), 0)
-    states = {key(init): (init, Q(1))}
+    k0 = key(init)
+    counts = {k0: 1}
+    unstepped = {k0: init}  # one representative state per key not yet stepped
+    moves: dict = {}  # key -> [(stopped, site or child key)] for eps -1, +1
+    stops: dict[int, int] = {}  # site -> stopped mass times 2^steps_done
     steps_done = 0
-    for _ in range(max_steps):
-        if not states:
-            break
-        nxt: dict = {}
-        for st, w in states.values():
-            for eps in (-1, 1):
-                child = _clone_step(rule, st, eps)
-                if child.stopped:
-                    law[child.position] = law.get(child.position, Q(0)) + w / 2
-                else:
-                    k = key(child)
-                    if k in nxt:
-                        old, ow = nxt[k]
-                        nxt[k] = (old, ow + w / 2)
-                    else:
-                        nxt[k] = (child, w / 2)
-        states = nxt
+    while counts and steps_done < max_steps:
         steps_done += 1
-    residual = sum((w for _, w in states.values()), Q(0))
+        stops = {site: num << 1 for site, num in stops.items()}
+        nxt: dict = {}
+        for k, c in counts.items():
+            out = moves.get(k)
+            if out is None:
+                rep = unstepped.pop(k)
+                out = moves[k] = []
+                for eps in (-1, 1):
+                    # a shallow copy is safe: `step` rebinds a state's
+                    # fields and only reads the tables it shares
+                    child = copy.copy(rep)
+                    child.step(eps)
+                    if child.stopped:
+                        out.append((True, child.position))
+                    else:
+                        ck = key(child)
+                        if ck not in moves:
+                            unstepped.setdefault(ck, child)
+                        out.append((False, ck))
+            for stopped, dest in out:
+                if stopped:
+                    stops[dest] = stops.get(dest, 0) + c
+                else:
+                    nxt[dest] = nxt.get(dest, 0) + c
+        counts = nxt
+    law = {site: Q(num, 1 << steps_done) for site, num in stops.items()}
+    residual = Q(sum(counts.values()), 1 << steps_done)
     return ExactLaw(law, residual, (steps_done + 1) // 2)
-
-
-def _clone_step(rule, state, eps):
-    import copy
-
-    child = copy.copy(state)
-    # state objects use __slots__ and hold only immutable or replaced data,
-    # except dict/tuple fields shared read-only, so a shallow copy is safe
-    child.step(eps)
-    return child
 
 
 def _exact_law_matrix(matrix, max_stage: int) -> ExactLaw:

@@ -1,8 +1,14 @@
 """CLI subcommands, exit codes, and JSON shapes."""
 
+import contextlib
+import io
 import json
+import signal
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkembed.cli import main
 
@@ -192,6 +198,24 @@ class TestSimulate:
         assert captured.err.startswith("error: ")
 
 
+    def test_negative_stage_rejected(self, capsys, tmp_path):
+        r = tmp_path / "rule.json"
+        r.write_text('{"kind": "exitComposition", "payload": [[-1, 1]]}')
+        assert main(["exact-law", str(r), "--max-stage", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: max_stage")
+
+    def test_empty_exit_composition(self, capsys, tmp_path):
+        r = tmp_path / "rule.json"
+        r.write_text('{"kind": "exitComposition", "payload": []}')
+        code, out = run(capsys, ["simulate", str(r), "--trials", "16"])
+        assert code == 0
+        assert (out["counts"], out["meanSteps"]) == ({"0": 16}, 0.0)
+        code, out = run(capsys, ["exact-law", str(r)])
+        assert (code, out["law"]) == (0, {"0": "1"})
+
+
 class TestWireFormat:
     """Malformed input exits 2 with a one-line error, never a traceback."""
 
@@ -246,6 +270,54 @@ class TestWireFormat:
         self.assert_rejected(capsys, argv)
 
 
+    # the state machine and the kernel read a table the same way only when
+    # it has one level per site of an interval containing the origin
+    @pytest.mark.parametrize("command", ["exact-law", "simulate"])
+    @pytest.mark.parametrize("table", [
+        [[-1, 0], [1, 1]], [[1, 1], [2, 2]], [[0, 1], [0, 2]], [],
+    ], ids=["gap", "no-origin", "repeated-site", "empty"])
+    def test_threshold_table_rejected(self, capsys, tmp_path, command, table):
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "maxThreshold", "payload": table}))
+        err = self.assert_rejected(capsys, [command, str(r)])
+        assert "threshold table" in err
+
+    # integer fields take JSON integers only: a float or a bool is an
+    # error, never truncated to some other rule
+    @pytest.mark.parametrize("command, text", [
+        ("exact-law", '{"kind": "randomizedPair", "payload": {"u": -1.7, "v": 2.9}}'),
+        ("simulate", '{"kind": "randomizedPair", "payload": {"u": -1.7, "v": 2.9}}'),
+        ("exact-law", '{"kind": "exitComposition", "payload": [[true, 2]]}'),
+        ("simulate", '{"kind": "exitComposition", "payload": [[-1, 2.0]]}'),
+        ("exact-law", '{"kind": "maxThreshold", "payload": [[0, 1.0]]}'),
+        ("simulate", '{"kind": "maxThreshold", "payload": [[false, 1]]}'),
+        ("exact-law", '{"kind": "minimalTheorem1", "payload": '
+                      '{"sites": [-1.0, 1], "weights": ["1/2", "1/2"]}}'),
+        ("simulate", '{"kind": "randomizedRule", "payload": '
+                     '[{"u": -1, "v": "1", "w": "1"}]}'),
+        ("exact-law", '{"kind": "pathCountMatrix", "payload": '
+                      '{"N": 1.0, "rows": []}}'),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0.9, 1.5]}]}'),
+        ("verify", '{"N": true, "rows": []}'),
+        ("verify", '{"N": 1, "rows": [{"site": false, "head": [0, 1]}]}'),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "tail": "periodic", '
+                   '"period": ["1"]}]}'),
+    ], ids=["exact-law-pair", "simulate-pair", "exact-law-chip-bool",
+            "simulate-chip-float", "exact-law-threshold-float",
+            "simulate-threshold-bool", "exact-law-minimal-site",
+            "simulate-hall-string", "exact-law-matrix-N", "verify-head",
+            "verify-N-bool", "verify-site-bool", "verify-period-string"])
+    def test_non_integer_field_rejected(self, capsys, tmp_path, command,
+                                        text):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        mu = tmp_path / "mu.json"
+        mu.write_text(MU_516_JSON)
+        argv = ([command, str(f), str(mu)] if command == "verify"
+                else [command, str(f)])
+        assert "not an integer" in self.assert_rejected(capsys, argv)
+
+
 class TestSetAndPotential:
     def test_set_cover(self, capsys):
         code, out = run(capsys, ["set", "--depth", "1"])
@@ -270,3 +342,109 @@ class TestSetAndPotential:
         assert code == 0
         assert out["values"]["0"] == "-4/3"
         assert out["barycenter"]["0"] == "6/7"
+
+
+# payload values mix small ints with every other JSON type, and dict keys
+# name the fields the parsers read, so some payloads get deep into them
+FIELDS = ["u", "v", "w", "sites", "weights", "N", "rows", "site", "head",
+          "tail", "period"]
+RATIONALS = ["1/2", "1/3", "2/3", "1/4", "3/4", "1", "0", "-1/2"]
+TAILS = ["zero", "doubling", "periodic"]
+JSON_LEAVES = (st.integers(-20, 20) | st.floats() | st.booleans() | st.none()
+               | st.sampled_from(RATIONALS + TAILS) | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(FIELDS) | st.text(
+                       max_size=3), inner, max_size=4)),
+    max_leaves=16)
+KINDS = ["exitComposition", "maxThreshold", "pathCountMatrix",
+         "randomizedPair", "minimalTheorem1", "randomizedRule", "noSuchKind"]
+
+
+def pick(draw, *options):
+    """Draw from one of `options`; repeating an option weights it (where
+    `st.one_of` would merge the repeats)."""
+    return draw(options[draw(st.integers(0, len(options) - 1))])
+
+
+@st.composite
+def fields(draw):
+    # mostly well-typed, so payloads reach the rule constructors and the
+    # engines; every other JSON value still turns up
+    ints = st.integers(-20, 20)
+    return pick(draw, ints, ints, st.sampled_from(RATIONALS), JSON_VALUES)
+
+
+FIELD = fields()
+PAIRS = st.lists(st.lists(FIELD, min_size=2, max_size=2), max_size=4)
+ROW = st.fixed_dictionaries(
+    {"site": FIELD, "head": st.lists(FIELD, max_size=4)},
+    optional={"tail": FIELD | st.sampled_from(TAILS),
+              "period": st.lists(FIELD, max_size=3)})
+SHAPES = {
+    "exitComposition": PAIRS,
+    "maxThreshold": PAIRS,
+    "randomizedPair": st.fixed_dictionaries({"u": FIELD, "v": FIELD}),
+    "minimalTheorem1": st.fixed_dictionaries(
+        {"sites": st.lists(FIELD, max_size=4),
+         "weights": st.lists(FIELD, max_size=4)}),
+    "randomizedRule": st.lists(
+        st.fixed_dictionaries({"u": FIELD, "v": FIELD, "w": FIELD}),
+        max_size=3),
+    "pathCountMatrix": st.fixed_dictionaries(
+        {"N": FIELD, "rows": st.lists(ROW, max_size=3)}),
+}
+
+
+@st.composite
+def rule_documents(draw):
+    """{"kind", "payload"}: the payload is shaped like the kind's wire form,
+    like some other kind's, or arbitrary JSON."""
+    kind = draw(st.sampled_from(KINDS))
+    own = SHAPES.get(kind, JSON_VALUES)
+    payload = pick(draw, own, own, st.one_of(*SHAPES.values()), JSON_VALUES)
+    return {"kind": kind, "payload": payload}
+
+
+class CallTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise CallTimeout
+
+
+def run_bounded(argv, seconds=5.0):
+    """Run the CLI in-process under a wall-clock alarm; return the exit
+    code, stderr and elapsed time.  An uncaught exception propagates."""
+    err = io.StringIO()
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    t0 = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    return code, err.getvalue(), time.perf_counter() - t0
+
+
+class TestFuzz:
+    """Arbitrary rule JSON ends in exit 0, 2 or 3 within 5 s, never in a
+    traceback."""
+
+    @settings(max_examples=200)
+    @given(doc=rule_documents())
+    def test_rule_json(self, tmp_path_factory, doc):
+        f = tmp_path_factory.mktemp("fuzz") / "rule.json"
+        f.write_text(json.dumps(doc))
+        for argv in (["exact-law", str(f), "--max-stage", "4"],
+                     ["simulate", str(f), "--trials", "64",
+                      "--max-steps", "256"]):
+            code, err, seconds = run_bounded(argv)
+            assert code in (0, 2, 3), (argv, err)
+            assert "Traceback" not in err
+            assert seconds < 5.0

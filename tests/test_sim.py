@@ -1,6 +1,7 @@
 """Monte Carlo harness and exact stopped laws."""
 
 from fractions import Fraction as Q
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from walkembed import (
     PathCountMatrixRule,
     RandomizedPairRule,
     StoppingMatrix,
+    WalkPath,
+    decide,
     exact_law,
     hall_rule,
     kernels,
@@ -33,6 +36,7 @@ MU_UNIFORM3 = measure({-2: Q(1, 3), 0: Q(1, 3), 2: Q(1, 3)})
 BACKEND_RULES = [
     RandomizedPairRule(-2, 2),
     ExitCompositionRule((ChipStep(-1, 2), ChipStep(-3, 0))),
+    pytest.param(ExitCompositionRule(()), id="exitComposition-empty"),
     MaxThresholdRule(((-1, 0), (0, 1), (1, 1))),
     MinimalRule(minimal_certificate(MU_516)),
 ]
@@ -195,3 +199,70 @@ class TestExactLaw:
         text = el.to_json()
         assert '"residual": "0"' in text or '"residual"' in text
         assert el.to_json() == exact_law(RandomizedPairRule(-1, 1)).to_json()
+
+
+def enumerated_law(rule, stages):
+    """Law and residual of `rule` after 2 * `stages` steps, by replaying
+    every increment word of that length through `decide`."""
+    steps = 2 * stages
+    mass = Q(1, 2**steps)
+    law: dict[int, Q] = {}
+    residual = Q(0)
+    for word in product((-1, 1), repeat=steps):
+        d = decide(rule, WalkPath(word))
+        if d.stopped:
+            law[d.stop_site] = law.get(d.stop_site, Q(0)) + mass
+        else:
+            residual += mass
+    return law, residual
+
+
+@st.composite
+def chips(draw):
+    a = draw(st.integers(-4, 3))
+    return ChipStep(a, draw(st.integers(a + 1, 4)))
+
+
+@st.composite
+def threshold_tables(draw):
+    lo, hi = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
+    return tuple((s, draw(st.integers(-2, 5))) for s in range(lo, hi + 1))
+
+
+class TestExactLawOracle:
+    """`exact_law` against brute-force enumeration of every increment word
+    of length 2s, s <= 5, replayed through the rule's state machine."""
+
+    @staticmethod
+    def assert_matches_enumeration(rule, stages):
+        el = exact_law(rule, max_stage=stages)
+        assert (el.law, el.residual) == enumerated_law(rule, stages)
+
+    @given(st.lists(chips(), max_size=4), st.integers(0, 5))
+    def test_exit_composition(self, steps, stages):
+        self.assert_matches_enumeration(ExitCompositionRule(tuple(steps)),
+                                        stages)
+
+    @given(threshold_tables(), st.integers(0, 5))
+    def test_max_threshold(self, table, stages):
+        self.assert_matches_enumeration(MaxThresholdRule(table), stages)
+
+    # 2/9 and the non-centred target have cut points that are not dyadic,
+    # so some words are still selecting their target at every stage
+    @pytest.mark.parametrize("mu", [
+        MU_516,
+        measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}),
+        measure({-5: Q(1, 7), 2: Q(6, 7)}),
+    ], ids=["5/16", "2/9", "non-centred"])
+    def test_minimal(self, mu):
+        rule = MinimalRule(minimal_certificate(mu))
+        for stages in range(6):
+            self.assert_matches_enumeration(rule, stages)
+
+    def test_early_stop_with_huge_stage_cap(self):
+        # the DP ends when every path has stopped; a stage cap far beyond
+        # that must cost nothing
+        el = exact_law(MaxThresholdRule(((-1, 0), (0, 1), (1, 1))),
+                       max_stage=10**12)
+        assert (el.law, el.residual, el.stages) == (
+            {-1: Q(1, 2), 1: Q(1, 2)}, 0, 1)
