@@ -15,14 +15,12 @@ Four constructions, all exact:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 
 from .measures import (
-    BarycenterFunction,
     IntegerMeasure,
     MeasureError,
     PotentialFunction,

@@ -40,17 +40,16 @@ from .matrices import (
     verify_matrix,
 )
 from .measures import IntegerMeasure, MeasureError, barycenter, potential
-from .rational import format_rational, parse_rational
+from .rational import DigitBudgetExceeded, format_rational, parse_rational
 from .rules import (
     ExitCompositionRule,
     MaxThresholdRule,
     MinimalRule,
     PathCountMatrixRule,
-    RandomizedPairRule,
     rule_from_json,
     rule_to_json,
 )
-from .sim import exact_law, simulate
+from .sim import DEFAULT_MAX_STAGE, exact_law, simulate
 from .uiset import (
     classify_triple,
     classify_weight,
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("exact-law", help="exact stopped law of a rule")
     x.add_argument("rule", help="path to a rule JSON file (- for stdin)")
-    x.add_argument("--max-stage", type=int, default=64)
+    x.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE)
     x.set_defaults(fn=cmd_exact_law)
 
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")
@@ -253,6 +252,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except DigitBudgetExceeded as exc:  # `classify`: undecided, not invalid
+        _emit({"member": "unknown", "reason": str(exc)})
+        return UNDECIDED
     except (MeasureError, CountViolation, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

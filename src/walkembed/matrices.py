@@ -11,10 +11,16 @@ boundary mass.
 Rows may terminate, eventually double (a_{n+1} = 2 a_n, the
 stop-everything-arriving pattern), or repeat periodically; all three tails
 are verified exactly, with no truncation error.
+
+`CountEngine` is the only code that turns survivors into arrivals.
+Verification and the exact law of a matrix rule run on it, and the search
+uses its arrivals routine; the periodic tail's affine one-period map is
+read off integer engine runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,6 +102,15 @@ class StoppingMatrix:
     def site_weight(self, i: int) -> Fraction:
         return 2 ** (abs(i) % 2) * self.row(i).quarter_sum()
 
+    @property
+    def head_length(self) -> int:
+        """Stages before every row is in its tail (at least one)."""
+        return max([1] + [len(r.head) for r in self.rows.values()])
+
+    @property
+    def terminates(self) -> bool:
+        return all(r.tail == "zero" for r in self.rows.values())
+
     # -- JSON: {"N": ..., "rows": [{"site": i, "head": [...], "tail": ...}]}
 
     def to_json_dict(self) -> dict:
@@ -125,6 +140,8 @@ class StoppingMatrix:
                     tuple(parse_int(x) for x in r.get("period", [])),
                 )
             return cls(parse_int(data["N"]), rows)
+        except KeyError as exc:  # an object without a field it needs
+            raise ValueError(f"malformed matrix JSON: missing field {exc}") from exc
         except TypeError as exc:  # a field of the wrong shape
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
 
@@ -133,24 +150,32 @@ class StoppingMatrix:
 # The two-phase arrival-count recursion
 
 
+def _arrivals(surv: dict[int, int], sites: list[int]) -> dict[int, int]:
+    """Paths arriving at each of `sites`: the survivors one step either side."""
+    return {j: surv.get(j - 1, 0) + surv.get(j + 1, 0) for j in sites}
+
+
 class CountEngine:
     """Evolves the arrival counts k[i][n] for a given stop-count source.
 
     `stops(i, n)` must return the number of paths stopped at interior site i
-    at stage n.  Boundary sites +-(N+1) absorb everything that reaches them.
+    at stage n.  Boundary sites +-(N+1) absorb everything that reaches them;
+    `absorbed[b] / 4**n` is the mass absorbed at b by stage n.
     """
 
     def __init__(self, half_width: int, stops):
         self.N = half_width
         self.stops = stops
         self.n = 0
-        bound = self.N + 1
+        self.bound = bound = half_width + 1
         self.even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
         self.odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
         self.k_even = {i: (1 if i == 0 else 0) for i in self.even_sites}
         self.k_odd = {i: 0 for i in self.odd_sites}
+        self.absorbed = {-bound: 0, bound: 0}
 
-    def _survivors(self, counts: dict[int, int], stage: int) -> dict[int, int]:
+    def survivors(self, counts: dict[int, int], stage: int) -> dict[int, int]:
+        """`counts` less the stops of `stage`; nothing survives a boundary."""
         surv = {}
         for i, k in counts.items():
             if abs(i) > self.N:
@@ -162,19 +187,22 @@ class CountEngine:
                 surv[i] = k - a
         return surv
 
+    def boundary_arrivals(self) -> dict[int, int]:
+        """Paths reaching +-(N+1) at the current stage, counted twice at odd
+        sites, whose paths are one step shorter."""
+        counts = self.k_odd if self.bound % 2 else self.k_even
+        return {b: 2 ** (self.bound % 2) * counts[b] for b in self.absorbed}
+
+    def absorbed_mass(self) -> dict[int, Fraction]:
+        return {b: Q(num, 4**self.n) for b, num in self.absorbed.items()}
+
     def advance(self) -> None:
         """Run one full stage: odd arrivals, then even arrivals."""
-        surv_even = self._survivors(self.k_even, self.n)
+        self.k_odd = _arrivals(self.survivors(self.k_even, self.n), self.odd_sites)
         self.n += 1
-        self.k_odd = {
-            j: surv_even.get(j - 1, 0) + surv_even.get(j + 1, 0)
-            for j in self.odd_sites
-        }
-        surv_odd = self._survivors(self.k_odd, self.n)
-        self.k_even = {
-            i: surv_odd.get(i - 1, 0) + surv_odd.get(i + 1, 0)
-            for i in self.even_sites
-        }
+        self.k_even = _arrivals(self.survivors(self.k_odd, self.n), self.even_sites)
+        for b, c in self.boundary_arrivals().items():
+            self.absorbed[b] = 4 * self.absorbed[b] + c
 
 
 class CountViolation(Exception):
@@ -202,8 +230,35 @@ def _ruin_masses(k_even: dict[int, int], stage: int, half_width: int
     return lo, hi
 
 
+def count_scan(matrix: StoppingMatrix, max_stage: int
+               ) -> tuple[dict[int, Fraction], Fraction, int]:
+    """Run the count recursion of `matrix` for `max_stage` stages, or only
+    through its heads when every row terminates, checking a <= k at every
+    stage scanned, the last stage's even sites included.
+
+    Returns the mass absorbed at +-(N+1), the mass still alive and the
+    number of stages run.  Once no stop is left to come, the alive paths
+    only wait to be absorbed: the exact gambler's-ruin probabilities share
+    them out and the alive mass is zero.
+    """
+    stages = max_stage
+    if matrix.terminates:
+        stages = min(max_stage, matrix.head_length)
+    engine = CountEngine(matrix.half_width, matrix.entry)
+    for _ in range(stages):
+        engine.advance()
+    alive = engine.survivors(engine.k_even, engine.n)
+    masses = engine.absorbed_mass()
+    if not (matrix.terminates and engine.n >= matrix.head_length):
+        return masses, Q(sum(alive.values()), 4**engine.n), engine.n
+    lo, hi = _ruin_masses(alive, engine.n, matrix.half_width)
+    masses[-engine.bound] += lo
+    masses[engine.bound] += hi
+    return masses, Q(0), engine.n
+
+
 # ---------------------------------------------------------------------------
-# Verification
+# Verification and exact laws
 
 
 @dataclass(frozen=True)
@@ -232,7 +287,9 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
     then persists); periodic tails are confirmed by phase-aligned pointwise
     domination of count vectors (the recursion is monotone in the counts,
     so domination persists), with boundary tail sums resolved by the affine
-    one-period map and an exact geometric matrix series.
+    one-period map and an exact geometric matrix series.  That map is read
+    off integer runs of the count engine: one period from the dominating
+    counts and one from each unit increase of them.
     """
     N = matrix.half_width
     bound = N + 1
@@ -240,179 +297,142 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
         if abs(site) > bound:
             raise MeasureError(f"support site {site} outside [-{bound}, {bound}]")
 
-    tails = {matrix.row(i).tail for i in range(-N, N + 1) if not matrix.row(i).is_zero}
-    tails.discard("zero")
+    tails = {r.tail for r in matrix.rows.values()} - {"zero"}
     if len(tails) > 1:
         return VerifyResult("inconclusive", detail="mixed doubling and periodic tails")
     mode = tails.pop() if tails else "zero"
 
-    head_len = max([1] + [len(matrix.row(i).head) for i in range(-N, N + 1)])
-    engine = CountEngine(N, matrix.entry)
-    bmass = {-bound: Q(0), bound: Q(0)}
-
-    def collect_boundary() -> None:
-        counts = engine.k_odd if bound % 2 else engine.k_even
-        w = Q(2 ** (bound % 2), 4**engine.n)
-        for b in (-bound, bound):
-            bmass[b] += counts.get(b, 0) * w
-
-    def boundary_verdict(extra_lo: Fraction, extra_hi: Fraction) -> VerifyResult:
-        # the counts scan passed, so a <= k throughout; now the atom identities
-        for i in range(-N, N + 1):
-            got = matrix.site_weight(i)
-            if got != mu.weight(i):
-                return VerifyResult("violation", site=i,
-                                    detail=f"encoded weight {got} != target {mu.weight(i)}")
-        if bmass[-bound] + extra_lo != mu.weight(-bound):
-            return VerifyResult("violation", site=-bound,
-                                detail=f"boundary mass {bmass[-bound] + extra_lo} "
-                                       f"!= target {mu.weight(-bound)}")
-        if bmass[bound] + extra_hi != mu.weight(bound):
-            return VerifyResult("violation", site=bound,
-                                detail=f"boundary mass {bmass[bound] + extra_hi} "
-                                       f"!= target {mu.weight(bound)}")
-        return VerifyResult("valid")
-
     try:
         if mode == "zero":
-            for _ in range(head_len):
-                engine.advance()
-                collect_boundary()
-            extra_lo, extra_hi = _ruin_masses(engine.k_even, engine.n, N)
-            return boundary_verdict(extra_lo, extra_hi)
-
-        if mode == "doubling":
-            prev = None
-            for _ in range(max_scan):
-                engine.advance()
-                collect_boundary()
-                if engine.n > head_len:
-                    cur = (dict(engine.k_odd), dict(engine.k_even))
-                    if prev is not None and _is_double(prev, cur):
-                        # counts (and rows) now double every stage: the
-                        # remaining boundary tail equals the last stage mass
-                        counts = engine.k_odd if bound % 2 else engine.k_even
-                        w = Q(2 ** (bound % 2), 4**engine.n)
-                        return boundary_verdict(counts.get(-bound, 0) * w,
-                                                counts.get(bound, 0) * w)
-                    prev = cur
-                else:
-                    prev = None
-            return VerifyResult("inconclusive", detail="no doubling regime found")
-
-        return _verify_periodic(matrix, mu, engine, bmass, head_len, max_scan,
-                                boundary_verdict)
+            masses, _, _ = count_scan(matrix, matrix.head_length)
+        elif mode == "doubling":
+            masses = _doubling_masses(matrix, max_scan)
+        else:
+            masses = _periodic_masses(matrix, max_scan)
     except CountViolation as v:
         return VerifyResult("violation", site=v.site, stage=v.stage,
                             detail=str(v))
+    if masses is None:
+        return VerifyResult("inconclusive", detail={
+            "doubling": "no doubling regime found",
+            "periodic": "no periodic domination found"}[mode])
+
+    # the counts scan passed, so a <= k throughout; now the atom identities
+    for i in range(-N, N + 1):
+        got = matrix.site_weight(i)
+        if got != mu.weight(i):
+            return VerifyResult("violation", site=i,
+                                detail=f"encoded weight {got} != target {mu.weight(i)}")
+    for b in (-bound, bound):
+        if masses[b] != mu.weight(b):
+            return VerifyResult("violation", site=b,
+                                detail=f"boundary mass {masses[b]} "
+                                       f"!= target {mu.weight(b)}")
+    return VerifyResult("valid")
+
+
+def exact_law_matrix(matrix: StoppingMatrix, max_stage: int
+                     ) -> tuple[dict[int, Fraction], Fraction, int]:
+    """Stopped law of a matrix rule over `count_scan`'s stages, as (law,
+    residual, stages): each interior site gets what its row stops in those
+    stages, each boundary site its absorbed mass, and the residual is the
+    mass still alive."""
+    masses, residual, n = count_scan(matrix, max_stage)
+    law = {b: m for b, m in masses.items() if m}
+    for i in range(-matrix.half_width, matrix.half_width + 1):
+        # odd sites are first reached at stage 1
+        num = sum(matrix.entry(i, m) * 4 ** (n - m) for m in range(i % 2, n + 1))
+        if num:
+            law[i] = Q(2 ** (i % 2) * num, 4**n)
+    return law, residual, n
+
+
+def _doubling_masses(matrix: StoppingMatrix, max_scan: int
+                     ) -> dict[int, Fraction] | None:
+    """Boundary masses of a doubling-tail matrix, or None when the counts
+    do not start doubling within `max_scan` stages."""
+    engine = CountEngine(matrix.half_width, matrix.entry)
+    prev = None
+    for _ in range(max_scan):
+        engine.advance()
+        cur = (engine.k_odd, engine.k_even)
+        if prev is not None and _is_double(prev, cur):
+            # counts (and rows) now double every stage: the remaining
+            # boundary tail equals the last stage mass
+            last = engine.boundary_arrivals()
+            return {b: Q(num + last[b], 4**engine.n)
+                    for b, num in engine.absorbed.items()}
+        prev = cur if engine.n > matrix.head_length else None
+    return None
 
 
 def _is_double(prev, cur) -> bool:
     return all(cur[p][i] == 2 * prev[p][i] for p in (0, 1) for i in cur[p])
 
 
-def _verify_periodic(matrix, mu, engine, bmass, head_len, max_scan,
-                     boundary_verdict):
-    import math
+def _periodic_masses(matrix: StoppingMatrix, max_scan: int
+                     ) -> dict[int, Fraction] | None:
+    """Boundary masses of a periodic-tail matrix, or None when no
+    phase-aligned domination shows up within `max_scan` stages.
 
+    From the dominating stage on, the recursion is affine in the interior
+    even counts k: one period maps k to A k + v and absorbs t.k + s at each
+    boundary.  Dominating counts and anything above them raise no
+    `CountViolation`, so integer runs of one period from k0 and from each
+    k0 + e_j read off column j of A as f(k0 + e_j) - f(k0), and likewise t.
+    """
     N = matrix.half_width
-    bound = N + 1
-    period = 1
-    for i in range(-N, N + 1):
-        r = matrix.row(i)
-        if r.tail == "periodic":
-            period = math.lcm(period, len(r.period))
+    head_len = matrix.head_length
+    period = math.lcm(*(len(r.period) for r in matrix.rows.values()
+                        if r.tail == "periodic"))
 
     # advance into the aligned periodic regime, hunting for domination
+    engine = CountEngine(N, matrix.entry)
     snapshots: dict[int, dict[int, int]] = {}
-    start = None
     for _ in range(max_scan):
         engine.advance()
-        counts = engine.k_odd if bound % 2 else engine.k_even
-        w = Q(2 ** (bound % 2), 4**engine.n)
-        for b in (-bound, bound):
-            bmass[b] += counts.get(b, 0) * w
-        if engine.n >= head_len and (engine.n - head_len) % period == 0:
-            snap = dict(engine.k_even)
-            prior = snapshots.get((engine.n - head_len) // period - 1)
-            if prior is not None and all(snap[i] >= prior[i] for i in snap):
-                start = engine.n
+        cycle, phase = divmod(engine.n - head_len, period)
+        if cycle >= 0 and phase == 0:
+            prior = snapshots.get(cycle - 1)
+            if prior is not None and all(engine.k_even[i] >= k
+                                         for i, k in prior.items()):
                 break
-            snapshots[(engine.n - head_len) // period] = snap
-    if start is None:
-        return VerifyResult("inconclusive", detail="no periodic domination found")
+            snapshots[cycle] = engine.k_even
+    else:
+        return None
 
-    # Affine one-period map on the interior even counts, and the weighted
-    # boundary mass of one period as an affine functional of those counts.
-    interior_even = [i for i in engine.even_sites if abs(i) <= N]
-    dim = len(interior_even)
-    idx = {i: j for j, i in enumerate(interior_even)}
+    start, k0 = engine.n, engine.k_even
+    interior = [i for i in engine.even_sites if abs(i) <= N]
+    dim = len(interior)
 
-    # symbolic counts: vector of (coeffs, const)
-    sym = {i: ([Q(1) if j == idx[i] else Q(0) for j in range(dim)], Q(0))
-           for i in interior_even}
-    for b in (-bound, bound):
-        if bound % 2 == 0:
-            sym[b] = ([Q(0)] * dim, Q(0))
-    t_lo = [Q(0)] * dim
-    s_lo = Q(0)
-    t_hi = [Q(0)] * dim
-    s_hi = Q(0)
+    def one_period(k: dict[int, int]) -> tuple[list[int], dict[int, int]]:
+        run = CountEngine(N, matrix.entry)
+        run.n, run.k_even = start, k
+        for _ in range(period):
+            run.advance()
+        return [run.k_even[i] for i in interior], run.absorbed
 
-    cur_even = dict(sym)
-    for l in range(period):
-        stage = start + l + 1
-        surv_even = {}
-        for i in engine.even_sites:
-            if abs(i) > N:
-                surv_even[i] = ([Q(0)] * dim, Q(0))
-            else:
-                coeffs, const = cur_even.get(i, ([Q(0)] * dim, Q(0)))
-                surv_even[i] = (coeffs, const - matrix.entry(i, stage - 1))
-        k_odd = {}
-        for j in engine.odd_sites:
-            lcoef, lconst = surv_even.get(j - 1, ([Q(0)] * dim, Q(0)))
-            rcoef, rconst = surv_even.get(j + 1, ([Q(0)] * dim, Q(0)))
-            k_odd[j] = ([x + y for x, y in zip(lcoef, rcoef)], lconst + rconst)
-        surv_odd = {}
-        for j in engine.odd_sites:
-            coeffs, const = k_odd[j]
-            if abs(j) > N:
-                surv_odd[j] = ([Q(0)] * dim, Q(0))
-            else:
-                surv_odd[j] = (coeffs, const - matrix.entry(j, stage))
-        new_even = {}
-        for i in engine.even_sites:
-            lco, lc = surv_odd.get(i - 1, ([Q(0)] * dim, Q(0)))
-            rco, rc = surv_odd.get(i + 1, ([Q(0)] * dim, Q(0)))
-            new_even[i] = ([x + y for x, y in zip(lco, rco)], lc + rc)
-        # weighted boundary contribution of this stage, relative weight 4^{-(l+1)}
-        wrel = Q(2 ** (bound % 2), 4 ** (l + 1))
-        if bound % 2:
-            blo, bhi = k_odd[-bound], k_odd[bound]
-        else:
-            blo, bhi = new_even[-bound], new_even[bound]
-        t_lo = [x + wrel * c for x, c in zip(t_lo, blo[0])]
-        s_lo += wrel * blo[1]
-        t_hi = [x + wrel * c for x, c in zip(t_hi, bhi[0])]
-        s_hi += wrel * bhi[1]
-        cur_even = new_even
-
-    A = [[cur_even[i][0][j] for j in range(dim)] for i in interior_even]
-    v = [cur_even[i][1] for i in interior_even]
-    k0 = [Q(engine.k_even[i]) for i in interior_even]
+    base, base_absorbed = one_period(k0)
+    cols = [one_period({**k0, j: k0[j] + 1}) for j in interior]
+    A = [[cols[c][0][row] - base[row] for c in range(dim)] for row in range(dim)]
+    v = [base[row] - sum(A[row][c] * k0[j] for c, j in enumerate(interior))
+         for row in range(dim)]
     r = Q(1, 4**period)
 
     # x = (I - rA)^{-1} (k0 + r/(1-r) v)
-    rhs = [k0[j] + r / (1 - r) * v[j] for j in range(dim)]
+    rhs = [k0[i] + r / (1 - r) * v[row] for row, i in enumerate(interior)]
     mat = [[(Q(1) if i == j else Q(0)) - r * A[i][j] for j in range(dim)]
            for i in range(dim)]
     x = _solve(mat, rhs)
 
-    w0 = Q(1, 4**start)
-    extra_lo = w0 * (sum(t * xi for t, xi in zip(t_lo, x)) + s_lo / (1 - r))
-    extra_hi = w0 * (sum(t * xi for t, xi in zip(t_hi, x)) + s_hi / (1 - r))
-    return boundary_verdict(extra_lo, extra_hi)
+    # absorbed counts are in units of 4^-(start + period)
+    masses = engine.absorbed_mass()
+    for b, num in base_absorbed.items():
+        t = [absorbed[b] - num for _, absorbed in cols]
+        s = num - sum(tj * k0[j] for tj, j in zip(t, interior))
+        tail = sum(tj * xj for tj, xj in zip(t, x)) + s / (1 - r)
+        masses[b] += tail / 4 ** (start + period)
+    return masses
 
 
 def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -464,8 +484,10 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     target_lo, target_hi = mu.weight(-bound), mu.weight(bound)
 
     nodes = 0
-    even_interior = [i for i in range(-N, N + 1) if i % 2 == 0]
-    odd_interior = [i for i in range(-N, N + 1) if i % 2 != 0]
+    even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
+    odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
+    even_interior = [i for i in even_sites if abs(i) <= N]
+    odd_interior = [i for i in odd_sites if abs(i) <= N]
 
     def recurse(stage, k_even, budgets, bmass, rows):
         nonlocal nodes
@@ -495,14 +517,10 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
 
         # phase 1: odd arrivals (stage >= 1); stage 0 has no odd phase
         if stage == 0:
-            k_odd_surv = None
             odd_iter = iter([{}])
         else:
-            k_odd = {}
-            for j in odd_interior + [b for b in (-bound, bound) if b % 2]:
-                k_odd[j] = (k_even.get(j - 1, 0) + k_even.get(j + 1, 0)
-                            if abs(j) <= bound else 0)
             # boundary odd arrivals are absorbed now
+            k_odd = _arrivals(k_even, odd_sites)
             odd_iter = site_choices(odd_interior, k_odd, budgets, stage)
 
         for odd_choice in odd_iter:
@@ -522,12 +540,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                 surv_odd = {}
 
             # even arrivals
-            if stage == 0:
-                k_even_new = {0: 1}
-            else:
-                k_even_new = {}
-                for i in even_interior + [b for b in (-bound, bound) if b % 2 == 0]:
-                    k_even_new[i] = (surv_odd.get(i - 1, 0) + surv_odd.get(i + 1, 0))
+            k_even_new = {0: 1} if stage == 0 else _arrivals(surv_odd, even_sites)
             bm_lo2, bm_hi2 = bm_lo, bm_hi
             if bound % 2 == 0 and stage > 0:
                 w = Q(1, 4**stage)
@@ -551,9 +564,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                              - even_choice.get(i, 0) for i in even_interior}
 
                 if all(b == 0 for b in b3.values()):
-                    extra_lo, extra_hi = _ruin_masses(
-                        {i: surv_even.get(i, 0) for i in even_interior},
-                        stage, N)
+                    extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
                     if bm_lo2 + extra_lo == target_lo and bm_hi2 + extra_hi == target_hi:
                         return _build_matrix(N, rows2, stage)
                     continue  # budgets spent but boundary wrong: dead end

@@ -77,11 +77,22 @@ class Base4Expansion:
         return value
 
 
+#: most base-4 digits (preperiod plus period) `to_base4` writes out
+DIGIT_BUDGET = 4096
+
+
+class DigitBudgetExceeded(ArithmeticError):
+    """A base-4 expansion needs more than DIGIT_BUDGET digits."""
+
+
 def to_base4(x: Q) -> Base4Expansion:
     """Canonical base-4 expansion of a rational x in [0, 1].
 
-    Long division in base 4; the periodic tail is detected by the first
-    repeated remainder, which guarantees termination for every rational.
+    With the fraction written p / (2^v m), m odd, the expansion has
+    ceil(v/2) digits before its period and a period as long as the order of
+    4 modulo m (none when m = 1).  Both lengths are found first, within
+    DIGIT_BUDGET digits, and the digits are then written by long division.
+    Raises DigitBudgetExceeded when they need more.
     """
     x = Q(x)
     if x < 0 or x > 1:
@@ -89,20 +100,24 @@ def to_base4(x: Q) -> Base4Expansion:
     integer_part = int(x)  # 0, or 1 when x == 1
     frac = x - integer_part
     num, den = frac.numerator, frac.denominator
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    pre = (twos + 1) // 2
+    span = 0  # the period: the least span > 0 with 4^span = 1 (mod odd)
+    if odd > 1:
+        span, power = 1, 4 % odd
+        while power != 1 and pre + span <= DIGIT_BUDGET:
+            span, power = span + 1, 4 * power % odd
+    if pre + span > DIGIT_BUDGET:
+        raise DigitBudgetExceeded(
+            f"base-4 expansion needs more than DIGIT_BUDGET = {DIGIT_BUDGET} digits")
     digits: list[int] = []
-    seen: dict[int, int] = {}
     rem = num
-    while rem != 0 and rem not in seen:
-        seen[rem] = len(digits)
+    for _ in range(pre + span):
         rem *= 4
         digits.append(rem // den)
         rem %= den
-    if rem == 0:
-        while digits and digits[-1] == 0:
-            digits.pop()
-        return Base4Expansion(integer_part, tuple(digits), ())
-    start = seen[rem]
-    return Base4Expansion(integer_part, tuple(digits[:start]), tuple(digits[start:]))
+    return Base4Expansion(integer_part, tuple(digits[:pre]), tuple(digits[pre:]))
 
 
 def digit_half_weight(e: Base4Expansion) -> Q:

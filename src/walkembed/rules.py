@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classic import ChipStep, MinimalCertificate, RandomizedRule
 from .matrices import StoppingMatrix
@@ -382,8 +381,17 @@ def rule_from_json(text: str):
     kind = data.get("kind")
     try:
         return _rule_from_payload(kind, data.get("payload"))
+    except KeyError as exc:  # an object without a field its kind needs
+        raise ValueError(f"malformed {kind} payload: missing field {exc}") from exc
     except TypeError as exc:  # a payload of the wrong shape
         raise ValueError(f"malformed {kind} payload: {exc}") from exc
+
+
+def _int_pair(entry, kind: str, what: str) -> tuple[int, int]:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ValueError(f"malformed {kind} payload: {what} must be a pair, "
+                         f"got {entry!r}")
+    return parse_int(entry[0]), parse_int(entry[1])
 
 
 def _rule_from_payload(kind, payload):
@@ -392,11 +400,11 @@ def _rule_from_payload(kind, payload):
                                      parse_rational(e["w"]))
                                     for e in payload))
     if kind == "exitComposition":
-        return ExitCompositionRule(tuple(ChipStep(parse_int(a), parse_int(b))
-                                         for a, b in payload))
+        return ExitCompositionRule(tuple(
+            ChipStep(*_int_pair(e, kind, "chip [a, b]")) for e in payload))
     if kind == "maxThreshold":
-        return MaxThresholdRule(tuple(sorted((parse_int(s), parse_int(t))
-                                             for s, t in payload)))
+        return MaxThresholdRule(tuple(sorted(
+            _int_pair(e, kind, "threshold [site, level]") for e in payload)))
     if kind == "pathCountMatrix":
         return PathCountMatrixRule(StoppingMatrix.from_json_dict(payload))
     if kind == "randomizedPair":

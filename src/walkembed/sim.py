@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .classic import RandomizedRule
-from .matrices import CountEngine, _ruin_masses
+from .matrices import count_scan, exact_law_matrix
 from .measures import IntegerMeasure
 from .rational import Q, format_rational
 from .rules import (
@@ -34,6 +34,9 @@ from .rules import (
     PathCountMatrixRule,
     RandomizedPairRule,
 )
+
+
+DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law` and of the matrix count scan
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,10 @@ def simulate(rule, trials: int, seed: int,
         out = kernels.run_minimal(seed, trials, cert.sites, cert.cut_points,
                                   max_steps)
     elif isinstance(rule, PathCountMatrixRule):
-        # matrix rules live on a bounded strip, so stopping is fast; the
-        # rank profile does not vectorize, so the state machine runs
+        # the rank profile assumes a <= k: reject what `exact_law` rejects.
+        # It does not vectorize, so the state machine runs (matrix rules
+        # live on a bounded strip, so stopping is fast)
+        count_scan(rule.matrix, DEFAULT_MAX_STAGE)
         return simulate_reference(rule, trials, seed, max_steps)
     else:
         raise TypeError(f"cannot simulate {type(rule).__name__}")
@@ -194,7 +199,7 @@ class ExactLaw:
         )
 
 
-def exact_law(rule, max_stage: int = 64) -> ExactLaw:
+def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
     """Exact stopped law of a rule up to `max_stage` stages (2 steps each).
 
     The returned residual is the exact probability mass not yet stopped;
@@ -213,7 +218,7 @@ def exact_law(rule, max_stage: int = 64) -> ExactLaw:
             return ExactLaw({0: Q(1)}, Q(0), 0)
         return ExactLaw({v: Q(-u, v - u), u: Q(v, v - u)}, Q(0), 0)
     if isinstance(rule, PathCountMatrixRule):
-        return _exact_law_matrix(rule.matrix, max_stage)
+        return ExactLaw(*exact_law_matrix(rule.matrix, max_stage))
     if isinstance(rule, ExitCompositionRule):
         return _exact_law_generic(rule, max_steps, _chip_state_key)
     if isinstance(rule, MaxThresholdRule):
@@ -291,50 +296,3 @@ def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
     law = {site: Q(num, 1 << steps_done) for site, num in stops.items()}
     residual = Q(sum(counts.values()), 1 << steps_done)
     return ExactLaw(law, residual, (steps_done + 1) // 2)
-
-
-def _exact_law_matrix(matrix, max_stage: int) -> ExactLaw:
-    """Matrix rules: the encoded law read off the count recursion."""
-    N = matrix.half_width
-    bound = N + 1
-    engine = CountEngine(N, matrix.entry)
-    law: dict[int, Fraction] = {}
-
-    def add(site, mass):
-        if mass:
-            law[site] = law.get(site, Q(0)) + mass
-
-    add(0, Q(matrix.entry(0, 0)))
-    terminating = all(matrix.row(i).tail == "zero" for i in range(-N, N + 1))
-    head_len = max([1] + [len(matrix.row(i).head) for i in range(-N, N + 1)])
-    stages = min(max_stage, head_len) if terminating else max_stage
-    for _ in range(stages):
-        engine.advance()
-        n = engine.n
-        for j, k in engine.k_odd.items():
-            if abs(j) > N:
-                add(j, Q(2 * k, 4**n))
-            else:
-                add(j, Q(2 * matrix.entry(j, n), 4**n))
-        for i, k in engine.k_even.items():
-            if abs(i) > N:
-                add(i, Q(k, 4**n))
-            else:
-                add(i, Q(matrix.entry(i, n), 4**n))
-    if terminating and engine.n >= head_len:
-        # no further stops can happen: survivors are pure absorption, which
-        # the exact ruin probabilities settle with zero residual
-        survivors = {i: k - matrix.entry(i, engine.n)
-                     for i, k in engine.k_even.items() if abs(i) <= N}
-        extra_lo, extra_hi = _ruin_masses(survivors, engine.n, N)
-        add(-bound, extra_lo)
-        add(bound, extra_hi)
-        return ExactLaw(law, Q(0), engine.n)
-    # alive mass: interior even counts at the final stage, minus the stops
-    # of that stage (already credited to the law above)
-    residual = sum(
-        (Q(k - matrix.entry(i, engine.n), 4**engine.n)
-         for i, k in engine.k_even.items() if abs(i) <= N),
-        Q(0),
-    )
-    return ExactLaw(law, residual, engine.n)

@@ -58,6 +58,23 @@ class TestClassify:
         assert out["uiMatrix"] == "member"
         assert out["minimal"] is True
 
+    # the expansions' periods run to about 5 * 10^8 digits and, for the
+    # exponent, 10^6 digits follow a 5 * 10^5-digit preperiod
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--weight", "1/1000000007"],
+        ["classify", "--weight", "1e-1000000"],
+        ["classify", "--triple", "0,1/1000000007,0"],
+        ["classify", "--triple", "1e-1000000,0,0"],
+    ], ids=["weight-period", "weight-exponent", "triple-period",
+            "triple-exponent"])
+    def test_digit_budget_undecided(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out = run(capsys, argv)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 3
+        assert out["member"] == "unknown"
+        assert "DIGIT_BUDGET = 4096" in out["reason"]
+
     def test_bad_rational(self, capsys):
         assert main(["classify", "--weight", "not-a-number"]) == 2
 
@@ -167,7 +184,40 @@ class TestVerifyAndLaws:
         assert "a[0][1] = 5 exceeds arrival count 2" in capsys.readouterr().err
 
 
+    # the last stage's even-site stops are checked like every other stop,
+    # never credited to the law with a negative residual
+    @pytest.mark.parametrize("row, max_stage, message", [
+        ({"site": 0, "head": [0, 3]}, 1, "a[0][1] = 3 exceeds arrival count 2"),
+        ({"site": 0, "head": [0, 3]}, 2, "a[0][1] = 3 exceeds arrival count 2"),
+        ({"site": 0, "head": [0, 1], "tail": "doubling"}, 3,
+         "a[0][3] = 4 exceeds arrival count 0"),
+    ], ids=["last-stage", "inner-stage", "doubling-last-stage"])
+    def test_exact_law_checks_last_stage(self, capsys, tmp_path, row,
+                                         max_stage, message):
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 1, "rows": [row]}}))
+        assert main(["exact-law", str(r), "--max-stage", str(max_stage)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("row", [
+        {"site": 0, "head": [0, 5]},
+        {"site": 0, "head": [0, 3]},
+        {"site": 0, "head": [0, 1], "tail": "doubling"},
+    ], ids=["stage-1", "last-stage", "doubling"])
+    def test_infeasible_matrix_rejected(self, capsys, tmp_path, row):
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 1, "rows": [row]}}))
+        assert main(["exact-law", str(r)]) == 2
+        expected = capsys.readouterr().err
+        assert main(["simulate", str(r), "--trials", "16"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected)
+        assert "exceeds arrival count" in expected
+
     def test_simulate_pair_rule(self, capsys, tmp_path):
         r = tmp_path / "rule.json"
         r.write_text('{"kind": "randomizedPair", "payload": {"u": -2, "v": 2}}')
@@ -269,6 +319,36 @@ class TestWireFormat:
                     command, [command, str(f)])
         self.assert_rejected(capsys, argv)
 
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", '{"kind": "randomizedPair", "payload": {"v": 1}}',
+         "malformed randomizedPair payload: missing field 'u'"),
+        ("exact-law", '{"kind": "randomizedRule", "payload": '
+                      '[{"u": -1, "v": 1}]}',
+         "malformed randomizedRule payload: missing field 'w'"),
+        ("exact-law", '{"kind": "minimalTheorem1", "payload": {"sites": [0]}}',
+         "malformed minimalTheorem1 payload: missing field 'weights'"),
+        ("exact-law", '{"kind": "exitComposition", "payload": [[1, 2, 3]]}',
+         "malformed exitComposition payload: chip [a, b] must be a pair, "
+         "got [1, 2, 3]"),
+        ("simulate", '{"kind": "maxThreshold", "payload": [[0]]}',
+         "malformed maxThreshold payload: threshold [site, level] must be "
+         "a pair, got [0]"),
+        ("exact-law", '{"kind": "pathCountMatrix", "payload": {"rows": []}}',
+         "malformed matrix JSON: missing field 'N'"),
+        ("verify", '{"N": 1, "rows": [{"head": [0, 1]}]}',
+         "malformed matrix JSON: missing field 'site'"),
+    ], ids=["pair-u", "hall-w", "minimal-weights", "chip-triple",
+            "threshold-single", "matrix-N", "matrix-site"])
+    def test_error_names_field(self, capsys, tmp_path, command, text,
+                               message):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        mu = tmp_path / "mu.json"
+        mu.write_text(MU_516_JSON)
+        argv = ([command, str(f), str(mu)] if command == "verify"
+                else [command, str(f)])
+        assert self.assert_rejected(capsys, argv) == f"error: {message}\n"
 
     # the state machine and the kernel read a table the same way only when
     # it has one level per site of an interval containing the origin

@@ -3,8 +3,11 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkembed import (
+    IntegerMeasure,
     MatrixRow,
     StoppingMatrix,
     measure,
@@ -120,3 +123,89 @@ class TestSearch:
     def test_non_centered_rejected(self):
         with pytest.raises(Exception):
             search_matrix(measure({1: 1}), max_stage=4)
+
+
+def plain_scan(matrix, stages):
+    """Boundary masses and alive mass after `stages` stages, stepping the
+    walk one step at a time over integer path counts: at step t the paths
+    at each site lose the site's stops, boundary paths are absorbed, and
+    the rest move one step either way.  Independent of `CountEngine`."""
+    N = matrix.half_width
+    bound = N + 1
+    counts = {0: 1}
+    absorbed = {-bound: 0, bound: 0}  # paths times 2^(2 stages - t)
+    for t in range(2 * stages + 1):
+        stage = (t + 1) // 2
+        nxt = {}
+        for i, k in counts.items():
+            if abs(i) == bound:
+                absorbed[i] += k * 2 ** (2 * stages - t)
+                continue
+            k -= matrix.entry(i, stage)
+            assert k >= 0, (i, stage)
+            if t < 2 * stages:
+                for j in (i - 1, i + 1):
+                    nxt[j] = nxt.get(j, 0) + k
+        if t < 2 * stages:
+            counts = nxt
+    alive = sum(k for i, k in counts.items() if abs(i) <= N)
+    w = Q(1, 4**stages)
+    return {b: n * w for b, n in absorbed.items()}, alive * w
+
+
+@st.composite
+def tailed_matrices(draw):
+    """A matrix with periodic or doubling rows (others terminate) on a strip
+    of half width N <= 3, often with stops at several sites, and a target
+    with the atoms its interior rows encode.  Mass one and mean zero fix
+    the boundary atoms, which are sometimes shifted to give a wrong one."""
+    N = draw(st.integers(0, 3))
+    tail = draw(st.sampled_from(["periodic", "doubling"]))
+    digits = st.integers(0, 3)
+    sites = draw(st.lists(st.integers(-N, N), min_size=1, max_size=2 * N + 1,
+                          unique=True))
+    rows = {}
+    for n, site in enumerate(sites):
+        kind = tail if n == 0 else draw(st.sampled_from([tail, "zero"]))
+        head = tuple(draw(st.lists(digits, min_size=kind == "doubling",
+                                   max_size=3)))
+        period = tuple(draw(st.lists(digits, min_size=1, max_size=2))
+                       if kind == "periodic" else ())
+        rows[site] = MatrixRow(head, kind, period)
+    matrix = StoppingMatrix(N, rows)
+    bound = N + 1
+    inner = {i: matrix.site_weight(i) for i in range(-N, N + 1)}
+    rest = 1 - sum(inner.values())
+    hi = (rest - sum(i * w for i, w in inner.items()) / bound) / 2
+    hi += draw(st.sampled_from([0, 0, 0, Q(1, 64), Q(-1, 64)]))
+    atoms = {**inner, -bound: rest - hi, bound: hi}
+    return matrix, atoms
+
+
+class TestVerifyTails:
+    @settings(max_examples=300)
+    @given(case=tailed_matrices())
+    def test_valid_verdict_brackets_boundary_mass(self, case):
+        # a valid periodic or doubling verdict rests on the closed-form
+        # boundary tail; every finite scan must sit below it by at most the
+        # mass still alive
+        matrix, atoms = case
+        if any(w < 0 for w in atoms.values()):
+            return
+        mu = IntegerMeasure({i: w for i, w in atoms.items() if w})
+        if not verify_matrix(matrix, mu).valid:
+            return
+        for stages in (1, 8, 40):
+            absorbed, alive = plain_scan(matrix, stages)
+            for b, mass in absorbed.items():
+                assert 0 <= mu.weight(b) - mass <= alive, (b, stages)
+
+    def test_multi_site_periodic_valid(self):
+        # period 2 on a strip with two interior even sites (dim 2): stops
+        # at 0 alternate 1, 0 while every other site stops nothing
+        m = StoppingMatrix(2, {0: MatrixRow((0,), "periodic", (1, 0))})
+        N, bound = 2, 3
+        inner = {i: m.site_weight(i) for i in range(-N, N + 1)}
+        half = (1 - sum(inner.values())) / 2
+        mu = IntegerMeasure({0: inner[0], -bound: half, bound: half})
+        assert verify_matrix(m, mu).valid

@@ -15,6 +15,7 @@ from walkembed import (
     parse_rational,
     to_base4,
 )
+from walkembed.rational import DIGIT_BUDGET, DigitBudgetExceeded
 
 
 class TestToBase4:
@@ -67,6 +68,32 @@ class TestToBase4:
         e = to_base4(x)
         partial = sum(Q(e.digit(i), 4**i) for i in range(40))
         assert 0 <= x - partial < Q(1, 4**38)
+
+
+    @given(st.integers(0, 3000), st.integers(1, 3000))
+    def test_matches_long_division(self, num, den):
+        # the lengths are predicted from den before any digit is written;
+        # plain long division stopping at the first repeated remainder is
+        # the reference
+        x = Q(min(num, den), den)
+        frac = x - int(x)
+        digits, seen, rem = [], {}, frac.numerator
+        while rem and rem not in seen:
+            seen[rem] = len(digits)
+            digits.append(4 * rem // frac.denominator)
+            rem = 4 * rem % frac.denominator
+        start = seen.get(rem, len(digits))
+        while not rem and start and digits[start - 1] == 0:
+            start -= 1  # a terminating expansion carries no trailing zeros
+        period = tuple(digits[start:]) if rem else ()
+        assert to_base4(x) == Base4Expansion(int(x), tuple(digits[:start]), period)
+
+    def test_digit_budget(self):
+        assert len(to_base4(Q(1, 4**DIGIT_BUDGET)).preperiod) == DIGIT_BUDGET
+        with pytest.raises(DigitBudgetExceeded):
+            to_base4(Q(1, 4 ** (DIGIT_BUDGET + 1)))
+        with pytest.raises(DigitBudgetExceeded):
+            to_base4(Q(1, 1_000_000_007))  # period about 5 * 10^8 digits
 
 
 class TestHalfWeight:
