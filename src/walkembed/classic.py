@@ -6,7 +6,9 @@ Four constructions, all exact:
   running maximum reaches the barycenter of the current position);
 * Chacon-Walsh chipping: compositions of first exit times realized as
   successive chord operations on the potential, with a bounded-depth
-  membership search;
+  membership search; the search and its tangent completion share one
+  chord routine, `_chord`, while `chip_apply` stays a separate reference
+  that replays and checks the search's witnesses;
 * Hall-style randomized pair rule (independent pair (U, V), stop on first
   hit of {U, V});
 * the minimal embedder that works for every target law, extracting a
@@ -119,12 +121,30 @@ class ChwResult:
     depth_searched: int = 0
 
 
+def _chord(state: tuple[Fraction, ...], target: tuple[Fraction, ...],
+           a: int, b: int) -> tuple[Fraction, ...] | None:
+    """min(state, chord) for the chord over hull indices a < b; None when
+    the chord changes nothing or lowers the state below the target (a dead
+    state: chords only decrease potentials)."""
+    ua = state[a]
+    slope = (state[b] - ua) / (b - a)
+    new = list(state)
+    changed = False
+    for k in range(a + 1, b):
+        chord = ua + (k - a) * slope
+        if chord < new[k]:
+            if chord < target[k]:
+                return None
+            new[k] = chord
+            changed = True
+    return tuple(new) if changed else None
+
+
 def _tangent_tail(state: tuple[Fraction, ...], target: tuple[Fraction, ...],
                   lo: int) -> list[ChipStep] | None:
     """Try to finish an embedding by chords tangent to the target, left to
     right.  Each successful chord makes the state agree with the target on
     one more segment; returns the chip list on success, None if stuck."""
-    state = list(state)
     chips: list[ChipStep] = []
     n = len(state)
     for _ in range(n * n):
@@ -133,21 +153,11 @@ def _tangent_tail(state: tuple[Fraction, ...], target: tuple[Fraction, ...],
             return chips
         if m == 0:
             return None  # leftmost hull value should already match
-        a = m - 1
         for b in range(m + 1, n):
-            ua, ub = state[a], state[b]
-            new = list(state)
-            ok = True
-            for k in range(a + 1, b):
-                chord = ua + Q(k - a, b - a) * (ub - ua)
-                v = min(new[k], chord)
-                if v < target[k]:
-                    ok = False
-                    break
-                new[k] = v
-            if ok and new[m] == target[m]:
+            new = _chord(state, target, m - 1, b)
+            if new is not None and new[m] == target[m]:
                 state = new
-                chips.append(ChipStep(a + lo, b + lo))
+                chips.append(ChipStep(m - 1 + lo, b + lo))
                 break
         else:
             return None
@@ -163,7 +173,9 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     the target anywhere are dead (chords only decrease potentials) and are
     pruned.  A state equal to the target is a finite witness; otherwise a
     deterministic left-to-right tangent completion is attempted, which
-    captures sequences finishing in the Azema-Yor manner.
+    captures sequences finishing in the Azema-Yor manner.  Both take their
+    chords from `_chord`; the witnesses can be checked independently with
+    `replay_chips`, which runs `chip_apply`.
 
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
@@ -179,22 +191,8 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     if any(s < t for s, t in zip(start, target)):
         raise MeasureError("target potential exceeds the walk's initial potential")
 
-    pairs = [(a, b) for a in range(lo, hi + 1) for b in range(a + 2, hi + 1)]
     n = hi - lo + 1
-
-    def expand(state: tuple[Fraction, ...], a: int, b: int):
-        ia, ib = a - lo, b - lo
-        ua, ub = state[ia], state[ib]
-        new = list(state)
-        changed = False
-        for k in range(ia + 1, ib):
-            chord = ua + Q(k - ia, ib - ia) * (ub - ua)
-            if chord < new[k]:
-                if chord < target[k]:
-                    return None  # dead: dominated below the target
-                new[k] = chord
-                changed = True
-        return tuple(new) if changed else None
+    pairs = [(a, b) for a in range(n) for b in range(a + 2, n)]
 
     if start == target:
         return ChwResult(ChwStatus.MEMBER, (), 0)
@@ -221,11 +219,11 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
         nxt: dict[tuple, tuple[ChipStep, ...]] = {}
         for state, path in frontier.items():
             for a, b in pairs:
-                new = expand(state, a, b)
+                new = _chord(state, target, a, b)
                 if new is None or new in seen:
                     continue
                 seen.add(new)
-                new_path = path + (ChipStep(a, b),)
+                new_path = path + (ChipStep(a + lo, b + lo),)
                 if new == target:
                     return ChwResult(ChwStatus.MEMBER, new_path, depth)
                 tail = _tangent_tail(new, target, lo)

@@ -49,7 +49,7 @@ from .rules import (
     rule_from_json,
     rule_to_json,
 )
-from .sim import DEFAULT_MAX_STAGE, exact_law, simulate
+from .sim import DEFAULT_MAX_STAGE, MAX_STAGE, exact_law, simulate
 from .uiset import (
     classify_triple,
     classify_weight,
@@ -94,11 +94,7 @@ def cmd_classify(args) -> int:
     ay = azema_yor_check(mu)
     out["azemaYor"] = ay.member
     chw = chw_search(mu, max_depth=args.depth)
-    out["chaconWalsh"] = {
-        ChwStatus.MEMBER: "member",
-        ChwStatus.NON_MEMBER_UP_TO_DEPTH: "nonMemberUpToDepth",
-        ChwStatus.UNKNOWN: "unknown",
-    }[chw.status]
+    out["chaconWalsh"] = chw.status.value
     sm = search_matrix(mu, max_stage=args.depth)
     out["uiMatrix"] = sm.status
     out["minimal"] = mu.is_centered()
@@ -224,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("exact-law", help="exact stopped law of a rule")
     x.add_argument("rule", help="path to a rule JSON file (- for stdin)")
-    x.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE)
+    x.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE,
+                   help=f"stage cap (default {DEFAULT_MAX_STAGE}); at most "
+                        f"{MAX_STAGE} stages run, the residual covers the rest")
     x.set_defaults(fn=cmd_exact_law)
 
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")

@@ -125,7 +125,7 @@ def _np_two_point(states, us, vs, max_steps):
     def consume(idx, up, pos, t):
         return (pos[idx] == us[idx]) | (pos[idx] == vs[idx])
 
-    return _np_run(states.copy(), max_steps, at_zero, consume)
+    return _np_run(states, max_steps, at_zero, consume)
 
 
 def _np_exit_composition(states, chips_a, chips_b, max_steps):
@@ -153,7 +153,7 @@ def _np_exit_composition(states, chips_a, chips_b, max_steps):
     def consume(idx, up, pos, t):
         return settle(idx, pos[idx])
 
-    return _np_run(states.copy(), max_steps, at_zero, consume)
+    return _np_run(states, max_steps, at_zero, consume)
 
 
 def _np_max_threshold(states, levels, lo, hi, max_steps):
@@ -172,7 +172,7 @@ def _np_max_threshold(states, levels, lo, hi, max_steps):
         mx[idx] = np.maximum(mx[idx], pos[idx])
         return mx[idx] >= thresh(pos[idx])
 
-    return _np_run(states.copy(), max_steps, at_zero, consume)
+    return _np_run(states, max_steps, at_zero, consume)
 
 
 def _np_first_passage(states, pos, steps, stopped, target, max_steps):
@@ -221,7 +221,6 @@ def _np_minimal(states, sites, cuts, max_steps):
     From then on each live trial only waits for the first visit of its
     target, and `_np_first_passage` walks it there in blocks.
     """
-    states = states.copy()
     n = states.shape[0]
     low = np.zeros(n, dtype=np.float64)
     width = np.ones(n, dtype=np.float64)

@@ -556,7 +556,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                 b3 = dict(b2)
                 for i, a in even_choice.items():
                     b3[i] -= Q(a, 4**stage)
-                rows2 = {i: rows.get(i, ()) for i in range(-N, N + 1)}
+                rows2 = {}
                 for i in range(-N, N + 1):
                     choice = (odd_choice if i % 2 else even_choice).get(i, 0)
                     rows2[i] = rows.get(i, ()) + ((stage, choice),)

@@ -37,6 +37,7 @@ from .rules import (
 
 
 DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law` and of the matrix count scan
+MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,15 @@ class ExactLaw:
 
 
 def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
-    """Exact stopped law of a rule up to `max_stage` stages (2 steps each).
+    """Exact stopped law of a rule up to min(`max_stage`, `MAX_STAGE`)
+    stages (2 steps each).
 
     The returned residual is the exact probability mass not yet stopped;
     rules that terminate within the horizon report residual zero.
     """
     if max_stage < 0:
         raise ValueError(f"max_stage must be at least 0, got {max_stage}")
+    max_stage = min(max_stage, MAX_STAGE)
     max_steps = 2 * max_stage
     if isinstance(rule, RandomizedRule):
         from .classic import hall_stopped_law

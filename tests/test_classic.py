@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkembed import (
@@ -92,6 +92,17 @@ class TestChipping:
         u = replay_chips(res.steps)
         target = potential(MU_29)
         assert all(u.value_at(k) == target.value_at(k) for k in range(-6, 6))
+
+    # every witness of the search, tangent completions included, replays
+    # to the target through the independent `chip_apply` reference
+    @settings(max_examples=50)
+    @given(centered_measures())
+    def test_search_witnesses_replay_to_target(self, mu):
+        res = chw_search(mu, max_depth=2)
+        if res.status is ChwStatus.MEMBER:
+            assert measure_from_potential(replay_chips(res.steps)) == mu
+        elif res.status is ChwStatus.NON_MEMBER_UP_TO_DEPTH:
+            assert res.depth_searched == 2
 
     def test_reversed_chip_rejected(self):
         with pytest.raises(ValueError):

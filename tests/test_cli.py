@@ -5,6 +5,7 @@ import io
 import json
 import signal
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,19 @@ class TestVerifyAndLaws:
             "N": 1, "rows": [row]}}))
         assert main(["exact-law", str(r), "--max-stage", str(max_stage)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_exact_law_stage_cap(self, capsys, tmp_path):
+        # past the cap the residual covers the rest; every denominator
+        # stays within Python's integer-to-string digit limit
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 1, "rows": [{"site": 0, "head": [0, 0], "tail": "periodic",
+                              "period": [2]}]}}))
+        code, out = run(capsys, ["exact-law", str(r), "--max-stage", "8000"])
+        assert code == 0
+        assert out["stages"] == 2048
+        total = sum(map(Fraction, out["law"].values())) + Fraction(out["residual"])
+        assert total == 1
 
 
 class TestSimulate:
