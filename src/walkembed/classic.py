@@ -7,8 +7,9 @@ Four constructions, all exact:
 * Chacon-Walsh chipping: compositions of first exit times realized as
   successive chord operations on the potential, with a bounded-depth
   membership search; the search and its tangent completion share one
-  chord routine, `_chord`, while `chip_apply` stays a separate reference
-  that replays and checks the search's witnesses;
+  chord routine, `_chord`, on integer states (numerators over one
+  denominator, gcd-reduced), while `chip_apply` stays a separate
+  `Fraction` reference that replays and checks the search's witnesses;
 * Hall-style randomized pair rule (independent pair (U, V), stop on first
   hit of {U, V});
 * the minimal embedder that works for every target law, extracting a
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
 from .measures import (
     IntegerMeasure,
@@ -119,43 +121,70 @@ class ChwResult:
     status: ChwStatus
     steps: tuple[ChipStep, ...] = ()
     depth_searched: int = 0
+    #: distinct potential states the search visited, start included
+    states_searched: int = 0
 
 
-def _chord(state: tuple[Fraction, ...], target: tuple[Fraction, ...],
-           a: int, b: int) -> tuple[Fraction, ...] | None:
+# A search state is a potential vector on the support hull as integer
+# numerators over one positive denominator, reduced by the gcd of all of
+# them: the form is canonical, so equal potentials are equal tuples.
+State = tuple[tuple[int, ...], int]
+
+
+def _to_state(values) -> State:
+    """The state of reduced `Fraction`s: the lcm of their denominators is
+    the least common denominator, so the result is already gcd-reduced."""
+    d = lcm(*(v.denominator for v in values))
+    nums = tuple(v.numerator * (d // v.denominator) for v in values)
+    return nums, d
+
+
+def _chord(state: State, target: State, a: int, b: int) -> State | None:
     """min(state, chord) for the chord over hull indices a < b; None when
     the chord changes nothing or lowers the state below the target (a dead
-    state: chords only decrease potentials)."""
-    ua = state[a]
-    slope = (state[b] - ua) / (b - a)
-    new = list(state)
-    changed = False
+    state: chords only decrease potentials).
+
+    Over the common denominator d·(b - a) the chord's numerator at k is
+    c_k = n_a·(b - k) + n_b·(k - a), against n_k·(b - a) for the state."""
+    nums, d = state
+    tnums, td = target
+    w = b - a
+    dw = d * w
+    step = nums[b] - nums[a]
+    c = nums[a] * w
+    new = None
     for k in range(a + 1, b):
-        chord = ua + (k - a) * slope
-        if chord < new[k]:
-            if chord < target[k]:
+        c += step
+        if c < nums[k] * w:
+            if c * td < tnums[k] * dw:
                 return None
-            new[k] = chord
-            changed = True
-    return tuple(new) if changed else None
+            if new is None:
+                new = [n * w for n in nums]
+            new[k] = c
+    if new is None:
+        return None
+    g = gcd(dw, *new)
+    return tuple(n // g for n in new), dw // g
 
 
-def _tangent_tail(state: tuple[Fraction, ...], target: tuple[Fraction, ...],
+def _tangent_tail(state: State, target: State,
                   lo: int) -> list[ChipStep] | None:
     """Try to finish an embedding by chords tangent to the target, left to
     right.  Each successful chord makes the state agree with the target on
     one more segment; returns the chip list on success, None if stuck."""
     chips: list[ChipStep] = []
-    n = len(state)
+    tnums, td = target
+    n = len(tnums)
     for _ in range(n * n):
-        m = next((i for i in range(n) if state[i] != target[i]), None)
+        nums, d = state
+        m = next((i for i in range(n) if nums[i] * td != tnums[i] * d), None)
         if m is None:
             return chips
         if m == 0:
             return None  # leftmost hull value should already match
         for b in range(m + 1, n):
             new = _chord(state, target, m - 1, b)
-            if new is not None and new[m] == target[m]:
+            if new is not None and new[0][m] * td == tnums[m] * new[1]:
                 state = new
                 chips.append(ChipStep(m - 1 + lo, b + lo))
                 break
@@ -169,33 +198,39 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     """Breadth-first search for a chip sequence embedding `mu`.
 
     States are exact potential vectors on the support hull, reachable from
-    u0(x) = -|x| by integer-endpoint chords.  States falling strictly below
-    the target anywhere are dead (chords only decrease potentials) and are
-    pruned.  A state equal to the target is a finite witness; otherwise a
-    deterministic left-to-right tangent completion is attempted, which
-    captures sequences finishing in the Azema-Yor manner.  Both take their
-    chords from `_chord`; the witnesses can be checked independently with
-    `replay_chips`, which runs `chip_apply`.
+    u0(x) = -|x| by integer-endpoint chords, each held as integer
+    numerators over one denominator reduced by their gcd (`State`); the
+    potentials are converted once, on entry, and every chord and target
+    comparison after that is integer arithmetic.  States falling strictly
+    below the target anywhere are dead (chords only decrease potentials)
+    and are pruned.  A state equal to the target is a finite witness;
+    otherwise a deterministic left-to-right tangent completion is
+    attempted, which captures sequences finishing in the Azema-Yor manner.
+    Both take their chords from `_chord`; the witnesses can be checked
+    independently with `replay_chips`, which runs `chip_apply` on
+    `Fraction`s.
 
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
     yields NON_MEMBER_UP_TO_DEPTH, never an unconditional non-membership.
     UNKNOWN is returned only when the state budget is exceeded.
+    `states_searched` counts the distinct states visited, start included.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
     u_mu = potential(mu)
     lo, hi = u_mu.lo, u_mu.hi
-    target = tuple(u_mu.values)
-    start = tuple(-Q(abs(k)) for k in range(lo, hi + 1))
-    if any(s < t for s, t in zip(start, target)):
+    target_q = tuple(u_mu.values)
+    start_q = tuple(-Q(abs(k)) for k in range(lo, hi + 1))
+    if any(s < t for s, t in zip(start_q, target_q)):
         raise MeasureError("target potential exceeds the walk's initial potential")
+    target, start = _to_state(target_q), _to_state(start_q)
 
     n = hi - lo + 1
     pairs = [(a, b) for a in range(n) for b in range(a + 2, n)]
 
     if start == target:
-        return ChwResult(ChwStatus.MEMBER, (), 0)
+        return ChwResult(ChwStatus.MEMBER, (), 0, 1)
 
     # tangent completions give valid but possibly non-minimal witnesses;
     # keep the best one and only return it once plain BFS has ruled out
@@ -212,11 +247,11 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
         note(tuple(tail))
 
     seen = {start}
-    frontier: dict[tuple, tuple[ChipStep, ...]] = {start: ()}
+    frontier: dict[State, tuple[ChipStep, ...]] = {start: ()}
     for depth in range(1, max_depth + 1):
         if best is not None and len(best) < depth:
-            return ChwResult(ChwStatus.MEMBER, best, len(best))
-        nxt: dict[tuple, tuple[ChipStep, ...]] = {}
+            return ChwResult(ChwStatus.MEMBER, best, len(best), len(seen))
+        nxt: dict[State, tuple[ChipStep, ...]] = {}
         for state, path in frontier.items():
             for a, b in pairs:
                 new = _chord(state, target, a, b)
@@ -225,21 +260,25 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
                 seen.add(new)
                 new_path = path + (ChipStep(a + lo, b + lo),)
                 if new == target:
-                    return ChwResult(ChwStatus.MEMBER, new_path, depth)
+                    return ChwResult(ChwStatus.MEMBER, new_path, depth,
+                                     len(seen))
                 tail = _tangent_tail(new, target, lo)
                 if tail is not None:
                     note(new_path + tuple(tail))
                 nxt[new] = new_path
                 if len(seen) > max_states:
                     if best is not None:
-                        return ChwResult(ChwStatus.MEMBER, best, depth)
-                    return ChwResult(ChwStatus.UNKNOWN, (), depth)
+                        return ChwResult(ChwStatus.MEMBER, best, depth,
+                                         len(seen))
+                    return ChwResult(ChwStatus.UNKNOWN, (), depth, len(seen))
         frontier = nxt
         if not frontier:
             break
     if best is not None:
-        return ChwResult(ChwStatus.MEMBER, best, min(len(best), max_depth))
-    return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth)
+        return ChwResult(ChwStatus.MEMBER, best, min(len(best), max_depth),
+                         len(seen))
+    return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
+                     len(seen))
 
 
 def replay_chips(steps: list[ChipStep] | tuple[ChipStep, ...]) -> PotentialFunction:

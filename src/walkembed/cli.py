@@ -49,7 +49,13 @@ from .rules import (
     rule_from_json,
     rule_to_json,
 )
-from .sim import DEFAULT_MAX_STAGE, MAX_STAGE, exact_law, simulate
+from .sim import (
+    DEFAULT_MAX_STAGE,
+    MAX_KEY_STEPS,
+    MAX_STAGE,
+    exact_law,
+    simulate,
+)
 from .uiset import (
     classify_triple,
     classify_weight,
@@ -114,10 +120,12 @@ def cmd_embed(args) -> int:
     elif args.method == "chw":
         res = chw_search(mu, max_depth=args.depth)
         if res.status is ChwStatus.NON_MEMBER_UP_TO_DEPTH:
-            _emit({"member": False, "depthSearched": res.depth_searched})
+            _emit({"member": False, "depthSearched": res.depth_searched,
+                   "statesSearched": res.states_searched})
             return UNDECIDED
         if res.status is ChwStatus.UNKNOWN:
-            _emit({"member": "unknown"})
+            _emit({"member": "unknown", "budget": "maxStates",
+                   "statesSearched": res.states_searched})
             return UNDECIDED
         rule = ExitCompositionRule(res.steps)
     elif args.method == "ui-matrix":
@@ -155,7 +163,10 @@ def cmd_exact_law(args) -> int:
 
 def cmd_simulate(args) -> int:
     rule = rule_from_json(_read(args.rule))
-    rep = simulate(rule, trials=args.trials, seed=args.seed,
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get("WALKEMBED_SEED", "0"))
+    rep = simulate(rule, trials=args.trials, seed=seed,
                    max_steps=args.max_steps)
     print(rep.to_json())
     return OK
@@ -222,14 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("rule", help="path to a rule JSON file (- for stdin)")
     x.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE,
                    help=f"stage cap (default {DEFAULT_MAX_STAGE}); at most "
-                        f"{MAX_STAGE} stages run, the residual covers the rest")
+                        f"{MAX_STAGE} stages run, fewer once a rule's DP "
+                        f"passes {MAX_KEY_STEPS} key-steps; the residual "
+                        f"covers the rest")
     x.set_defaults(fn=cmd_exact_law)
 
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")
     s.add_argument("rule", help="path to a rule JSON file (- for stdin)")
     s.add_argument("--trials", type=int, default=100_000)
     s.add_argument("--seed", type=int,
-                   default=int(os.environ.get("WALKEMBED_SEED", "0")))
+                   help="stream seed (default: $WALKEMBED_SEED, else 0)")
     s.add_argument("--max-steps", type=int, default=1_000_000)
     s.set_defaults(fn=cmd_simulate)
 
@@ -245,9 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process, reused by every call
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except DigitBudgetExceeded as exc:  # `classify`: undecided, not invalid

@@ -38,6 +38,12 @@ from .rules import (
 
 DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law` and of the matrix count scan
 MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
+# work cap of the keyed DP (exit-composition, max-threshold and minimal
+# rules): total key-steps, one merged state advanced by one step, checked
+# at stage boundaries.  It bounds the DP of a minimal rule, whose keys
+# carry the unbounded walk position, to about a second of pure Python on a
+# 2-CPU Xeon; no exact-law of the certify benchmark takes 17 000 key-steps
+MAX_KEY_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -202,10 +208,12 @@ class ExactLaw:
 
 def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
     """Exact stopped law of a rule up to min(`max_stage`, `MAX_STAGE`)
-    stages (2 steps each).
+    stages (2 steps each); the keyed DP also stops at the first stage
+    boundary past `MAX_KEY_STEPS` key-steps.
 
-    The returned residual is the exact probability mass not yet stopped;
-    rules that terminate within the horizon report residual zero.
+    The returned residual is the exact probability mass not yet stopped,
+    and `stages` the stages that ran; rules that terminate within the
+    horizon report residual zero.
     """
     if max_stage < 0:
         raise ValueError(f"max_stage must be at least 0, got {max_stage}")
@@ -259,6 +267,10 @@ def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
     machine is stepped once per distinct key and direction: a copy of one
     representative state takes the step, and the outcome (stopped at a
     site, or the child's key) is reused on every later visit of that key.
+
+    The loop ends at `max_steps`, when every path has stopped, or at the
+    first stage boundary after `MAX_KEY_STEPS` key-steps (the sum over
+    steps of the number of keys advanced); the residual covers the rest.
     """
     init = rule.new_state()
     if init.stopped:
@@ -268,9 +280,12 @@ def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
     unstepped = {k0: init}  # one representative state per key not yet stepped
     moves: dict = {}  # key -> [(stopped, site or child key)] for eps -1, +1
     stops: dict[int, int] = {}  # site -> stopped mass times 2^steps_done
-    steps_done = 0
+    steps_done = key_steps = 0
     while counts and steps_done < max_steps:
+        if steps_done % 2 == 0 and key_steps >= MAX_KEY_STEPS:
+            break
         steps_done += 1
+        key_steps += len(counts)
         stops = {site: num << 1 for site, num in stops.items()}
         nxt: dict = {}
         for k, c in counts.items():

@@ -22,6 +22,7 @@ from walkembed import (
     potential,
     replay_chips,
 )
+from walkembed.classic import _chord, _to_state
 
 MU_29 = measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)})
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
@@ -126,6 +127,101 @@ class TestChipping:
         el = exact_law(ExitCompositionRule(chips))
         for s in mu.support:
             assert abs(el.law[s] - mu.weight(s)) <= el.residual
+
+
+def chord_cases():
+    """A centred target and a chip prefix with ends on the target's hull."""
+    @st.composite
+    def build(draw):
+        mu = draw(centered_measures())
+        lo, hi = mu.support[0], mu.support[-1]
+        ends = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+        chips = draw(st.lists(ends.filter(lambda p: p[0] < p[1]), max_size=4))
+        return mu, [ChipStep(a, b) for a, b in chips]
+
+    return build()
+
+
+class TestIntegerChord:
+    # `_chord` on integer states against the `Fraction` reference
+    # `chip_apply`, for every hull pair of states reached by chip prefixes
+    @settings(max_examples=100)
+    @given(chord_cases())
+    def test_chord_matches_chip_apply(self, case):
+        mu, chips = case
+        u_mu = potential(mu)
+        sites = range(u_mu.lo, u_mu.hi + 1)
+        u = replay_chips(chips)
+        before = [u.value_at(k) for k in sites]
+        target = [u_mu.value_at(k) for k in sites]
+        state, tstate = _to_state(before), _to_state(target)
+        n = len(sites)
+        for a in range(n):
+            for b in range(a + 1, n):
+                after = chip_apply(u, ChipStep(sites[a], sites[b]))
+                ref = [after.value_at(k) for k in sites]
+                lowered = [k for k in range(n) if ref[k] < before[k]]
+                got = _chord(state, tstate, a, b)
+                if not lowered or any(ref[k] < target[k] for k in lowered):
+                    assert got is None
+                    continue
+                nums, d = got
+                assert [Q(x, d) for x in nums] == ref
+                assert got == _to_state(ref)  # canonical: gcd-reduced
+
+    def test_state_is_canonical(self):
+        assert _to_state([Q(-2, 4), Q(-1), Q(-3, 2)]) == ((-1, -2, -3), 2)
+        assert _to_state([Q(0), Q(-1), Q(0)]) == ((0, -1, 0), 1)
+
+
+FIVE_ATOM = measure({-6: Q(1, 8), -2: Q(1, 4), 0: Q(1, 4), 2: Q(1, 4),
+                     6: Q(1, 8)})
+
+
+class TestSearchResults:
+    # (status, steps, depth_searched) as the `Fraction` search gave them,
+    # and the size of its visited set
+    FROZEN = [
+        (MU_516, 5, "nonMemberUpToDepth", [], 5, 17),
+        (MU_29, 5, "member", [(-1, 2), (-3, 0)], 2, 11),
+        (measure({0: Q(1, 6), -2: Q(5, 12), 2: Q(5, 12)}), 5, "member",
+         [(-1, 1), (-2, 0), (-1, 2), (-2, 0)], 4, 18),
+        (measure({0: Q(3, 4), -4: Q(1, 8), 4: Q(1, 8)}), 5, "member",
+         [(-1, 1), (-4, 0), (0, 4)], 3, 11),
+        (measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}), 5,
+         "nonMemberUpToDepth", [], 5, 1),
+        (FIVE_ATOM, 3, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
+         3, 1327),
+    ]
+
+    @pytest.mark.parametrize("mu, depth, status, steps, searched, states",
+                             FROZEN, ids=["5/16", "2/9", "1/6", "3/4",
+                                          "uniform3", "five-atom"])
+    def test_frozen_results(self, mu, depth, status, steps, searched, states):
+        res = chw_search(mu, max_depth=depth)
+        assert res.status.value == status
+        assert [(s.a, s.b) for s in res.steps] == steps
+        assert res.depth_searched == searched
+        assert res.states_searched == states
+
+    def test_state_budget_without_witness(self):
+        res = chw_search(MU_516, max_depth=8, max_states=3)
+        assert res.status is ChwStatus.UNKNOWN
+        assert res.steps == ()
+        assert (res.depth_searched, res.states_searched) == (1, 4)
+
+    def test_state_budget_with_tangent_witness(self):
+        # the start state's tangent completion is in hand when the budget
+        # runs out: it is returned although BFS would find a shorter one
+        res = chw_search(MU_29, max_depth=4, max_states=1)
+        assert res.status is ChwStatus.MEMBER
+        assert len(res.steps) == 3
+        assert measure_from_potential(replay_chips(res.steps)) == MU_29
+        assert (res.depth_searched, res.states_searched) == (1, 2)
+
+    def test_states_searched_counts_distinct_states(self):
+        assert chw_search(BERNOULLI, max_depth=8).states_searched == 2
+        assert chw_search(measure({0: 1}), max_depth=8).states_searched == 1
 
 
 class TestHall:

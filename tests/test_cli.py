@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and JSON shapes."""
 
 import contextlib
+import functools
 import io
 import json
 import signal
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkembed import cli
+from walkembed.classic import chw_search
 from walkembed.cli import main
 
 MU_516_JSON = '{"atoms": {"0": "5/16", "-2": "11/32", "2": "11/32"}}'
@@ -76,6 +79,16 @@ class TestClassify:
         assert out["member"] == "unknown"
         assert "DIGIT_BUDGET = 4096" in out["reason"]
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        build, calls = cli.build_parser, []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: calls.append(1) or build())
+        for _ in range(3):
+            code, out = run(capsys, ["classify", "--weight", "1/6"])
+            assert (code, out) == (0, {"member": True, "halfWeight": "1"})
+        assert len(calls) == 1
+
     def test_bad_rational(self, capsys):
         assert main(["classify", "--weight", "not-a-number"]) == 2
 
@@ -108,6 +121,18 @@ class TestEmbed:
         code, out = run(capsys, ["embed", "chw", mu_516])
         assert code == 3
         assert out["member"] is False
+
+    def test_chw_payload_names_budget(self, capsys, mu_516, monkeypatch):
+        code, out = run(capsys, ["embed", "chw", mu_516, "--depth", "3"])
+        assert code == 3
+        assert out == {"member": False, "depthSearched": 3,
+                       "statesSearched": 10}
+        monkeypatch.setattr(cli, "chw_search",
+                            functools.partial(chw_search, max_states=3))
+        code, out = run(capsys, ["embed", "chw", mu_516])
+        assert code == 3
+        assert out == {"member": "unknown", "budget": "maxStates",
+                       "statesSearched": 4}
 
     def test_ui_matrix(self, capsys, mu_516):
         code, out = run(capsys, ["embed", "ui-matrix", mu_516])
@@ -214,6 +239,20 @@ class TestVerifyAndLaws:
         total = sum(map(Fraction, out["law"].values())) + Fraction(out["residual"])
         assert total == 1
 
+    def test_exact_law_key_step_cap(self, capsys, tmp_path, mu_516):
+        # a minimal rule's DP keys carry the walk position; the key-step
+        # cap ends it at a stage boundary well inside the stage cap
+        assert main(["embed", "minimal", mu_516]) == 0
+        r = tmp_path / "rule.json"
+        r.write_text(capsys.readouterr().out)
+        t0 = time.perf_counter()
+        code, out = run(capsys, ["exact-law", str(r), "--max-stage", "8000"])
+        assert time.perf_counter() - t0 < 3
+        assert code == 0
+        assert 64 < out["stages"] < 2048
+        total = sum(map(Fraction, out["law"].values())) + Fraction(out["residual"])
+        assert total == 1
+
 
 class TestSimulate:
     @pytest.mark.parametrize("row", [
@@ -250,6 +289,21 @@ class TestSimulate:
                                  "--max-steps", "64"])
         assert code == 0
         assert out["seed"] == 123
+
+    def test_seed_env_read_per_call(self, capsys, tmp_path, monkeypatch):
+        # the parser is built once per process; the seed default is not
+        r = tmp_path / "rule.json"
+        r.write_text('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}}')
+        argv = ["simulate", str(r), "--trials", "10", "--max-steps", "64"]
+        seeds = []
+        for env in ("5", "6"):
+            monkeypatch.setenv("WALKEMBED_SEED", env)
+            code, out = run(capsys, argv)
+            assert code == 0
+            seeds.append(out["seed"])
+        monkeypatch.delenv("WALKEMBED_SEED")
+        code, out = run(capsys, argv)
+        assert seeds + [out["seed"]] == [5, 6, 0]
 
     @pytest.mark.parametrize("flags", [["--max-steps", "-5"],
                                        ["--trials", "0"]])

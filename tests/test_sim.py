@@ -28,6 +28,7 @@ from walkembed import (
     simulate,
     simulate_reference,
 )
+from walkembed import sim
 
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
@@ -266,3 +267,14 @@ class TestExactLawOracle:
                        max_stage=10**12)
         assert (el.law, el.residual, el.stages) == (
             {-1: Q(1, 2), 1: Q(1, 2)}, 0, 1)
+
+    def test_key_step_cap_ends_at_a_stage_boundary(self, monkeypatch):
+        # a run stopped by the key-step cap equals an uncapped run to the
+        # stages it reports, so the cap never splits a stage
+        rule = MinimalRule(minimal_certificate(MU_516))
+        for cap in range(1, 60, 3):
+            monkeypatch.setattr(sim, "MAX_KEY_STEPS", cap)
+            capped = exact_law(rule, max_stage=100)
+            monkeypatch.undo()
+            assert capped.stages < 100
+            assert exact_law(rule, max_stage=capped.stages) == capped
