@@ -233,8 +233,9 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
 
     # tangent completions give valid but possibly non-minimal witnesses;
-    # keep the best one and only return it once plain BFS has ruled out
-    # anything shorter
+    # keep the best one for when plain BFS stops short of the target.
+    # A completion of length L is a path of the BFS's own chords, so the
+    # BFS meets the target by depth L and returns first.
     best: tuple[ChipStep, ...] | None = None
 
     def note(candidate: tuple[ChipStep, ...]) -> None:
@@ -249,8 +250,6 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     seen = {start}
     frontier: dict[State, tuple[ChipStep, ...]] = {start: ()}
     for depth in range(1, max_depth + 1):
-        if best is not None and len(best) < depth:
-            return ChwResult(ChwStatus.MEMBER, best, len(best), len(seen))
         nxt: dict[State, tuple[ChipStep, ...]] = {}
         for state, path in frontier.items():
             for a, b in pairs:
@@ -275,8 +274,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
         if not frontier:
             break
     if best is not None:
-        return ChwResult(ChwStatus.MEMBER, best, min(len(best), max_depth),
-                         len(seen))
+        return ChwResult(ChwStatus.MEMBER, best, max_depth, len(seen))
     return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
                      len(seen))
 

@@ -39,7 +39,7 @@ from .matrices import (
     search_matrix,
     verify_matrix,
 )
-from .measures import IntegerMeasure, MeasureError, barycenter, potential
+from .measures import IntegerMeasure, barycenter, potential
 from .rational import DigitBudgetExceeded, format_rational, parse_rational
 from .rules import (
     ExitCompositionRule,
@@ -271,8 +271,7 @@ def main(argv=None) -> int:
     except DigitBudgetExceeded as exc:  # `classify`: undecided, not invalid
         _emit({"member": "unknown", "reason": str(exc)})
         return UNDECIDED
-    except (MeasureError, CountViolation, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (CountViolation, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
 

@@ -16,6 +16,11 @@ are verified exactly, with no truncation error.
 Verification and the exact law of a matrix rule run on it, and the search
 uses its arrivals routine; the periodic tail's affine one-period map is
 read off integer engine runs.
+
+The search runs on integers too: at stage n it holds each interior atom's
+unspent budget and each boundary atom's deficit in units of 1/(d 4^n), with
+d twice the lcm of the target's denominators, so stopping a paths spends
+a*d and a new stage multiplies every remainder by 4.
 """
 
 from __future__ import annotations
@@ -463,6 +468,26 @@ class SearchResult:
     matrix: StoppingMatrix | None = None
 
 
+def _site_choices(caps: list[int]):
+    """Stop-count assignments with 0 <= a_j <= caps[j], greedy first: in
+    decreasing lexicographic order, the last site varying fastest."""
+    cur = list(caps)
+    while True:
+        yield tuple(cur)
+        j = len(cur) - 1
+        while j >= 0 and cur[j] == 0:
+            j -= 1
+        if j < 0:
+            return
+        cur[j] -= 1
+        cur[j + 1:] = caps[j + 1:]
+
+
+def _head_row(stops: tuple[int, ...]) -> MatrixRow:
+    """The zero-tail row of per-stage `stops`, trailing zeros dropped."""
+    return MatrixRow(stops[:max(n + 1 for n, a in enumerate(stops) if a)])
+
+
 def search_matrix(mu: IntegerMeasure, max_stage: int,
                   node_budget: int = 50_000) -> SearchResult:
     """Greedy stage-by-stage construction with backtracking.
@@ -472,122 +497,91 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     dead end the latest choice is decremented.  Sound but deliberately
     incomplete: success is certified (the result verifies), failure within
     the stage and node budgets only yields "unknown".
+
+    The state at stage n is integer: the even survivor counts, each
+    interior atom's remaining budget and each boundary atom's deficit, the
+    last two in units of 1/(d 4^n) with d twice the lcm of mu's
+    denominators.  Stopping a paths spends a*d; a path reaching an even
+    boundary spends d, and 2d at an odd one.  A negative deficit is a dead
+    end, and the next stage multiplies budgets and deficits by 4.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
     if mu.support == [0]:
         return SearchResult("member", StoppingMatrix(0, {0: MatrixRow((1,))}))
-    top = max(abs(s) for s in mu.support)
-    N = top - 1
-    bound = top
-    budgets = {i: mu.weight(i) / 2 ** (abs(i) % 2) for i in range(-N, N + 1)}
-    target_lo, target_hi = mu.weight(-bound), mu.weight(bound)
+    bound = max(abs(s) for s in mu.support)
+    N = bound - 1
+    d = 2 * math.lcm(*(w.denominator for w in mu.atoms.values()))
+    unit = d * 2 ** (bound % 2)  # what one path reaching the boundary spends
+    interior = range(-N, N + 1)
+    budgets = [int(mu.weight(i) * d / 2 ** (i % 2)) for i in interior]
+    deficits = int(mu.weight(-bound) * d), int(mu.weight(bound) * d)
 
     nodes = 0
     even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
     odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
-    even_interior = [i for i in even_sites if abs(i) <= N]
-    odd_interior = [i for i in odd_sites if abs(i) <= N]
+    # the interior sites' positions in `rem` and in each stage's stops
+    even_slots = slice(N % 2, 2 * N + 1, 2)
+    odd_slots = slice((N + 1) % 2, 2 * N + 1, 2)
+    even_interior, odd_interior = interior[even_slots], interior[odd_slots]
+    start = {i: int(i == 0) for i in even_sites}
 
-    def recurse(stage, k_even, budgets, bmass, rows):
+    def recurse(stage, k_even, rem, lo, hi, path):
         nonlocal nodes
         nodes += 1
         if nodes > node_budget or stage > max_stage:
             return None
 
-        def site_choices(order, counts, budgets, stage):
-            """Yield stop-count assignments for one phase, greedy first."""
-            sites = [i for i in order if counts.get(i, 0) > 0]
-            caps = []
-            for i in sites:
-                cap = min(counts[i], int(budgets[i] * 4**stage))
-                caps.append(cap)
-            # iterate assignments in decreasing lexicographic order
-            cur = caps[:]
-            while True:
-                yield dict(zip(sites, cur))
-                j = len(cur) - 1
-                while j >= 0 and cur[j] == 0:
-                    j -= 1
-                if j < 0:
-                    return
-                cur[j] -= 1
-                for jj in range(j + 1, len(cur)):
-                    cur[jj] = caps[jj]
+        # phase 1: odd arrivals (none at stage 0); an odd boundary absorbs now
+        k_odd = _arrivals(k_even, odd_sites)
+        if bound % 2:
+            lo, hi = lo - unit * k_odd[-bound], hi - unit * k_odd[bound]
+            if lo < 0 or hi < 0:
+                return None
+        odd_caps = [min(k_odd[i], r // d)
+                    for i, r in zip(odd_interior, rem[odd_slots])]
+        even_rem = rem[even_slots]
+        taken = [0] * len(rem)
+        for odd_choice in _site_choices(odd_caps):
+            taken[odd_slots] = odd_choice
+            surv_odd = {i: k_odd[i] - a for i, a in zip(odd_interior, odd_choice)}
 
-        # phase 1: odd arrivals (stage >= 1); stage 0 has no odd phase
-        if stage == 0:
-            odd_iter = iter([{}])
-        else:
-            # boundary odd arrivals are absorbed now
-            k_odd = _arrivals(k_even, odd_sites)
-            odd_iter = site_choices(odd_interior, k_odd, budgets, stage)
-
-        for odd_choice in odd_iter:
-            b2 = dict(budgets)
-            bm_lo, bm_hi = bmass
-            if stage > 0:
-                for j, a in odd_choice.items():
-                    b2[j] -= Q(a, 4**stage)
-                if bound % 2:
-                    w = Q(2, 4**stage)
-                    bm_lo += k_odd.get(-bound, 0) * w
-                    bm_hi += k_odd.get(bound, 0) * w
-                if bm_lo > target_lo or bm_hi > target_hi:
-                    continue
-                surv_odd = {j: k_odd[j] - odd_choice.get(j, 0) for j in odd_interior}
-            else:
-                surv_odd = {}
-
-            # even arrivals
-            k_even_new = {0: 1} if stage == 0 else _arrivals(surv_odd, even_sites)
-            bm_lo2, bm_hi2 = bm_lo, bm_hi
-            if bound % 2 == 0 and stage > 0:
-                w = Q(1, 4**stage)
-                bm_lo2 += k_even_new.get(-bound, 0) * w
-                bm_hi2 += k_even_new.get(bound, 0) * w
-                if bm_lo2 > target_lo or bm_hi2 > target_hi:
+            # phase 2: even arrivals; stage 0 starts the walk at 0
+            k_new = _arrivals(surv_odd, even_sites) if stage else start
+            lo2, hi2 = lo, hi
+            if bound % 2 == 0:
+                lo2, hi2 = lo - unit * k_new[-bound], hi - unit * k_new[bound]
+                if lo2 < 0 or hi2 < 0:
                     continue
 
-            for even_choice in site_choices(even_interior, k_even_new, b2, stage):
+            even_caps = [min(k_new[i], r // d)
+                         for i, r in zip(even_interior, even_rem)]
+            for even_choice in _site_choices(even_caps):
                 nodes += 1
                 if nodes > node_budget:
                     return None
-                b3 = dict(b2)
-                for i, a in even_choice.items():
-                    b3[i] -= Q(a, 4**stage)
-                rows2 = {}
-                for i in range(-N, N + 1):
-                    choice = (odd_choice if i % 2 else even_choice).get(i, 0)
-                    rows2[i] = rows.get(i, ()) + ((stage, choice),)
-                surv_even = {i: k_even_new.get(i, 0)
-                             - even_choice.get(i, 0) for i in even_interior}
+                taken[even_slots] = even_choice
+                rem2 = [r - a * d for r, a in zip(rem, taken)]
+                path2 = path + (tuple(taken),)
+                surv_even = {i: k_new[i] - a
+                             for i, a in zip(even_interior, even_choice)}
 
-                if all(b == 0 for b in b3.values()):
+                if not any(rem2):
                     extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
-                    if bm_lo2 + extra_lo == target_lo and bm_hi2 + extra_hi == target_hi:
-                        return _build_matrix(N, rows2, stage)
+                    scale = d * 4**stage
+                    if extra_lo * scale == lo2 and extra_hi * scale == hi2:
+                        rows = zip(interior, zip(*path2))  # each site's stops by stage
+                        return StoppingMatrix(N, {i: _head_row(stops)
+                                                  for i, stops in rows if any(stops)})
                     continue  # budgets spent but boundary wrong: dead end
 
-                result = recurse(stage + 1, surv_even, b3, (bm_lo2, bm_hi2), rows2)
+                result = recurse(stage + 1, surv_even, [4 * r for r in rem2],
+                                 4 * lo2, 4 * hi2, path2)
                 if result is not None:
                     return result
         return None
 
-    found = recurse(0, {}, budgets, (Q(0), Q(0)), {})
+    found = recurse(0, {}, budgets, *deficits, ())
     if found is None:
         return SearchResult("unknown")
     return SearchResult("member", found)
-
-
-def _build_matrix(N: int, rows: dict[int, tuple], last_stage: int) -> StoppingMatrix:
-    out = {}
-    for i, pairs in rows.items():
-        head = [0] * (last_stage + 1)
-        for stage, a in pairs:
-            head[stage] = a
-        while head and head[-1] == 0:
-            head.pop()
-        if head:
-            out[i] = MatrixRow(tuple(head))
-    return StoppingMatrix(N, out)

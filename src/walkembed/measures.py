@@ -135,10 +135,6 @@ class PotentialFunction:
             return -abs(Q(k) - self.mean)
         return self.values[k - self.lo]
 
-    @property
-    def breakpoints(self) -> list[tuple[int, Fraction]]:
-        return [(self.lo + i, v) for i, v in enumerate(self.values)]
-
 
 def potential(mu: IntegerMeasure) -> PotentialFunction:
     """Exact breakpoint representation of u(x) = -sum_n |x - n| mu({n})."""

@@ -265,8 +265,7 @@ def ifs_approximate(system: IfsSystem, depth: int) -> IntervalUnion:
     return a
 
 
-def ifs_membership(p: Fraction, depth: int,
-                   system: IfsSystem | None = None) -> str:
+def ifs_membership(p: Fraction, depth: int) -> str:
     """Attractor membership by inverse iteration: 'member', 'nonMember' or
     'undecidedAtDepth'.
 
@@ -276,8 +275,7 @@ def ifs_membership(p: Fraction, depth: int,
     preimage escapes the depth-1 image and is out.  Agrees with
     `classify_weight` whenever it decides.
     """
-    if system is None:
-        system = weight_set_system()
+    system = weight_set_system()
     p = Q(p)
 
     def visit(x: Fraction, d: int, seen: frozenset[Fraction]) -> str:

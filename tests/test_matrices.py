@@ -124,6 +124,41 @@ class TestSearch:
         with pytest.raises(Exception):
             search_matrix(measure({1: 1}), max_stage=4)
 
+    # status and matrix of the named targets, frozen from the earlier
+    # Fraction-state search, so they pin the results of the greedy order
+    FROZEN = {
+        "516": (MU_516, "member",
+                {"N": 1, "rows": [{"site": 0, "head": [0, 1, 1], "tail": "zero"}]}),
+        "29": (measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}), "unknown", None),
+        "16": (MU_SIXTH, "unknown", None),
+        "34": (MU_DOUBLING, "unknown", None),
+        "5atom": (measure({-6: Q(1, 8), -2: Q(1, 4), 0: Q(1, 4), 2: Q(1, 4),
+                           6: Q(1, 8)}), "member",
+                  {"N": 5, "rows": [{"site": s, "head": [0, 1], "tail": "zero"}
+                                    for s in (-2, 0, 2)]}),
+    }
+
+    @pytest.mark.parametrize("max_stage", [3, 5, 8])
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_frozen_results(self, name, max_stage):
+        mu, status, matrix = self.FROZEN[name]
+        res = search_matrix(mu, max_stage=max_stage)
+        assert res.status == status
+        assert (res.matrix.to_json_dict() if res.matrix else None) == matrix
+
+    def test_node_budget_pinned(self):
+        # found on exactly the 236th node, so this pins node counting
+        mu = measure({-1: Q(89, 128), 0: Q(3, 64), 2: Q(5, 64), 3: Q(23, 128)})
+        assert search_matrix(mu, max_stage=6, node_budget=235).status == "unknown"
+        res = search_matrix(mu, max_stage=6, node_budget=236)
+        assert res.status == "member"
+        assert res.matrix == StoppingMatrix(2, {
+            -1: MatrixRow((0, 1, 1, 2, 1)),
+            0: MatrixRow((0, 0, 0, 2, 4)),
+            2: MatrixRow((0, 0, 1, 0, 4)),
+        })
+        assert verify_matrix(res.matrix, mu).valid
+
 
 def plain_scan(matrix, stages):
     """Boundary masses and alive mass after `stages` stages, stepping the
