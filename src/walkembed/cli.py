@@ -57,6 +57,7 @@ from .sim import (
     simulate,
 )
 from .uiset import (
+    CoverBudgetExceeded,
     classify_triple,
     classify_weight,
     ifs_approximate,
@@ -177,7 +178,11 @@ def cmd_set(args) -> int:
         verdict = ifs_membership(parse_rational(args.point), depth=args.depth)
         _emit({"point": args.point, "verdict": verdict})
         return UNDECIDED if verdict == "undecidedAtDepth" else OK
-    cover = ifs_approximate(weight_set_system(), depth=args.depth)
+    try:
+        cover = ifs_approximate(weight_set_system(), depth=args.depth)
+    except CoverBudgetExceeded as exc:
+        _emit({"depth": args.depth, "reason": str(exc)})
+        return UNDECIDED
     _emit({
         "depth": args.depth,
         "measure": format_rational(cover.measure()),
@@ -205,6 +210,17 @@ def cmd_potential(args) -> int:
     return OK
 
 
+def _depth(text: str) -> int:
+    """argparse type of every --depth option: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="walkembed", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -215,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weight", help="rational p: is p delta_0 + ... embeddable")
     g.add_argument("--triple", help="p-,p0,p+ comma-separated rationals")
     g.add_argument("--measure", help="path to a measure JSON file (- for stdin)")
-    c.add_argument("--depth", type=int, default=8)
+    c.add_argument("--depth", type=_depth, default=8)
     c.set_defaults(fn=cmd_classify)
 
     e = sub.add_parser("embed", help="construct an embedding certificate")
     e.add_argument("method", choices=["ay", "chw", "ui-matrix", "minimal", "hall"])
     e.add_argument("measure", help="path to a measure JSON file (- for stdin)")
-    e.add_argument("--depth", type=int, default=8)
+    e.add_argument("--depth", type=_depth, default=8)
     e.set_defaults(fn=cmd_embed)
 
     v = sub.add_parser("verify", help="verify a stopping matrix against a measure")
@@ -247,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_simulate)
 
     w = sub.add_parser("set", help="the embeddable-weight fractal set")
-    w.add_argument("--depth", type=int, default=12)
+    w.add_argument("--depth", type=_depth, default=12)
     w.add_argument("--point", help="test one rational for membership")
     w.set_defaults(fn=cmd_set)
 

@@ -6,6 +6,15 @@ self-similar set characterized by a base-4 digit criterion; for support
 applies.  This module implements both classifiers exactly, a dynamic
 programming brute-force oracle for the two-point case, and iterated
 function system engines rendering the fractal set of admissible weights.
+
+The contraction-system cover runs on integers.  With L the lcm of the
+denominators of a system's offsets and condensation set, every endpoint of
+the depth-d cover of [0, 1] is an integer over L * 4^d, and in those units
+the map x -> x/4 + off is the shift n -> n + off * L * 4^d: numerators are
+never rescaled, so a level is a few shifted copies, one sort and a linear
+merge.  `IntervalUnion` stores such numerators over one denominator;
+`IntervalUnion.affine` and `IfsSystem.apply` stay on `Fraction`s as the
+independent reference that the tests replay covers through.
 """
 
 from __future__ import annotations
@@ -167,9 +176,14 @@ def achievable_weights(horizon: int) -> frozenset[Fraction]:
 
 class IntervalUnion:
     """Canonical finite union of closed rational-endpoint intervals
-    (degenerate intervals are points)."""
+    (degenerate intervals are points).
 
-    __slots__ = ("intervals",)
+    Stored as sorted, disjoint integer endpoint pairs `pairs` over one
+    positive denominator `den`; `intervals` gives the same union as
+    `Fraction` pairs.  Equality compares the unions, whatever `den` is.
+    """
+
+    __slots__ = ("pairs", "den")
 
     def __init__(self, intervals: list[tuple[Fraction, Fraction]]):
         ivs = sorted((Q(a), Q(b)) for a, b in intervals)
@@ -181,22 +195,39 @@ class IntervalUnion:
                 merged[-1][1] = max(merged[-1][1], b)
             else:
                 merged.append([a, b])
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = tuple(
-            (a, b) for a, b in merged
+        den = math.lcm(*(x.denominator for iv in merged for x in iv))
+        self.pairs: tuple[tuple[int, int], ...] = tuple(
+            (int(a * den), int(b * den)) for a, b in merged
         )
+        self.den = den
+
+    @classmethod
+    def from_numerators(cls, pairs: list[tuple[int, int]],
+                        den: int) -> "IntervalUnion":
+        """The union of [a/den, b/den] over `pairs`, which must already be
+        sorted and disjoint with a <= b, as `ifs_approximate` makes them."""
+        u = cls.__new__(cls)
+        u.pairs = tuple(pairs)
+        u.den = den
+        return u
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        d = self.den
+        return tuple((Q(a, d), Q(b, d)) for a, b in self.pairs)
 
     def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Q(0))
+        return Q(sum(b - a for a, b in self.pairs), self.den)
 
     def contains_point(self, x: Fraction) -> bool:
         x = Q(x)
-        return any(a <= x <= b for a, b in self.intervals)
+        n, d = x.numerator * self.den, x.denominator
+        return any(a * d <= n <= b * d for a, b in self.pairs)
 
     def contains(self, other: "IntervalUnion") -> bool:
-        for a, b in other.intervals:
-            if not any(c <= a and b <= d for c, d in self.intervals):
-                return False
-        return True
+        d, e = self.den, other.den
+        return all(any(c * e <= a * d and b * d <= f * e for c, f in self.pairs)
+                   for a, b in other.pairs)
 
     def affine(self, scale: Fraction, offset: Fraction) -> "IntervalUnion":
         return IntervalUnion(
@@ -251,18 +282,61 @@ def weight_set_system_alt() -> IfsSystem:
     )
 
 
+class CoverBudgetExceeded(ArithmeticError):
+    """A contraction-system cover needs more than MAX_COVER_INTERVALS
+    intervals."""
+
+
+#: Intervals a cover may hold after any level's merge.  The depth-16 cover
+#: of `weight_set_system` has 32 769 intervals and depth 17 would have
+#: 65 537: the count doubles at each level.
+MAX_COVER_INTERVALS = 2**16
+
+
 def ifs_approximate(system: IfsSystem, depth: int) -> IntervalUnion:
     """Depth-d image of [0, 1] under the system, exact endpoints.
 
     The images are a decreasing chain of covers of the attractor, so their
     Lebesgue measures bracket the attractor's from above.
+
+    Runs on integer numerators over one denominator D, which starts at
+    L = lcm of the offsets' and the condensation set's denominators and is
+    multiplied by 4 at each level.  Over the new D, x -> x/4 + off is the
+    shift n -> n + off * D, so a level is one shifted copy of the pairs per
+    offset plus the condensation pairs scaled to D, one sort and a linear
+    merge; `IfsSystem.apply` computes the same level on `Fraction`s.
+    Raises CoverBudgetExceeded when a level's merged cover holds more than
+    MAX_COVER_INTERVALS intervals.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    a = IntervalUnion([(Q(0), Q(1))])
-    for _ in range(depth):
-        a = system.apply(a)
-    return a
+    cond = system.condensation or IntervalUnion([])
+    den = math.lcm(cond.den, *(off.denominator for off in system.offsets))
+    shifts = [int(off * den) for off in system.offsets]
+    cond_pairs = [(a * den // cond.den, b * den // cond.den)
+                  for a, b in cond.pairs]
+    pairs = [(0, den)]
+    for level in range(1, depth + 1):
+        den *= 4
+        scale = 4**level
+        ivs = [(a + s, b + s) for s in (t * scale for t in shifts)
+               for a, b in pairs]
+        ivs += [(a * scale, b * scale) for a, b in cond_pairs]
+        ivs.sort()
+        pairs = []
+        lo, hi = ivs[0]
+        for a, b in ivs:
+            if a > hi:
+                pairs.append((lo, hi))
+                lo, hi = a, b
+            elif b > hi:
+                hi = b
+        pairs.append((lo, hi))
+        if len(pairs) > MAX_COVER_INTERVALS:
+            raise CoverBudgetExceeded(
+                f"the depth-{level} cover has {len(pairs)} intervals, more "
+                f"than MAX_COVER_INTERVALS = {MAX_COVER_INTERVALS}")
+    return IntervalUnion.from_numerators(pairs, den)
 
 
 def ifs_membership(p: Fraction, depth: int) -> str:
@@ -275,6 +349,8 @@ def ifs_membership(p: Fraction, depth: int) -> str:
     preimage escapes the depth-1 image and is out.  Agrees with
     `classify_weight` whenever it decides.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     system = weight_set_system()
     p = Q(p)
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import signal
@@ -491,6 +492,46 @@ class TestSetAndPotential:
         assert out["values"]["0"] == "-4/3"
         assert out["barycenter"]["0"] == "6/7"
 
+
+
+class TestSetCoverBudget:
+    # sha256 of `walkembed set --depth 12` stdout, captured with the
+    # Fraction-based cover
+    SET_12_SHA256 = ("c4db6061896a537d0c260aa379f75929"
+                     "021feadc4091ef0767a61b7866fe3185")
+
+    def test_depth_12_output_frozen(self, capsys):
+        assert main(["set", "--depth", "12"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SET_12_SHA256
+
+    def test_depth_16_within_budget(self, capsys):
+        code, out = run(capsys, ["set", "--depth", "16"])
+        assert code == 0
+        assert len(out["intervals"]) == 32769
+        assert out["measure"] == "32769/131072"
+
+    def test_depth_17_exceeds_budget(self, capsys):
+        code, out = run(capsys, ["set", "--depth", "17"])
+        assert code == 3
+        assert out["depth"] == 17
+        assert "MAX_COVER_INTERVALS = 65536" in out["reason"]
+
+    @pytest.mark.parametrize("argv", [
+        ["set", "--depth", "-1"],
+        ["set", "--point", "3/10", "--depth", "-1"],
+        ["classify", "--weight", "1/6", "--depth", "-1"],
+        ["embed", "chw", "MU", "--depth", "-1"],
+        ["embed", "ui-matrix", "MU", "--depth", "-2"],
+    ])
+    def test_negative_depth_rejected(self, capsys, mu_516, argv):
+        argv = [mu_516 if a == "MU" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --depth: must be >= 0" in captured.err
 
 # payload values mix small ints with every other JSON type, and dict keys
 # name the fields the parsers read, so some payloads get deep into them

@@ -3,10 +3,11 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkembed import (
+    IfsSystem,
     IntervalUnion,
     achievable_weights,
     classify_triple,
@@ -149,3 +150,50 @@ class TestIfs:
             if classify_weight(p).member:
                 assert classify_weight(Q(1, 4) + p / 4).member
                 assert classify_weight(Q(1, 8) + p / 4).member
+
+
+DYADICS = st.builds(lambda j, k: Q(k % (2**j + 1), 2**j),
+                    st.integers(0, 4), st.integers(0, 16))
+
+
+@st.composite
+def ifs_systems(draw):
+    offsets = tuple(draw(st.lists(DYADICS, min_size=1, max_size=6)))
+    ends = draw(st.lists(st.tuples(DYADICS, DYADICS), min_size=1, max_size=3))
+    condensation = draw(st.sampled_from(
+        [None, IntervalUnion([(min(a, b), max(a, b)) for a, b in ends])]))
+    return IfsSystem(offsets, condensation)
+
+
+class TestIntegerCover:
+    # the Fraction replay dominates: up to about 1 s for six offsets at depth 7
+    @settings(max_examples=50, deadline=None)
+    @given(ifs_systems(), st.integers(0, 7))
+    def test_matches_fraction_replay(self, system, depth):
+        # the integer cover equals `depth` Fraction applications of the
+        # system to [0, 1], interval by interval and in measure
+        ref = IntervalUnion([(Q(0), Q(1))])
+        for _ in range(depth):
+            ref = system.apply(ref)
+        cover = ifs_approximate(system, depth)
+        assert cover == ref
+        assert cover.intervals == ref.intervals
+        assert cover.measure() == sum((b - a for a, b in ref.intervals), Q(0))
+
+    def test_numerators_over_one_denominator(self):
+        cover = ifs_approximate(weight_set_system(), 2)
+        assert cover.den == 8 * 4**2
+        assert cover.pairs == ((0, 48), (64, 64), (128, 128))
+        assert cover == IntervalUnion.from_numerators([(0, 3), (4, 4), (8, 8)], 8)
+
+    def test_contains_point_on_numerators(self):
+        u = IntervalUnion([(Q(1, 3), Q(1, 2)), (Q(3, 4), Q(3, 4))])
+        assert u.den == 12
+        for x, inside in ((Q(1, 3), True), (Q(5, 12), True), (Q(1, 2), True),
+                          (Q(2, 3), False), (Q(3, 4), True), (Q(7, 9), False),
+                          (Q(0), False)):
+            assert u.contains_point(x) == inside
+
+    def test_membership_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ifs_membership(Q(3, 10), depth=-1)
