@@ -7,23 +7,29 @@ folded into the law.  `simulate_reference` replays the rule's executable
 state machine on the same per-trial streams; it is the reference the
 kernels are tested against.  `exact_law` computes the stopped law of a rule
 exactly, with a certified residual: the rational mass not yet stopped at the
-stage cap.  For exit-composition, max-threshold and minimal rules it runs a
-dynamic program over integer path counts per merged rule state; the rule's
-state machine is the transition function, stepped once per distinct state
-and direction and memoized, and the only division happens at the end.
+stage cap.  For exit-composition and max-threshold rules it runs a dynamic
+program over integer path counts per merged rule state; the rule's state
+machine is the transition function, stepped once per distinct state and
+direction and memoized, and the only division happens at the end.  A
+minimal rule has its own integer solver with the same result: its
+selection words are integers tested against integer cut points, and after
+selection each (target, side) lane of first-passage counts is one packed
+integer that a whole step advances with one shift and one add.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
-from .classic import RandomizedRule
+from .classic import MinimalCertificate, RandomizedRule
 from .matrices import count_scan, exact_law_matrix
 from .measures import IntegerMeasure
 from .rational import Q, format_rational
@@ -40,9 +46,10 @@ DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law` and of the matrix count scan
 MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
 # work cap of the keyed DP (exit-composition, max-threshold and minimal
 # rules): total key-steps, one merged state advanced by one step, checked
-# at stage boundaries.  It bounds the DP of a minimal rule, whose keys
-# carry the unbounded walk position, to about a second of pure Python on a
-# 2-CPU Xeon; no exact-law of the certify benchmark takes 17 000 key-steps
+# at stage boundaries.  A minimal rule counts its live selection words plus
+# its live (target, position) keys, whose position is unbounded; the cap
+# ends the 5/16 target at stage 579.  No exact-law of the certify benchmark
+# takes 17 000 key-steps
 MAX_KEY_STEPS = 1_000_000
 
 
@@ -208,8 +215,9 @@ class ExactLaw:
 
 def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
     """Exact stopped law of a rule up to min(`max_stage`, `MAX_STAGE`)
-    stages (2 steps each); the keyed DP also stops at the first stage
-    boundary past `MAX_KEY_STEPS` key-steps.
+    stages (2 steps each); for exit-composition, max-threshold and minimal
+    rules it also stops at the first stage boundary past `MAX_KEY_STEPS`
+    key-steps.
 
     The returned residual is the exact probability mass not yet stopped,
     and `stages` the stages that ran; rules that terminate within the
@@ -235,7 +243,7 @@ def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
     if isinstance(rule, MaxThresholdRule):
         return _exact_law_generic(rule, max_steps, _max_state_key)
     if isinstance(rule, MinimalRule):
-        return _exact_law_generic(rule, max_steps, _minimal_state_key)
+        return _exact_law_minimal(rule.certificate, max_steps)
     raise TypeError(f"cannot evaluate {type(rule).__name__}")
 
 
@@ -245,14 +253,6 @@ def _chip_state_key(state):
 
 def _max_state_key(state):
     return (state.position, state.running_max)
-
-
-def _minimal_state_key(state):
-    # before resolution the dyadic interval is the state; afterwards only
-    # the target matters, which is what makes the DP collapse
-    if state.target is None:
-        return (state.low, state.width, state.position)
-    return (state.target, state.position)
 
 
 def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
@@ -314,3 +314,100 @@ def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
     law = {site: Q(num, 1 << steps_done) for site, num in stops.items()}
     residual = Q(sum(counts.values()), 1 << steps_done)
     return ExactLaw(law, residual, (steps_done + 1) // 2)
+
+
+def _repack(x: int, width: int, new_width: int) -> int:
+    """Move the width-bit fields of `x` into fields of `new_width` bits."""
+    out = shift = 0
+    mask = (1 << width) - 1
+    while x:
+        out |= (x & mask) << shift
+        x >>= width
+        shift += new_width
+    return out
+
+
+def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
+    """Exact law of a minimal rule on integers: bit for bit the `ExactLaw`
+    of the keyed DP over `MinimalState`, with the same key-step count.
+
+    Selection: the live word L of length t stands for the dyadic interval
+    [L, L+1) / 2^t of U and sits at 2 popcount(L) - t.  Over d, the lcm of
+    the cut points' denominators, it selects atom j iff bound[j] 2^t <= L d
+    and (L+1) d <= bound[j+1] 2^t.  Distinct words never merge, and each
+    live word straddles a cut point, so at most m - 1 are live, each with
+    count 1.
+
+    First passage: mass never crosses its target, so each (target, side)
+    lane is indexed by the distance k >= 1.  Every distance in a lane has
+    the parity of t - target, so one packed integer holds distance k in
+    its `width`-bit field k // 2.  A step from odd distances is
+    X + (X << width), whose field 0 is then the mass absorbed at the
+    target; a step from even distances is X + (X >> width).  Field sums
+    stay below 2^t, so `width` > t keeps fields apart and makes
+    X mod (2^width - 1) the lane's total; `width` doubles by repacking when
+    t + 1 reaches it.  A bitmask per lane marks the nonzero fields, which
+    are the live keys that the key-step cap counts.
+    """
+    sites = cert.sites
+    d = math.lcm(*(c.denominator for c in cert.cut_points))
+    bounds = [0] + [c.numerator * (d // c.denominator)
+                    for c in cert.cut_points]
+    width = min(max_steps, 254) + 2  # no repack within 127 stages
+    lanes: dict[tuple[int, bool], list[int]] = {}  # -> [packed, support]
+    stops: dict[int, int] = {}  # site -> stopped mass times 2^t
+
+    def settle(words, t):
+        """Stop or enqueue the resolved (word, position) pairs of length t;
+        return the rest."""
+        scaled = [b << t for b in bounds]
+        live = []
+        for word, pos in words:
+            j = bisect_right(scaled, word * d) - 1
+            if (word + 1) * d > scaled[j + 1]:
+                live.append((word, pos))
+            elif pos == sites[j]:
+                stops[pos] = stops.get(pos, 0) + 1
+            else:
+                k = abs(pos - sites[j]) // 2
+                lane = lanes.setdefault((sites[j], pos > sites[j]), [0, 0])
+                lane[0] += 1 << (k * width)
+                lane[1] |= 1 << k
+        return live
+
+    words = settle([(0, 0)], 0)
+    t = key_steps = 0
+    while (words or lanes) and t < max_steps:
+        if t % 2 == 0 and key_steps >= MAX_KEY_STEPS:
+            break
+        key_steps += len(words) + sum(b.bit_count()
+                                      for _, b in lanes.values())
+        if t + 1 >= width:
+            for lane in lanes.values():
+                lane[0] = _repack(lane[0], width, 2 * width)
+            width *= 2
+        for site in stops:
+            stops[site] <<= 1
+        mask = (1 << width) - 1
+        for key, lane in list(lanes.items()):
+            x, b = lane
+            if (t - key[0]) & 1:  # distances 2i + 1 -> 2i and 2i + 2
+                x += x << width
+                hit = x & mask
+                if hit:
+                    stops[key[0]] = stops.get(key[0], 0) + hit
+                    x -= hit
+                b = (b | b << 1) & ~1
+            else:  # distances 2i -> 2i - 1 and 2i + 1
+                x += x >> width
+                b |= b >> 1
+            if x:
+                lane[:] = x, b
+            else:
+                del lanes[key]
+        t += 1
+        words = settle([(2 * w + up, p + 2 * up - 1)
+                        for w, p in words for up in (0, 1)], t)
+    live = len(words) + sum(x % ((1 << width) - 1) for x, _ in lanes.values())
+    law = {site: Q(num, 1 << t) for site, num in stops.items()}
+    return ExactLaw(law, Q(live, 1 << t), (t + 1) // 2)

@@ -348,33 +348,36 @@ def ifs_membership(p: Fraction, depth: int) -> str:
     composition, hence also in the attractor.  A point with no admissible
     preimage escapes the depth-1 image and is out.  Agrees with
     `classify_weight` whenever it decides.
+
+    The tree of inverse orbits is searched depth first on an explicit
+    stack, so a depth of thousands needs no recursion.  One member leaf
+    makes the root a member; otherwise one leaf cut off at `depth` leaves
+    it undecided.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     system = weight_set_system()
     p = Q(p)
-
-    def visit(x: Fraction, d: int, seen: frozenset[Fraction]) -> str:
-        if system.condensation is not None and system.condensation.contains_point(x):
-            return "member"
-        if x in seen:
-            return "member"
-        branches = []
-        for off in system.offsets:
-            pre = 4 * (x - off)
-            if 0 <= pre <= 1:
-                branches.append(pre)
-        if not branches:
-            return "nonMember"
-        if d == 0:
-            return "undecidedAtDepth"
-        results = [visit(b, d - 1, seen | {x}) for b in branches]
-        if any(r == "member" for r in results):
-            return "member"
-        if all(r == "nonMember" for r in results):
-            return "nonMember"
-        return "undecidedAtDepth"
-
     if p < 0 or p > 1:
         return "nonMember"
-    return visit(p, depth, frozenset())
+    path: set[Fraction] = set()  # the ancestors of the point on top
+    stack: list[tuple[Fraction, int | None]] = [(p, depth)]
+    undecided = False
+    while stack:
+        x, d = stack.pop()
+        if d is None:  # every preimage of x is searched
+            path.remove(x)
+            continue
+        if system.condensation.contains_point(x) or x in path:
+            return "member"
+        branches = [pre for off in system.offsets
+                    if 0 <= (pre := 4 * (x - off)) <= 1]
+        if not branches:
+            continue
+        if d == 0:
+            undecided = True
+            continue
+        path.add(x)
+        stack.append((x, None))
+        stack.extend((b, d - 1) for b in branches)
+    return "undecidedAtDepth" if undecided else "nonMember"

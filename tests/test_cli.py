@@ -5,6 +5,7 @@ import functools
 import hashlib
 import io
 import json
+import random
 import signal
 import time
 from fractions import Fraction
@@ -637,3 +638,51 @@ class TestFuzz:
             assert code in (0, 2, 3), (argv, err)
             assert "Traceback" not in err
             assert seconds < 5.0
+
+
+def orbit_fixed_point(seed: int, length: int) -> Fraction:
+    """Fixed point of a random composition of `length` maps drawn from the
+    weight set's contractions x/4 + 1/4 and x/4 + 1/8: a member whose
+    inverse orbit first returns after up to `length` steps."""
+    rng = random.Random(seed)
+    c = Fraction(0)
+    for _ in range(length):
+        c = c / 4 + rng.choice((Fraction(1, 4), Fraction(1, 8)))
+    return c * 4**length / (4**length - 1)
+
+
+@st.composite
+def huge_denominator_points(draw):
+    q = draw(st.integers(2, 2**2000))
+    return Fraction(draw(st.integers(-q // 8, q + q // 8)), q)
+
+
+WEIGHT_POINTS = (
+    st.fractions(-2, 2, max_denominator=10**6)
+    | huge_denominator_points()
+    | st.builds(orbit_fixed_point, st.integers(0, 2**32),
+                st.integers(1, 1500)))
+
+
+class TestSetPointFuzz:
+    """`set --point` ends in exit 0, 2 or 3 within 5 s, never in a
+    traceback, at any depth up to 5000."""
+
+    @settings(max_examples=100)
+    @given(point=WEIGHT_POINTS, depth=st.integers(0, 5000))
+    def test_set_point(self, point, depth):
+        # "--point=" keeps argparse from reading "-1/2" as an option
+        argv = ["set", f"--point={point}", "--depth", str(depth)]
+        code, err, seconds = run_bounded(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        assert seconds < 5.0
+
+    def test_long_orbit_member(self, capsys):
+        # the inverse orbit returns after 1500 steps, past the depth a
+        # recursive search could reach
+        point = str(orbit_fixed_point(1, 1500))
+        code, out = run(capsys, ["set", "--point", point, "--depth", "5000"])
+        assert (code, out["verdict"]) == (0, "member")
+        code, out = run(capsys, ["set", "--point", point, "--depth", "1000"])
+        assert (code, out["verdict"]) == (3, "undecidedAtDepth")

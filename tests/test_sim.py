@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from walkembed import (
@@ -278,3 +278,68 @@ class TestExactLawOracle:
             monkeypatch.undo()
             assert capped.stages < 100
             assert exact_law(rule, max_stage=capped.stages) == capped
+
+
+def _old_minimal_key(state):
+    # the merged-state key the keyed DP once used for minimal rules: the
+    # dyadic interval before resolution, (target, position) after
+    if state.target is None:
+        return (state.low, state.width, state.position)
+    return (state.target, state.position)
+
+
+@st.composite
+def minimal_targets(draw):
+    """1-5 atoms in [-8, 8] with weights n_i / q, where q has an odd factor
+    so that most cut points are not dyadic and some words are still
+    selecting at every stage."""
+    q = draw(st.sampled_from([3, 5, 7, 9, 11])) << draw(st.integers(0, 3))
+    sites = draw(st.lists(st.integers(-8, 8), min_size=1,
+                          max_size=min(5, q), unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, q - 1),
+                               min_size=len(sites) - 1,
+                               max_size=len(sites) - 1)))
+    return measure({s: Q(b - a, q)
+                    for s, a, b in zip(sites, [0] + cuts, cuts + [q])})
+
+
+class TestMinimalExactLaw:
+    """The integer solver of minimal rules against the keyed DP on the
+    rule's state machine, which it replaced."""
+
+    @staticmethod
+    def keyed_dp(rule, stages):
+        return sim._exact_law_generic(rule, 2 * stages, _old_minimal_key)
+
+    @given(minimal_targets(), st.integers(0, 40))
+    @example(measure({5: Q(1)}), 40)  # selected at once, far from the origin
+    @example(measure({0: Q(1)}), 3)  # stopped at time 0
+    @example(measure({-8: Q(1, 3), 8: Q(2, 3)}), 3)  # beyond the horizon
+    def test_same_law_as_keyed_dp(self, mu, stages):
+        rule = MinimalRule(minimal_certificate(mu))
+        el, old = exact_law(rule, max_stage=stages), self.keyed_dp(rule, stages)
+        assert el == old
+        assert el.to_json() == old.to_json()
+
+    @pytest.mark.parametrize("mu", [
+        MU_516,
+        measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}),
+        measure({-5: Q(1, 7), 2: Q(6, 7)}),
+    ], ids=["5/16", "2/9", "non-centred"])
+    def test_key_step_cap_same_as_keyed_dp(self, monkeypatch, mu):
+        # the cap counts live selection words plus live (target, position)
+        # keys, so it ends both solvers at the same stage
+        rule = MinimalRule(minimal_certificate(mu))
+        for cap in range(1, 2000, 97):
+            monkeypatch.setattr(sim, "MAX_KEY_STEPS", cap)
+            assert exact_law(rule, max_stage=60) == self.keyed_dp(rule, 60)
+
+    @pytest.mark.parametrize("mu, stages", [
+        (MU_516, 579),
+        (measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}), 500),
+    ], ids=["5/16", "2/9"])
+    def test_default_cap_stage(self, mu, stages):
+        # the stages at which MAX_KEY_STEPS ended the keyed DP
+        el = exact_law(MinimalRule(minimal_certificate(mu)), max_stage=8000)
+        assert el.stages == stages
+        assert sum(el.law.values()) + el.residual == 1
