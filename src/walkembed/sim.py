@@ -47,8 +47,9 @@ MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
 # work cap of the keyed DP (exit-composition, max-threshold and minimal
 # rules): total key-steps, one merged state advanced by one step, checked
 # at stage boundaries.  A minimal rule counts its live selection words plus
-# its live (target, position) keys, whose position is unbounded; the cap
-# ends the 5/16 target at stage 579.  No exact-law of the certify benchmark
+# its live (target, position) keys, whose count grows with the stages
+# whatever the distance to the target; the cap ends the 5/16 target at
+# stage 579.  No exact-law of the certify benchmark
 # takes 17 000 key-steps
 MAX_KEY_STEPS = 1_000_000
 
@@ -316,17 +317,6 @@ def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
     return ExactLaw(law, residual, (steps_done + 1) // 2)
 
 
-def _repack(x: int, width: int, new_width: int) -> int:
-    """Move the width-bit fields of `x` into fields of `new_width` bits."""
-    out = shift = 0
-    mask = (1 << width) - 1
-    while x:
-        out |= (x & mask) << shift
-        x >>= width
-        shift += new_width
-    return out
-
-
 def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
     """Exact law of a minimal rule on integers: bit for bit the `ExactLaw`
     of the keyed DP over `MinimalState`, with the same key-step count.
@@ -340,21 +330,24 @@ def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
 
     First passage: mass never crosses its target, so each (target, side)
     lane is indexed by the distance k >= 1.  Every distance in a lane has
-    the parity of t - target, so one packed integer holds distance k in
-    its `width`-bit field k // 2.  A step from odd distances is
-    X + (X << width), whose field 0 is then the mass absorbed at the
-    target; a step from even distances is X + (X >> width).  Field sums
-    stay below 2^t, so `width` > t keeps fields apart and makes
-    X mod (2^width - 1) the lane's total; `width` doubles by repacking when
-    t + 1 reaches it.  A bitmask per lane marks the nonzero fields, which
-    are the live keys that the key-step cap counts.
+    the parity of t - target, so distance k sits in field k // 2.  A lane
+    is [base, X, support]: X packs fields base, base + 1, ... into
+    `width`-bit slots, and the support bitmask marks its nonzero fields,
+    the live keys that the key-step cap counts.  A step from odd distances
+    is X + (X << width), whose slot 0 is then the mass absorbed at the
+    target if base is 0; a step from even distances is X + (X >> width),
+    after lowering base by one if slot 0 is in use.  Live mass spans at
+    most t + 1 fields whatever the distance, so memory follows t, not the
+    site.  Field sums stay below 2^t, so `width` = max_steps + 2 keeps
+    fields apart and makes X mod (2^width - 1) the lane's total.
     """
     sites = cert.sites
     d = math.lcm(*(c.denominator for c in cert.cut_points))
     bounds = [0] + [c.numerator * (d // c.denominator)
                     for c in cert.cut_points]
-    width = min(max_steps, 254) + 2  # no repack within 127 stages
-    lanes: dict[tuple[int, bool], list[int]] = {}  # -> [packed, support]
+    width = max_steps + 2
+    mask = (1 << width) - 1
+    lanes: dict[tuple[int, bool], list[int]] = {}  # -> [base, X, support]
     stops: dict[int, int] = {}  # site -> stopped mass times 2^t
 
     def settle(words, t):
@@ -370,9 +363,12 @@ def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
                 stops[pos] = stops.get(pos, 0) + 1
             else:
                 k = abs(pos - sites[j]) // 2
-                lane = lanes.setdefault((sites[j], pos > sites[j]), [0, 0])
-                lane[0] += 1 << (k * width)
-                lane[1] |= 1 << k
+                key = (sites[j], pos > sites[j])
+                base, x, b = lanes.get(key, (k, 0, 0))
+                if k < base:
+                    x, b, base = x << (base - k) * width, b << base - k, k
+                lanes[key] = [base, x + (1 << (k - base) * width),
+                              b | 1 << k - base]
         return live
 
     words = settle([(0, 0)], 0)
@@ -381,33 +377,32 @@ def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
         if t % 2 == 0 and key_steps >= MAX_KEY_STEPS:
             break
         key_steps += len(words) + sum(b.bit_count()
-                                      for _, b in lanes.values())
-        if t + 1 >= width:
-            for lane in lanes.values():
-                lane[0] = _repack(lane[0], width, 2 * width)
-            width *= 2
+                                      for _, _, b in lanes.values())
         for site in stops:
             stops[site] <<= 1
-        mask = (1 << width) - 1
         for key, lane in list(lanes.items()):
-            x, b = lane
+            base, x, b = lane
             if (t - key[0]) & 1:  # distances 2i + 1 -> 2i and 2i + 2
                 x += x << width
-                hit = x & mask
-                if hit:
-                    stops[key[0]] = stops.get(key[0], 0) + hit
-                    x -= hit
-                b = (b | b << 1) & ~1
+                b |= b << 1
+                if base == 0:
+                    hit = x & mask
+                    if hit:
+                        stops[key[0]] = stops.get(key[0], 0) + hit
+                        x -= hit
+                    b &= ~1
             else:  # distances 2i -> 2i - 1 and 2i + 1
+                if base and x & mask:
+                    x, b, base = x << width, b << 1, base - 1
                 x += x >> width
                 b |= b >> 1
             if x:
-                lane[:] = x, b
+                lane[:] = base, x, b
             else:
                 del lanes[key]
         t += 1
         words = settle([(2 * w + up, p + 2 * up - 1)
                         for w, p in words for up in (0, 1)], t)
-    live = len(words) + sum(x % ((1 << width) - 1) for x, _ in lanes.values())
+    live = len(words) + sum(x % mask for _, x, _ in lanes.values())
     law = {site: Q(num, 1 << t) for site, num in stops.items()}
     return ExactLaw(law, Q(live, 1 << t), (t + 1) // 2)

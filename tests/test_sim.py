@@ -1,5 +1,7 @@
 """Monte Carlo harness and exact stopped laws."""
 
+import time
+import tracemalloc
 from fractions import Fraction as Q
 from itertools import product
 
@@ -333,6 +335,28 @@ class TestMinimalExactLaw:
         for cap in range(1, 2000, 97):
             monkeypatch.setattr(sim, "MAX_KEY_STEPS", cap)
             assert exact_law(rule, max_stage=60) == self.keyed_dp(rule, 60)
+
+    @pytest.mark.parametrize("mu, stages", [
+        (measure({10**9: Q(1)}), 64),
+        (measure({-10**9: Q(1, 3), 10**9: Q(2, 3)}), 64),
+        (measure({-10**6: Q(1, 2), 10**6: Q(1, 2)}), 2048),
+    ], ids=["atom-1e9", "atoms-1e9", "centred-1e6"])
+    def test_far_sites_stay_small(self, mu, stages):
+        # packed lanes hold only the fields that mass has reached, so time
+        # and memory follow the stages that run, not the distance to the
+        # target; the last case runs to the key-step cap
+        rule = MinimalRule(minimal_certificate(mu))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            el = exact_law(rule, max_stage=stages)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 16 << 20
+        assert el == self.keyed_dp(rule, stages)
 
     @pytest.mark.parametrize("mu, stages", [
         (MU_516, 579),
