@@ -167,30 +167,58 @@ def _chord(state: State, target: State, a: int, b: int) -> State | None:
     return tuple(n // g for n in new), dw // g
 
 
+def _first_ends(nums: tuple[int, ...]) -> list[int]:
+    """For each hull index a, the least b whose chord from a changes the
+    state: one past the state's first kink right of a, or len(nums) when
+    there is none.  A concave state is linear between kinks, so a chord
+    with no kink strictly inside it lies on the graph."""
+    n = len(nums)
+    ends = [n] * n
+    b = n
+    for k in range(n - 2, 0, -1):
+        if 2 * nums[k] != nums[k - 1] + nums[k + 1]:
+            b = k + 1
+        ends[k - 1] = b
+    return ends
+
+
 def _tangent_tail(state: State, target: State,
                   lo: int) -> list[ChipStep] | None:
     """Try to finish an embedding by chords tangent to the target, left to
-    right.  Each successful chord makes the state agree with the target on
-    one more segment; returns the chip list on success, None if stuck."""
+    right; returns the chip list on success, None if stuck.
+
+    Let m be the first hull index where the state and the target differ.
+    The tangent chord starts at m - 1 and matches the target at m, so it
+    runs along the target's line L through m - 1 and m: its right end b is
+    the first index past m where the state meets L.  The state minus L is
+    concave and positive at m, so once it falls below zero no b exists.
+    The chord is L itself, which no concave target rises above, so it is
+    never dead and the state then agrees with the target through m."""
     chips: list[ChipStep] = []
     tnums, td = target
     n = len(tnums)
-    for _ in range(n * n):
+    m = 0
+    while True:
         nums, d = state
-        m = next((i for i in range(n) if nums[i] * td != tnums[i] * d), None)
+        m = next((i for i in range(m, n) if nums[i] * td != tnums[i] * d),
+                 None)
         if m is None:
             return chips
         if m == 0:
             return None  # leftmost hull value should already match
+        # L(k) = tnums[m-1] + (k - m + 1)·rise over td, against nums[k] / d
+        base, rise = tnums[m - 1], tnums[m] - tnums[m - 1]
         for b in range(m + 1, n):
-            new = _chord(state, target, m - 1, b)
-            if new is not None and new[0][m] * td == tnums[m] * new[1]:
-                state = new
-                chips.append(ChipStep(m - 1 + lo, b + lo))
+            gap = nums[b] * td - (base + (b - m + 1) * rise) * d
+            if gap <= 0:
                 break
         else:
             return None
-    return None
+        if gap:
+            return None  # the state crossed L between integers
+        state = _chord(state, target, m - 1, b)
+        chips.append(ChipStep(m - 1 + lo, b + lo))
+        m += 1
 
 
 def chw_search(mu: IntegerMeasure, max_depth: int,
@@ -210,6 +238,14 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     independently with `replay_chips`, which runs `chip_apply` on
     `Fraction`s.
 
+    Chords run in (a, b) order and skip what concavity already decides.
+    Every state is concave and linear between its kinks, so a chord from
+    a changes it only when b passes the first kink right of a
+    (`_first_ends`), and the b below that are never tried.  For fixed a
+    the chord falls as b grows, so the first dead chord from a ends the
+    inner loop: every wider one is dead too.  Neither skip changes a
+    visited state, its order, a witness or a count.
+
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
     yields NON_MEMBER_UP_TO_DEPTH, never an unconditional non-membership.
@@ -227,7 +263,6 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     target, start = _to_state(target_q), _to_state(start_q)
 
     n = hi - lo + 1
-    pairs = [(a, b) for a in range(n) for b in range(a + 2, n)]
 
     if start == target:
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
@@ -252,24 +287,28 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     for depth in range(1, max_depth + 1):
         nxt: dict[State, tuple[ChipStep, ...]] = {}
         for state, path in frontier.items():
-            for a, b in pairs:
-                new = _chord(state, target, a, b)
-                if new is None or new in seen:
-                    continue
-                seen.add(new)
-                new_path = path + (ChipStep(a + lo, b + lo),)
-                if new == target:
-                    return ChwResult(ChwStatus.MEMBER, new_path, depth,
-                                     len(seen))
-                tail = _tangent_tail(new, target, lo)
-                if tail is not None:
-                    note(new_path + tuple(tail))
-                nxt[new] = new_path
-                if len(seen) > max_states:
-                    if best is not None:
-                        return ChwResult(ChwStatus.MEMBER, best, depth,
+            for a, first in enumerate(_first_ends(state[0])):
+                for b in range(first, n):
+                    new = _chord(state, target, a, b)
+                    if new is None:
+                        break  # dead, and so is every wider chord from a
+                    if new in seen:
+                        continue
+                    seen.add(new)
+                    new_path = path + (ChipStep(a + lo, b + lo),)
+                    if new == target:
+                        return ChwResult(ChwStatus.MEMBER, new_path, depth,
                                          len(seen))
-                    return ChwResult(ChwStatus.UNKNOWN, (), depth, len(seen))
+                    tail = _tangent_tail(new, target, lo)
+                    if tail is not None:
+                        note(new_path + tuple(tail))
+                    nxt[new] = new_path
+                    if len(seen) > max_states:
+                        if best is not None:
+                            return ChwResult(ChwStatus.MEMBER, best, depth,
+                                             len(seen))
+                        return ChwResult(ChwStatus.UNKNOWN, (), depth,
+                                         len(seen))
         frontier = nxt
         if not frontier:
             break

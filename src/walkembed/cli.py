@@ -274,6 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: options whose value is one rational, which may be negative
+_RATIONAL_OPTIONS = ("--point", "--weight")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """Write "--point -1/2" as "--point=-1/2".  argparse lets a value start
+    with "-" only when it is a plain negative decimal, and reads "-1/2" as
+    an option; the joined form reaches the command unchanged."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _RATIONAL_OPTIONS and arg[:1] == "-"
+                and (arg[1:2].isdigit() or arg[1:2] == ".")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -281,7 +299,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:  # built once per process, reused by every call
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser.parse_args(_join_negative_rationals(argv))
     try:
         return args.fn(args)
     except DigitBudgetExceeded as exc:  # `classify`: undecided, not invalid

@@ -468,14 +468,19 @@ class SearchResult:
     matrix: StoppingMatrix | None = None
 
 
-def _site_choices(caps: list[int]):
-    """Stop-count assignments with 0 <= a_j <= caps[j], greedy first: in
-    decreasing lexicographic order, the last site varying fastest."""
+def _site_choices(caps: list[int], floors: list[int] | None = None):
+    """Stop-count assignments with floors[j] <= a_j <= caps[j] (floors 0 by
+    default), greedy first: in decreasing lexicographic order, the last
+    site varying fastest.  A box of per-site bounds keeps that order, so
+    the floors only drop assignments, never reorder the rest."""
+    floors = floors or [0] * len(caps)
+    if any(f > c for f, c in zip(floors, caps)):
+        return
     cur = list(caps)
     while True:
         yield tuple(cur)
         j = len(cur) - 1
-        while j >= 0 and cur[j] == 0:
+        while j >= 0 and cur[j] == floors[j]:
             j -= 1
         if j < 0:
             return
@@ -504,6 +509,14 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     denominators.  Stopping a paths spends a*d; a path reaching an even
     boundary spends d, and 2d at an odd one.  A negative deficit is a dead
     end, and the next stage multiplies budgets and deficits by 4.
+
+    Nodes are the even-phase choices plus one per call; odd-phase choices
+    are not counted.  Two skips leave every count and result as it was.
+    With an even boundary, its arrivals are the odd survivors at -N and N,
+    so the deficits floor the odd stops there (`_site_choices`'s floors)
+    and an odd choice that would overdraw a deficit is never enumerated.
+    At the stage cap, a choice that leaves budget unspent is a leaf that
+    only counts its child's node, so that node is counted in place.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
@@ -540,19 +553,24 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                 return None
         odd_caps = [min(k_odd[i], r // d)
                     for i, r in zip(odd_interior, rem[odd_slots])]
+        odd_floors = None
+        if bound % 2 == 0:
+            # the even boundary arrivals are the odd survivors at +-N, so
+            # the deficits floor the stops there
+            odd_floors = [0] * len(odd_caps)
+            odd_floors[0] = max(0, k_odd[-N] - lo // unit)
+            odd_floors[-1] = max(0, k_odd[N] - hi // unit)
         even_rem = rem[even_slots]
         taken = [0] * len(rem)
-        for odd_choice in _site_choices(odd_caps):
+        for odd_choice in _site_choices(odd_caps, odd_floors):
             taken[odd_slots] = odd_choice
             surv_odd = {i: k_odd[i] - a for i, a in zip(odd_interior, odd_choice)}
 
             # phase 2: even arrivals; stage 0 starts the walk at 0
             k_new = _arrivals(surv_odd, even_sites) if stage else start
             lo2, hi2 = lo, hi
-            if bound % 2 == 0:
+            if bound % 2 == 0:  # never negative, by the floors
                 lo2, hi2 = lo - unit * k_new[-bound], hi - unit * k_new[bound]
-                if lo2 < 0 or hi2 < 0:
-                    continue
 
             even_caps = [min(k_new[i], r // d)
                          for i, r in zip(even_interior, even_rem)]
@@ -562,6 +580,9 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                     return None
                 taken[even_slots] = even_choice
                 rem2 = [r - a * d for r, a in zip(rem, taken)]
+                if stage == max_stage and any(rem2):
+                    nodes += 1  # the child's node: a leaf past the stage cap
+                    continue
                 path2 = path + (tuple(taken),)
                 surv_even = {i: k_new[i] - a
                              for i, a in zip(even_interior, even_choice)}

@@ -22,7 +22,7 @@ from walkembed import (
     potential,
     replay_chips,
 )
-from walkembed.classic import _chord, _to_state
+from walkembed.classic import ChwResult, _chord, _to_state
 
 MU_29 = measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)})
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
@@ -192,11 +192,14 @@ class TestSearchResults:
          "nonMemberUpToDepth", [], 5, 1),
         (FIVE_ATOM, 3, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
          3, 1327),
+        (FIVE_ATOM, 4, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
+         4, 9720),
     ]
 
     @pytest.mark.parametrize("mu, depth, status, steps, searched, states",
                              FROZEN, ids=["5/16", "2/9", "1/6", "3/4",
-                                          "uniform3", "five-atom"])
+                                          "uniform3", "five-atom",
+                                          "five-atom-4"])
     def test_frozen_results(self, mu, depth, status, steps, searched, states):
         res = chw_search(mu, max_depth=depth)
         assert res.status.value == status
@@ -222,6 +225,90 @@ class TestSearchResults:
     def test_states_searched_counts_distinct_states(self):
         assert chw_search(BERNOULLI, max_depth=8).states_searched == 2
         assert chw_search(measure({0: 1}), max_depth=8).states_searched == 1
+
+
+def reference_chw_search(mu, max_depth, max_states):
+    """The chip search without its skips: every pair a + 2 <= b at every
+    state, and a tangent completion that tries every right end of the
+    chord from m - 1 through `_chord`, keeping the first that matches the
+    target at m."""
+    u_mu = potential(mu)
+    lo, n = u_mu.lo, u_mu.hi - u_mu.lo + 1
+    target = _to_state(u_mu.values)
+    start = _to_state([-Q(abs(k)) for k in range(lo, u_mu.hi + 1)])
+    if start == target:
+        return ChwResult(ChwStatus.MEMBER, (), 0, 1)
+
+    def tangent_tail(state):
+        chips = []
+        tnums, td = target
+        for _ in range(n * n):
+            if state == target:
+                return tuple(chips)
+            nums, d = state
+            m = next(i for i in range(n) if nums[i] * td != tnums[i] * d)
+            if m == 0:
+                return None
+            for b in range(m + 1, n):
+                new = _chord(state, target, m - 1, b)
+                if new is not None and new[0][m] * td == tnums[m] * new[1]:
+                    state = new
+                    chips.append(ChipStep(m - 1 + lo, b + lo))
+                    break
+            else:
+                return None
+        return None
+
+    best = tangent_tail(start)
+    seen, frontier = {start}, {start: ()}
+    for depth in range(1, max_depth + 1):
+        nxt = {}
+        for state, path in frontier.items():
+            for a in range(n):
+                for b in range(a + 2, n):
+                    new = _chord(state, target, a, b)
+                    if new is None or new in seen:
+                        continue
+                    seen.add(new)
+                    new_path = path + (ChipStep(a + lo, b + lo),)
+                    if new == target:
+                        return ChwResult(ChwStatus.MEMBER, new_path, depth,
+                                         len(seen))
+                    tail = tangent_tail(new)
+                    if tail is not None and (best is None or
+                                             len(path) + 1 + len(tail)
+                                             < len(best)):
+                        best = new_path + tail
+                    nxt[new] = new_path
+                    if len(seen) > max_states:
+                        if best is not None:
+                            return ChwResult(ChwStatus.MEMBER, best, depth,
+                                             len(seen))
+                        return ChwResult(ChwStatus.UNKNOWN, (), depth,
+                                         len(seen))
+        frontier = nxt
+        if not frontier:
+            break
+    if best is not None:
+        return ChwResult(ChwStatus.MEMBER, best, max_depth, len(seen))
+    return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
+                     len(seen))
+
+
+class TestSearchEquivalence:
+    # the kink skip, the dead-chord break and the scanned tangent change
+    # no verdict, witness or count of the plain search
+    @settings(max_examples=150)
+    @given(centered_measures(), st.integers(1, 4),
+           st.sampled_from([1, 5, 40, 300]))
+    def test_matches_reference(self, mu, depth, max_states):
+        got = chw_search(mu, max_depth=depth, max_states=max_states)
+        assert got == reference_chw_search(mu, depth, max_states)
+
+    @pytest.mark.parametrize("mu", [MU_29, MU_516, FIVE_ATOM],
+                             ids=["2/9", "5/16", "five-atom"])
+    def test_named_targets_match_reference(self, mu):
+        assert chw_search(mu, 3, 2000) == reference_chw_search(mu, 3, 2000)
 
 
 class TestHall:

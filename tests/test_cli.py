@@ -494,6 +494,46 @@ class TestSetAndPotential:
         assert out["barycenter"]["0"] == "6/7"
 
 
+class TestNegativeRationals:
+    """A negative rational may follow --point or --weight as its own
+    argument, and prints exactly what the "--point=-1/2" form prints."""
+
+    @pytest.mark.parametrize("split, joined, code", [
+        (["set", "--point", "-1/2"], ["set", "--point=-1/2"], 0),
+        (["set", "--point", "-3/4", "--depth", "3"],
+         ["set", "--point=-3/4", "--depth", "3"], 0),
+        (["set", "--depth", "3", "--point", "-.5"],
+         ["set", "--depth", "3", "--point=-.5"], 0),
+        (["classify", "--weight", "-1/2"], ["classify", "--weight=-1/2"], 2),
+        (["classify", "--weight", "-1/6", "--depth", "2"],
+         ["classify", "--weight=-1/6", "--depth", "2"], 2),
+    ])
+    def test_split_matches_joined(self, capsys, split, joined, code):
+        assert main(joined) == code
+        expected = capsys.readouterr()
+        assert main(split) == code
+        assert capsys.readouterr() == expected
+
+    def test_split_outputs(self, capsys):
+        code, out = run(capsys, ["set", "--point", "-1/2"])
+        assert (code, out) == (0, {"point": "-1/2", "verdict": "nonMember"})
+        assert main(["classify", "--weight", "-1/2"]) == 2
+        assert "expansion defined on [0, 1] only, got -1/2" in \
+            capsys.readouterr().err
+
+    def test_process_argv(self, capsys, monkeypatch):
+        # the installed script calls main() with no argv
+        monkeypatch.setattr("sys.argv", ["walkembed", "set", "--point", "-1/2"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "nonMember"
+
+    def test_missing_value_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["set", "--point", "--depth", "3"])
+        assert exc.value.code == 2
+        assert "argument --point: expected one argument" in \
+            capsys.readouterr().err
+
 
 class TestSetCoverBudget:
     # sha256 of `walkembed set --depth 12` stdout, captured with the
@@ -669,10 +709,12 @@ class TestSetPointFuzz:
     traceback, at any depth up to 5000."""
 
     @settings(max_examples=100)
-    @given(point=WEIGHT_POINTS, depth=st.integers(0, 5000))
-    def test_set_point(self, point, depth):
-        # "--point=" keeps argparse from reading "-1/2" as an option
-        argv = ["set", f"--point={point}", "--depth", str(depth)]
+    @given(point=WEIGHT_POINTS, depth=st.integers(0, 5000),
+           joined=st.booleans())
+    def test_set_point(self, point, depth, joined):
+        # a negative point reaches the command in both spellings
+        value = [f"--point={point}"] if joined else ["--point", str(point)]
+        argv = ["set", *value, "--depth", str(depth)]
         code, err, seconds = run_bounded(argv)
         assert code in (0, 2, 3), (argv, err)
         assert "Traceback" not in err

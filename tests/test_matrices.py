@@ -1,5 +1,6 @@
 """Stop-count matrices: rows, verification, search."""
 
+import signal
 from fractions import Fraction as Q
 
 import pytest
@@ -158,6 +159,105 @@ class TestSearch:
             2: MatrixRow((0, 0, 1, 0, 4)),
         })
         assert verify_matrix(res.matrix, mu).valid
+
+
+def _atoms(weights: dict[int, str]) -> IntegerMeasure:
+    return measure({k: Q(w) for k, w in weights.items()})
+
+
+class SearchTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise SearchTimeout
+
+
+class TestSearchBudgets:
+    """Status and matrix of the search at node budgets 300, 2000 and 50 000
+    and max_stage 3, 6 and 9, frozen from the search before its odd-phase
+    deficit floors and in-place stage-cap leaves.  A moved node count shows
+    up here as a flipped status: deeper stages spend the budget on greedy
+    branches first, so some targets found at stage 6 are unknown at 9."""
+
+    STAGES = (3, 6, 9)
+    # name: (target, its matrix as {site: head}, and per node budget the
+    # status at each of STAGES: "m" member with that matrix, "u" unknown)
+    FROZEN = {
+        "3/4": ({0: "3/4", -4: "1/8", 4: "1/8"}, None,
+                {300: "uuu", 2000: "uuu", 50_000: "uuu"}),
+        "2/9": ({-3: "2/9", 0: "4/9", 2: "1/3"}, None,
+                {300: "uuu", 2000: "uuu", 50_000: "uuu"}),
+        "4/5": ({-1: "4/5", 4: "1/5"}, None,
+                {300: "uuu", 2000: "uuu", 50_000: "uuu"}),
+        "5/6": ({-1: "5/6", 5: "1/6"}, None,
+                {300: "uuu", 2000: "uuu", 50_000: "uuu"}),
+        "1/4,3/4": ({-3: "1/4", 1: "3/4"}, None,
+                    {300: "uuu", 2000: "uuu", 50_000: "uuu"}),
+        # drawn with random.Random(12) as the benchmark's centered_target
+        # draws (hull width 2-6, 2-4 atoms), kept where every denominator
+        # divides 256
+        "a": ({-3: "27/128", -1: "1/32", 0: "3/32", 1: "85/128"},
+              {-1: (0, 0, 0, 0, 4), 0: (0, 0, 1, 2), 1: (0, 1, 1, 1, 1)},
+              {300: "umu", 2000: "umm", 50_000: "umm"}),
+        "b": ({-3: "11/64", -2: "5/64", 0: "5/64", 1: "43/64"},
+              {-2: (0, 0, 1, 0, 4), 0: (0, 0, 1, 0, 4), 1: (0, 1, 1, 1, 2)},
+              {300: "umu", 2000: "umm", 50_000: "umm"}),
+        "c": ({-3: "45/256", -2: "5/64", -1: "1/32", 1: "183/256"},
+              {-2: (0, 0, 1, 1), -1: (0, 0, 0, 0, 3, 4),
+               1: (0, 1, 1, 2, 3, 2)},
+              {300: "uuu", 2000: "umu", 50_000: "umu"}),
+        "d": ({-1: "93/128", 1: "3/64", 3: "29/128"},
+              {-1: (0, 1, 1, 2, 3, 6, 8), 1: (0, 0, 0, 1, 0, 4, 16)},
+              {300: "uuu", 2000: "umu", 50_000: "umu"}),
+        "e": ({-3: "61/256", -1: "1/64", 0: "1/64", 1: "187/256"},
+              {-1: (0, 0, 0, 0, 0, 2, 24), 0: (0, 0, 0, 1),
+               1: (0, 1, 1, 2, 3, 7, 12)},
+              {300: "uuu", 2000: "uuu", 50_000: "umu"}),
+        "f": ({-3: "29/128", -2: "1/64", 0: "3/64", 1: "91/128"},
+              {-2: (0, 0, 0, 0, 3, 2, 8), 0: (0, 0, 0, 2, 3, 2, 8),
+               1: (0, 1, 1, 2, 2, 3, 4)},
+              {300: "uuu", 2000: "uuu", 50_000: "umu"}),
+        "g": ({-2: "119/256", -1: "1/64", 1: "3/32", 2: "109/256"},
+              {-1: (0, 0, 0, 0, 2), 1: (0, 0, 0, 3)},
+              {300: "umm", 2000: "umm", 50_000: "umm"}),
+        "h": ({-1: "127/160", 3: "1/32", 4: "7/40"}, None,
+              {300: "uuu", 2000: "uuu", 50_000: "uuu"}),
+        "i": ({-2: "5/16", 0: "1/16", 1: "5/8"},
+              {0: (0, 0, 1), 1: (0, 1, 1)},
+              {300: "mmm", 2000: "mmm", 50_000: "mmm"}),
+    }
+
+    @pytest.mark.parametrize("name", list(FROZEN))
+    def test_frozen_results(self, name):
+        weights, heads, grid = self.FROZEN[name]
+        mu = _atoms(weights)
+        N = max(abs(k) for k in weights) - 1
+        expected = None if heads is None else StoppingMatrix(
+            N, {i: MatrixRow(head) for i, head in heads.items()})
+        for budget, statuses in grid.items():
+            for max_stage, status in zip(self.STAGES, statuses):
+                res = search_matrix(mu, max_stage=max_stage,
+                                    node_budget=budget)
+                got = (res.status, res.matrix)
+                want = ("member", expected) if status == "m" else ("unknown",
+                                                                  None)
+                assert got == want, (budget, max_stage)
+        if expected is not None:
+            assert verify_matrix(expected, mu).valid
+
+    def test_wide_two_point_target_ends(self):
+        # the odd-phase choices that fail a boundary deficit used to be
+        # enumerated uncounted; at stage 12 they ran for minutes
+        mu = _atoms({-1: "4/5", 4: "1/5"})
+        old = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            res = search_matrix(mu, max_stage=12)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert res.status == "unknown"
 
 
 def plain_scan(matrix, stages):
