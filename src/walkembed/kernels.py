@@ -14,11 +14,21 @@ trials in lockstep, one loop iteration per walk step.  The minimal kernel
 does so only while some live trial is still reading selector bits (at most
 `MAX_DYADIC_BITS` steps).  Once every live trial has a fixed target, what
 is left is a first passage to that target, often heavy-tailed, and it runs
-in blocks: each live trial advances B = min(trials // live, max_steps - t)
-steps per iteration, so a block never holds more elements than the trial
-arrays.  splitmix64 is counter based, state_j = s + j*GAMMA, so a block's
-increments are the ones lockstep stepping would draw, and the results are
-bit-identical.
+in blocks: each live trial advances
+B = min(max(trials, BLOCK) // live, max_steps - t) steps per iteration, so
+a block never holds more than max(trials, BLOCK) elements, and the floor
+`BLOCK` keeps the blocks long once few trials are live.  splitmix64 is
+counter based, state_j = s + j*GAMMA, so a block's increments are the ones
+lockstep stepping would draw, and the results are bit-identical.  A step
+reads only bit 63 of the finalizer, and its last xor-shift,
+z ^ (z >> 31), leaves bit 63 as it is, so blocks stop after the second
+multiply.
+
+Every value a kernel compares positions with (target sites, pair ends,
+chip ends, threshold levels) is clamped to +-min(max_steps + 1, 2^62)
+before it becomes int64: a walk of at most max_steps steps reaches neither
+the clamped value nor one beyond it, so values outside int64 simulate
+exactly.
 
 Each kernel returns (positions, steps, stopped): final site, number of
 steps consumed, and whether the rule actually stopped within `max_steps`
@@ -43,6 +53,12 @@ MASK = (1 << 64) - 1
 # ambiguity (one part in 2^52) is far below any Monte Carlo resolution
 MAX_DYADIC_BITS = 52
 
+# element floor of a first-passage block.  Each block costs a dozen numpy
+# calls whatever its size; at 5000 trials the floor cuts the blocks of
+# minimal-rule first passages about threefold, and 2^15 would add memory
+# for little more
+BLOCK = 1 << 14
+
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer on plain Python ints."""
@@ -64,6 +80,17 @@ def stream_states(seed: int, trials: int) -> np.ndarray:
         z *= np.uint64(STREAM)
         z += np.uint64(seed & MASK)
         return _np_mix(z)
+
+
+def clamp_sites(values, max_steps: int) -> np.ndarray:
+    """`values` as int64, each clamped to +-min(max_steps + 1, 2^62).
+
+    |S_t| <= t <= max_steps, so a clamped site is reached exactly when the
+    original is: never.  2^62 leaves room for the differences the kernels
+    take of positions and sites.
+    """
+    r = min(max_steps + 1, 1 << 62)
+    return np.asarray([min(max(v, -r), r) for v in values], dtype=np.int64)
 
 
 # read by the benchmark's set-up child (perfbench/run.py)
@@ -179,25 +206,45 @@ def _np_first_passage(states, pos, steps, stopped, target, max_steps):
     """Walk each trial still running to its first visit of `target`.
 
     All such trials have taken the same number of steps t; each loop
-    iteration advances them B = min(trials // live, max_steps - t) steps at
-    once.  Step j of a block uses state s + j*GAMMA, the state lockstep
-    stepping would reach, so stop steps and sites are bit-identical to it.
+    iteration advances them B = min(max(trials, BLOCK) // live,
+    max_steps - t) steps at once.  Step j of a block uses state
+    s + j*GAMMA, the state lockstep stepping would reach, so stop steps and
+    sites are bit-identical to it.  A block runs in place in two buffers
+    allocated once: the finalizer stops after its second multiply, since
+    z ^ (z >> 31) has the bit 63 of z, and the arithmetic shift z >> 63 of
+    the int64 view, or-ed with 1, is the negated increment, +1 down and -1
+    up.  Its running sum is p - position, compared with p - goal.
     Updates `pos`, `steps` and `stopped` in place.
     """
-    n = states.shape[0]
     idx = np.nonzero(~stopped & (steps < max_steps))[0]
     if idx.size == 0:
         return
     t = int(steps[idx[0]])
     s, p, goal = states[idx], pos[idx], target[idx]
-    ramp = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    cap = max(states.shape[0], BLOCK)
+    ramp = np.arange(1, cap + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    # z takes the mix, w the shifts and then the running sum: the out of
+    # cumsum never aliases its input, which numpy 1.24 does not promise
+    # to handle
+    zbuf, wbuf = np.empty(cap, dtype=np.uint64), np.empty(cap, dtype=np.int64)
     with np.errstate(over="ignore"):
         while idx.size and t < max_steps:
-            b = min(n // idx.size, max_steps - t)
-            z = _np_mix(s[:, None] + ramp[:b])
-            up = (z >> np.uint64(63)).astype(np.int64)
-            walk = p[:, None] + np.cumsum(2 * up - 1, axis=1)
-            hit = walk == goal[:, None]
+            b = min(cap // idx.size, max_steps - t)
+            z = zbuf[:idx.size * b].reshape(idx.size, b)
+            w = wbuf[:idx.size * b].reshape(idx.size, b)
+            tmp = w.view(np.uint64)
+            np.add(s[:, None], ramp[:b], out=z)
+            np.right_shift(z, np.uint64(30), out=tmp)
+            z ^= tmp
+            z *= np.uint64(MIX1)
+            np.right_shift(z, np.uint64(27), out=tmp)
+            z ^= tmp
+            z *= np.uint64(MIX2)
+            down = z.view(np.int64)
+            down >>= 63
+            down |= 1
+            np.cumsum(down, axis=1, out=w)
+            hit = w == (p - goal)[:, None]
             first = hit.argmax(axis=1)
             done = hit[np.arange(idx.size), first]
             just = idx[done]
@@ -207,7 +254,7 @@ def _np_first_passage(states, pos, steps, stopped, target, max_steps):
             left = ~done
             idx, goal = idx[left], goal[left]
             s = s[left] + ramp[b - 1]
-            p = walk[left, -1]
+            p = p[left] - w[left, -1]
             t += b
     pos[idx] = p
     steps[idx] = max_steps
@@ -266,6 +313,7 @@ def _np_minimal(states, sites, cuts, max_steps):
 
 
 def run_two_point(seed, us, vs, max_steps):
+    """`us` and `vs` are int64 already clamped by `clamp_sites`."""
     states = stream_states(seed, len(us))
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -274,8 +322,8 @@ def run_two_point(seed, us, vs, max_steps):
 
 def run_exit_composition(seed, trials, chips, max_steps):
     states = stream_states(seed, trials)
-    a = np.asarray([c.a for c in chips], dtype=np.int64)
-    b = np.asarray([c.b for c in chips], dtype=np.int64)
+    a = clamp_sites([c.a for c in chips], max_steps)
+    b = clamp_sites([c.b for c in chips], max_steps)
     return _np_exit_composition(states, a, b, max_steps)
 
 
@@ -285,12 +333,12 @@ def run_max_threshold(seed, trials, thresholds, max_steps):
     lo, hi = min(table), max(table)
     if not lo <= 0 <= hi:
         raise ValueError("threshold table must cover the origin")
-    levels = np.asarray([table[s] for s in range(lo, hi + 1)], dtype=np.int64)
+    levels = clamp_sites([table[s] for s in range(lo, hi + 1)], max_steps)
     return _np_max_threshold(states, levels, lo, hi, max_steps)
 
 
 def run_minimal(seed, trials, sites, cut_points, max_steps):
     states = stream_states(seed, trials)
-    sites = np.asarray(sites, dtype=np.int64)
+    sites = clamp_sites(sites, max_steps)
     cuts = np.asarray([float(c) for c in cut_points], dtype=np.float64)
     return _np_minimal(states, sites, cuts, max_steps)

@@ -105,23 +105,30 @@ def _report(pos, steps, stopped, trials, seed, backend, max_steps) -> SimReport:
     )
 
 
-def sample_pairs(rule: RandomizedRule, trials: int, seed: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (u, v) pairs from the joint law of a randomized rule.
-
-    Sampling is done once, one draw from a splitmix64 stream per trial
-    (seeded apart from the walk streams), so `simulate` and
-    `simulate_reference` resolve the same pair for every trial.
-    """
-    entries = list(rule.joint_law)
-    cum = np.cumsum([float(w) for _, _, w in entries])
+def _pair_draws(rule: RandomizedRule, trials: int, seed: int) -> np.ndarray:
+    """Index into `rule.joint_law` of the pair each trial draws: one draw
+    from a splitmix64 stream per trial, seeded apart from the walk
+    streams."""
+    cum = np.cumsum([float(w) for _, _, w in rule.joint_law])
     states = kernels.stream_states(seed ^ 0x5DEECE66D, trials)
     _, z = kernels._np_next(states)
     x = z.astype(np.float64) / 2.0**64
-    j = np.minimum(np.searchsorted(cum, x, side="right"), len(entries) - 1)
-    us = np.asarray([e[0] for e in entries], dtype=np.int64)[j]
-    vs = np.asarray([e[1] for e in entries], dtype=np.int64)[j]
-    return us, vs
+    return np.minimum(np.searchsorted(cum, x, side="right"), len(cum) - 1)
+
+
+def sample_pairs(rule: RandomizedRule, trials: int, seed: int,
+                 max_steps: int = 1 << 62) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (u, v) pairs from the joint law of a randomized rule.
+
+    Sampling is done once, by `_pair_draws`, so `simulate` and
+    `simulate_reference` resolve the same pair for every trial.  The pairs
+    come as int64, clamped by `kernels.clamp_sites` for walks of at most
+    `max_steps` steps.
+    """
+    j = _pair_draws(rule, trials, seed)
+    us = kernels.clamp_sites([e[0] for e in rule.joint_law], max_steps)
+    vs = kernels.clamp_sites([e[1] for e in rule.joint_law], max_steps)
+    return us[j], vs[j]
 
 
 def simulate(rule, trials: int, seed: int,
@@ -132,11 +139,12 @@ def simulate(rule, trials: int, seed: int,
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     if isinstance(rule, RandomizedRule):
-        us, vs = sample_pairs(rule, trials, seed)
+        us, vs = sample_pairs(rule, trials, seed, max_steps)
         out = kernels.run_two_point(seed, us, vs, max_steps)
     elif isinstance(rule, RandomizedPairRule):
-        us = np.full(trials, rule.u, dtype=np.int64)
-        vs = np.full(trials, rule.v, dtype=np.int64)
+        u, v = kernels.clamp_sites((rule.u, rule.v), max_steps)
+        us = np.full(trials, u)
+        vs = np.full(trials, v)
         out = kernels.run_two_point(seed, us, vs, max_steps)
     elif isinstance(rule, ExitCompositionRule):
         out = kernels.run_exit_composition(seed, trials, rule.steps, max_steps)
@@ -164,14 +172,14 @@ def simulate_reference(rule, trials: int, seed: int,
     """Step `rule.new_state()` once per trial on the splitmix64 stream that
     `simulate` gives that trial.
 
-    A randomized rule first draws its pairs with `sample_pairs`, then each
-    trial steps the pair rule it drew.  Every kernel of `simulate` must
-    reproduce this replay exactly.
+    A randomized rule first draws its pairs as `sample_pairs` does, then
+    each trial steps the pair rule it drew, with the exact ends of the
+    joint law.  Every kernel of `simulate` must reproduce this replay
+    exactly.
     """
     if isinstance(rule, RandomizedRule):
-        us, vs = sample_pairs(rule, trials, seed)
-        per_trial = [RandomizedPairRule(int(u), int(v))
-                     for u, v in zip(us, vs)]
+        pairs = [RandomizedPairRule(u, v) for u, v, _ in rule.joint_law]
+        per_trial = [pairs[j] for j in _pair_draws(rule, trials, seed)]
     else:
         per_trial = [rule] * trials
     pos = np.zeros(trials, dtype=np.int64)

@@ -18,6 +18,7 @@ from walkembed import (
     MinimalRule,
     PathCountMatrixRule,
     RandomizedPairRule,
+    RandomizedRule,
     StoppingMatrix,
     WalkPath,
     decide,
@@ -84,6 +85,114 @@ class TestBackendParity:
         rule = MinimalRule(minimal_certificate(mu))
         rep = self.assert_same_run(rule, 2_000, seed=7, max_steps=4_099)
         assert rep.truncated > 0
+
+
+BIG = 10**23
+
+# sites outside int64, and one inside it whose distance to a position is not
+HUGE_SITE_RULES = {
+    "minimal": MinimalRule(minimal_certificate(measure({10**30: Q(1)}))),
+    "minimal-int64-max": MinimalRule(minimal_certificate(
+        measure({-1: Q(1, 2), 2**63 - 1: Q(1, 2)}))),
+    "randomizedPair": RandomizedPairRule(-BIG, 2),
+    "randomizedRule": RandomizedRule(((-BIG, 2, Q(1, 2)), (-1, BIG, Q(1, 4)),
+                                      (-2, 1, Q(1, 4)))),
+    "exitComposition": ExitCompositionRule((ChipStep(-BIG, 2),
+                                            ChipStep(-3, BIG))),
+    "maxThreshold": MaxThresholdRule(((-1, BIG), (0, BIG), (1, -BIG))),
+}
+
+
+class TestHugeSites:
+    """Sites outside int64 are clamped out of reach, so the kernels agree
+    with the state machine, which keeps exact Python ints."""
+
+    @pytest.mark.parametrize("name", list(HUGE_SITE_RULES))
+    def test_kernel_matches_state_machine(self, name):
+        rule = HUGE_SITE_RULES[name]
+        rep = TestBackendParity.assert_same_run(rule, 300, seed=3,
+                                                max_steps=40)
+        # only the atom at 10^30 is out of reach of every trial
+        assert (rep.truncated == 300) == (name == "minimal")
+
+    def test_clamp_sites(self):
+        got = kernels.clamp_sites([-BIG, -6, 0, 6, BIG, 2**63 - 1], 5)
+        assert got.dtype == np.int64
+        assert got.tolist() == [-6, -6, 0, 6, 6, 6]
+        assert kernels.clamp_sites([BIG, -BIG], 10**30).tolist() == [
+            1 << 62, -(1 << 62)]
+
+
+class TestBlockSize:
+    """The first-passage block size changes no stop site, step or
+    truncation."""
+
+    # one trial that stops at step 16 748, past the first block of BLOCK
+    # steps, and one cut at max_steps; more trials than BLOCK; a prime
+    # max_steps, so the last block is cut short; an atom no block reaches
+    @pytest.mark.parametrize("mu, trials, max_steps, seed", [
+        (measure({-40: Q(1)}), 1, 20_000, 9),
+        (measure({-40: Q(1)}), 1, 20_000, 11),
+        (measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}), 20_000, 300, 11),
+        (measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}), 1_000, 4_099, 11),
+        (measure({-1: Q(1, 2), 50_000: Q(1, 2)}), 50, 20_000, 11),
+    ], ids=["one-trial-stop", "one-trial-cut", "many-trials", "ragged-end",
+            "far-atom"])
+    def test_same_result_for_any_block(self, monkeypatch, mu, trials,
+                                       max_steps, seed):
+        cert = minimal_certificate(mu)
+
+        def run():
+            return kernels.run_minimal(seed, trials, cert.sites,
+                                       cert.cut_points, max_steps)
+
+        want = run()
+        for block in (1, 2, 7):
+            monkeypatch.setattr(kernels, "BLOCK", block)
+            for a, b in zip(run(), want):
+                assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("trials, max_steps, bound", [
+        (1, 10**5, 1 << 20),
+        (100_000, 2_000, 16 << 20),
+    ], ids=["one-trial", "many-trials"])
+    def test_memory_follows_trials_or_block(self, trials, max_steps, bound):
+        # a block holds at most max(trials, BLOCK) elements, whatever
+        # max_steps is
+        cert = minimal_certificate(measure({-1: Q(1, 2), 3: Q(1, 2)}))
+        tracemalloc.start()
+        try:
+            kernels.run_minimal(7, trials, cert.sites, cert.cut_points,
+                                max_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+class TestFrozenMinimal:
+    """`simulate` of minimal rules at the scale of the benchmark, where the
+    state-machine replay is too slow to check against; frozen from the
+    kernel before the block floor, whose blocks held at most `trials`
+    elements."""
+
+    FROZEN = {
+        "uniform3": (measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}),
+                     {-1: 1615, 0: 1695, 1: 1632}, 58, 57.46924322136787),
+        "off-center": (measure({-1: Q(1, 2), 3: Q(1, 2)}),
+                       {-1: 2489, 3: 2455}, 56, 54.52710355987055),
+        "5/16": (MU_516, {-2: 1673, 0: 1508, 2: 1748}, 71, 75.35362142422397),
+        "2/9": (measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}),
+                {-3: 1027, 0: 2153, 2: 1677}, 143, 139.2973028618489),
+    }
+
+    @pytest.mark.parametrize("name", list(FROZEN))
+    def test_frozen(self, name):
+        mu, counts, truncated, mean_steps = self.FROZEN[name]
+        rep = simulate(MinimalRule(minimal_certificate(mu)), 5_000, seed=13,
+                       max_steps=5_000)
+        assert (rep.counts, rep.truncated, rep.mean_steps) == (
+            counts, truncated, mean_steps)
 
 
 class TestSeeding:
