@@ -25,10 +25,9 @@ z ^ (z >> 31), leaves bit 63 as it is, so blocks stop after the second
 multiply.
 
 Every value a kernel compares positions with (target sites, pair ends,
-chip ends, threshold levels) is clamped to +-min(max_steps + 1, 2^62)
-before it becomes int64: a walk of at most max_steps steps reaches neither
-the clamped value nor one beyond it, so values outside int64 simulate
-exactly.
+chip ends, threshold levels) is clamped to +-2^62 before it becomes int64:
+a walk would need 2^62 steps to reach either the clamped value or the one
+beyond it, so values outside int64 simulate exactly.
 
 Each kernel returns (positions, steps, stopped): final site, number of
 steps consumed, and whether the rule actually stopped within `max_steps`
@@ -82,14 +81,14 @@ def stream_states(seed: int, trials: int) -> np.ndarray:
         return _np_mix(z)
 
 
-def clamp_sites(values, max_steps: int) -> np.ndarray:
-    """`values` as int64, each clamped to +-min(max_steps + 1, 2^62).
+def clamp_sites(values) -> np.ndarray:
+    """`values` as int64, each clamped to +-2^62.
 
-    |S_t| <= t <= max_steps, so a clamped site is reached exactly when the
-    original is: never.  2^62 leaves room for the differences the kernels
-    take of positions and sites.
+    |S_t| <= t, so a clamped site is reached exactly when the original is:
+    never, in any run that can finish.  2^62 leaves room for the
+    differences the kernels take of positions and sites.
     """
-    r = min(max_steps + 1, 1 << 62)
+    r = 1 << 62
     return np.asarray([min(max(v, -r), r) for v in values], dtype=np.int64)
 
 
@@ -312,18 +311,18 @@ def _np_minimal(states, sites, cuts, max_steps):
 # entry points: seed the streams, then step
 
 
-def run_two_point(seed, us, vs, max_steps):
-    """`us` and `vs` are int64 already clamped by `clamp_sites`."""
-    states = stream_states(seed, len(us))
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
+def run_two_point(seed, ends, draws, max_steps):
+    """Trial i stops at the first visit of either end of `ends[draws[i]]`."""
+    states = stream_states(seed, len(draws))
+    us = clamp_sites([u for u, _ in ends])[draws]
+    vs = clamp_sites([v for _, v in ends])[draws]
     return _np_two_point(states, us, vs, max_steps)
 
 
 def run_exit_composition(seed, trials, chips, max_steps):
     states = stream_states(seed, trials)
-    a = clamp_sites([c.a for c in chips], max_steps)
-    b = clamp_sites([c.b for c in chips], max_steps)
+    a = clamp_sites([c.a for c in chips])
+    b = clamp_sites([c.b for c in chips])
     return _np_exit_composition(states, a, b, max_steps)
 
 
@@ -333,12 +332,12 @@ def run_max_threshold(seed, trials, thresholds, max_steps):
     lo, hi = min(table), max(table)
     if not lo <= 0 <= hi:
         raise ValueError("threshold table must cover the origin")
-    levels = clamp_sites([table[s] for s in range(lo, hi + 1)], max_steps)
+    levels = clamp_sites([table[s] for s in range(lo, hi + 1)])
     return _np_max_threshold(states, levels, lo, hi, max_steps)
 
 
 def run_minimal(seed, trials, sites, cut_points, max_steps):
     states = stream_states(seed, trials)
-    sites = clamp_sites(sites, max_steps)
+    sites = clamp_sites(sites)
     cuts = np.asarray([float(c) for c in cut_points], dtype=np.float64)
     return _np_minimal(states, sites, cuts, max_steps)

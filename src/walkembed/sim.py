@@ -116,18 +116,17 @@ def _pair_draws(rule: RandomizedRule, trials: int, seed: int) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, x, side="right"), len(cum) - 1)
 
 
-def sample_pairs(rule: RandomizedRule, trials: int, seed: int,
-                 max_steps: int = 1 << 62) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(rule: RandomizedRule, trials: int, seed: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (u, v) pairs from the joint law of a randomized rule.
 
-    Sampling is done once, by `_pair_draws`, so `simulate` and
-    `simulate_reference` resolve the same pair for every trial.  The pairs
-    come as int64, clamped by `kernels.clamp_sites` for walks of at most
-    `max_steps` steps.
+    The draws are those of `_pair_draws`, which `simulate` and
+    `simulate_reference` use too, so all three resolve the same pair for
+    every trial.  The ends come as int64, clamped by `kernels.clamp_sites`.
     """
     j = _pair_draws(rule, trials, seed)
-    us = kernels.clamp_sites([e[0] for e in rule.joint_law], max_steps)
-    vs = kernels.clamp_sites([e[1] for e in rule.joint_law], max_steps)
+    us = kernels.clamp_sites([u for u, _, _ in rule.joint_law])
+    vs = kernels.clamp_sites([v for _, v, _ in rule.joint_law])
     return us[j], vs[j]
 
 
@@ -139,13 +138,12 @@ def simulate(rule, trials: int, seed: int,
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     if isinstance(rule, RandomizedRule):
-        us, vs = sample_pairs(rule, trials, seed, max_steps)
-        out = kernels.run_two_point(seed, us, vs, max_steps)
+        ends = [(u, v) for u, v, _ in rule.joint_law]
+        out = kernels.run_two_point(seed, ends,
+                                    _pair_draws(rule, trials, seed), max_steps)
     elif isinstance(rule, RandomizedPairRule):
-        u, v = kernels.clamp_sites((rule.u, rule.v), max_steps)
-        us = np.full(trials, u)
-        vs = np.full(trials, v)
-        out = kernels.run_two_point(seed, us, vs, max_steps)
+        out = kernels.run_two_point(seed, [(rule.u, rule.v)],
+                                    np.zeros(trials, dtype=np.intp), max_steps)
     elif isinstance(rule, ExitCompositionRule):
         out = kernels.run_exit_composition(seed, trials, rule.steps, max_steps)
     elif isinstance(rule, MaxThresholdRule):
@@ -172,9 +170,9 @@ def simulate_reference(rule, trials: int, seed: int,
     """Step `rule.new_state()` once per trial on the splitmix64 stream that
     `simulate` gives that trial.
 
-    A randomized rule first draws its pairs as `sample_pairs` does, then
-    each trial steps the pair rule it drew, with the exact ends of the
-    joint law.  Every kernel of `simulate` must reproduce this replay
+    A randomized rule first draws its pairs with `_pair_draws`, then each
+    trial steps the pair rule it drew, with the exact ends of the joint
+    law.  Every kernel of `simulate` must reproduce this replay
     exactly.
     """
     if isinstance(rule, RandomizedRule):

@@ -116,11 +116,16 @@ class TestHugeSites:
         assert (rep.truncated == 300) == (name == "minimal")
 
     def test_clamp_sites(self):
-        got = kernels.clamp_sites([-BIG, -6, 0, 6, BIG, 2**63 - 1], 5)
+        r = 1 << 62
+        got = kernels.clamp_sites([-BIG, -r - 1, -6, 0, r, BIG, 2**63 - 1])
         assert got.dtype == np.int64
-        assert got.tolist() == [-6, -6, 0, 6, 6, 6]
-        assert kernels.clamp_sites([BIG, -BIG], 10**30).tolist() == [
-            1 << 62, -(1 << 62)]
+        assert got.tolist() == [-r, -r, -6, 0, r, r, r]
+
+    def test_sample_pairs_clamped(self):
+        r = 1 << 62
+        us, vs = sample_pairs(HUGE_SITE_RULES["randomizedRule"], 200, seed=3)
+        assert set(zip(us.tolist(), vs.tolist())) == {(-r, 2), (-1, r),
+                                                      (-2, 1)}
 
 
 class TestBlockSize:
@@ -229,9 +234,8 @@ class TestTruncatedSteps:
         assert (steps[stopped] <= max_steps).all()
 
     def test_two_point(self):
-        us = np.full(500, -4)
-        vs = np.full(500, 4)
-        _, steps, stopped = kernels.run_two_point(7, us, vs, 16)
+        draws = np.zeros(500, dtype=np.intp)
+        _, steps, stopped = kernels.run_two_point(7, [(-4, 4)], draws, 16)
         assert stopped.any() and not stopped.all()
         assert (steps[~stopped] == 16).all()
         assert (steps[stopped] <= 16).all()
