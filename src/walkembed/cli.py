@@ -16,7 +16,8 @@ Measures are JSON objects {"atoms": {"-2": "11/32", ...}}; rationals are
 the embed subcommand.
 
 Exit status: 0 on success, 2 on invalid input, 3 when the answer is an
-honest "unknown"/"undecided" rather than a verdict.
+honest "unknown"/"undecided" rather than a verdict, or when a budget
+(such as the `MAX_HULL_SITES` sites a table may span) stops the command.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .matrices import (
     search_matrix,
     verify_matrix,
 )
-from .measures import IntegerMeasure, barycenter, potential
+from .measures import HullBudgetExceeded, IntegerMeasure, barycenter, potential
 from .rational import DigitBudgetExceeded, format_rational, parse_rational
 from .rules import (
     ExitCompositionRule,
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DigitBudgetExceeded as exc:  # `classify`: undecided, not invalid
         _emit({"member": "unknown", "reason": str(exc)})
+        return UNDECIDED
+    except HullBudgetExceeded as exc:  # too wide to tabulate, not invalid
+        _emit({"reason": str(exc)})
         return UNDECIDED
     except (CountViolation, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -264,12 +264,13 @@ def _np_minimal(states, sites, cuts, max_steps):
 
     While some live trial has no target, all trials step in lockstep and
     read up-steps as dyadic digits; this ends by step `MAX_DYADIC_BITS`.
-    From then on each live trial only waits for the first visit of its
-    target, and `_np_first_passage` walks it there in blocks.
+    Every trial without a target is live and has read t digits, so its
+    dyadic interval is [low, low + 2^-t).  From then on each live trial
+    only waits for the first visit of its target, and `_np_first_passage`
+    walks it there in blocks.
     """
     n = states.shape[0]
     low = np.zeros(n, dtype=np.float64)
-    width = np.ones(n, dtype=np.float64)
     target = np.zeros(n, dtype=np.int64)
     resolved = np.zeros(n, dtype=bool)
 
@@ -277,11 +278,12 @@ def _np_minimal(states, sites, cuts, max_steps):
         open_ = which[~resolved[which]]
         if open_.size == 0:
             return
+        width = 0.5 ** t
         force = t >= MAX_DYADIC_BITS
-        probe = low[open_] + (width[open_] * 0.5 if force else 0.0)
+        probe = low[open_] + (width * 0.5 if force else 0.0)
         j = np.searchsorted(cuts, probe, side="right")
         j = np.minimum(j, len(cuts) - 1)
-        ok = force | (low[open_] + width[open_] <= cuts[j])
+        ok = force | (low[open_] + width <= cuts[j])
         hit = open_[ok]
         resolved[hit] = True
         target[hit] = sites[j[ok]]
@@ -291,10 +293,8 @@ def _np_minimal(states, sites, cuts, max_steps):
         return resolved & (target == 0)
 
     def consume(idx, up, pos, t):
-        live = idx[~resolved[idx]]
-        width[live] *= 0.5
-        lifted = live[up[~resolved[idx]]]
-        low[lifted] += width[lifted]
+        lifted = idx[up & ~resolved[idx]]
+        low[lifted] += 0.5 ** t
         try_resolve(idx, t)
         return resolved[idx] & (pos[idx] == target[idx])
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .measures import IntegerMeasure, MeasureError
+from .measures import IntegerMeasure, MeasureError, check_hull
 from .rational import Q, parse_int
 
 
@@ -173,6 +173,7 @@ class CountEngine:
         self.stops = stops
         self.n = 0
         self.bound = bound = half_width + 1
+        check_hull(-bound, bound)
         self.even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
         self.odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
         self.k_even = {i: (1 if i == 0 else 0) for i in self.even_sites}
@@ -523,6 +524,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     if mu.support == [0]:
         return SearchResult("member", StoppingMatrix(0, {0: MatrixRow((1,))}))
     bound = max(abs(s) for s in mu.support)
+    check_hull(-bound, bound)
     N = bound - 1
     d = 2 * math.lcm(*(w.denominator for w in mu.atoms.values()))
     unit = d * 2 ** (bound % 2)  # what one path reaching the boundary spends

@@ -20,6 +20,25 @@ class MeasureError(ValueError):
     """Raised when input data violates a measure invariant."""
 
 
+#: Sites a tabulated hull or strip may span.  The potential, the barycenter
+#: and a count-engine stage each cost 10-15 us per site, so a table of
+#: 2^16 sites takes about a second.
+MAX_HULL_SITES = 2**16
+
+
+class HullBudgetExceeded(ArithmeticError):
+    """A table would span more than MAX_HULL_SITES sites."""
+
+
+def check_hull(lo: int, hi: int) -> None:
+    """Raise HullBudgetExceeded if [lo, hi] has more than MAX_HULL_SITES
+    sites."""
+    if hi - lo + 1 > MAX_HULL_SITES:
+        raise HullBudgetExceeded(
+            f"the hull [{lo}, {hi}] has {hi - lo + 1} sites, more than "
+            f"MAX_HULL_SITES = {MAX_HULL_SITES}")
+
+
 class IntegerMeasure:
     """Finitely supported probability measure on the integers.
 
@@ -140,6 +159,7 @@ def potential(mu: IntegerMeasure) -> PotentialFunction:
     """Exact breakpoint representation of u(x) = -sum_n |x - n| mu({n})."""
     sites = mu.support
     lo, hi = sites[0], sites[-1]
+    check_hull(lo, hi)
     vals = tuple(
         -sum((abs(k - n) * w for n, w in mu.atoms.items()), Q(0))
         for k in range(lo, hi + 1)
@@ -194,6 +214,7 @@ def barycenter(mu: IntegerMeasure) -> BarycenterFunction:
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
     sites = mu.support
     lo, hi = sites[0], sites[-1]
+    check_hull(lo, hi)
     vals: list[Fraction] = []
     tail_mass = Q(0)
     tail_sum = Q(0)

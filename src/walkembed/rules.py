@@ -12,7 +12,8 @@ exitComposition   exit times of a chip sequence run in order (potential picture)
 maxThreshold      stop when the running maximum reaches a site-dependent level
 pathCountMatrix   stop-count matrices; the path's rank among alive histories
                   in lexicographic order (down < up) picks who stops
-randomizedPair    an externally drawn pair (u, v), stop at first visit
+randomizedPair    a fixed pair (u, v), stop at first visit: the one-pair
+                  law of a randomizedRule
 minimalTheorem1   dyadic reading of the up-step indicator stream selects a
                   target atom, then stop at its first visit
 randomizedRule    wire form of `classic.RandomizedRule`, a law over
@@ -255,7 +256,8 @@ class TwoPointState:
 
 @dataclass(frozen=True)
 class RandomizedPairRule:
-    """One resolved draw (u, v) from a randomized two-point rule."""
+    """One resolved draw (u, v) from a randomized two-point rule: the
+    `RandomizedRule` whose `joint_law` is this one pair."""
 
     kind = "randomizedPair"
     u: int
@@ -264,6 +266,10 @@ class RandomizedPairRule:
     def __post_init__(self):
         if not self.u < 0 <= self.v:
             raise ValueError("need u < 0 <= v")
+
+    @property
+    def joint_law(self) -> tuple[tuple[int, int, Q], ...]:
+        return ((self.u, self.v, Q(1)),)
 
     def new_state(self) -> TwoPointState:
         return TwoPointState(self.u, self.v)

@@ -5,7 +5,9 @@ vectorized kernels and reports the empirical law, with truncation (trials
 that never stopped within the step budget) reported separately and never
 folded into the law.  `simulate_reference` replays the rule's executable
 state machine on the same per-trial streams; it is the reference the
-kernels are tested against.  `exact_law` computes the stopped law of a rule
+kernels are tested against.  A pair rule is the one-pair law of a
+randomized rule, so both share one branch: `sample_pairs` draws every
+trial's pair.  `exact_law` computes the stopped law of a rule
 exactly, with a certified residual: the rational mass not yet stopped at the
 stage cap.  For exit-composition and max-threshold rules it runs a dynamic
 program over integer path counts per merged rule state; the rule's state
@@ -52,6 +54,10 @@ MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
 # stage 579.  No exact-law of the certify benchmark
 # takes 17 000 key-steps
 MAX_KEY_STEPS = 1_000_000
+# trial cap of `simulate`: a run peaks at about 130 bytes per trial (the
+# minimal kernel's first-passage blocks, measured with tracemalloc at 100k
+# trials), so 10^7 trials stay near 1.3 GB
+MAX_TRIALS = 10**7
 
 
 @dataclass(frozen=True)
@@ -105,45 +111,33 @@ def _report(pos, steps, stopped, trials, seed, backend, max_steps) -> SimReport:
     )
 
 
-def _pair_draws(rule: RandomizedRule, trials: int, seed: int) -> np.ndarray:
+def sample_pairs(rule, trials: int, seed: int) -> np.ndarray:
     """Index into `rule.joint_law` of the pair each trial draws: one draw
-    from a splitmix64 stream per trial, seeded apart from the walk
-    streams."""
-    cum = np.cumsum([float(w) for _, _, w in rule.joint_law])
+    per trial from a splitmix64 stream seeded apart from the walk streams.
+    `simulate` and `simulate_reference` both draw here.  A one-pair law,
+    such as a `RandomizedPairRule`'s, gets all zeros and seeds no stream.
+    """
+    law = rule.joint_law
+    if len(law) == 1:
+        return np.zeros(trials, dtype=np.intp)
+    cum = np.cumsum([float(w) for _, _, w in law])
     states = kernels.stream_states(seed ^ 0x5DEECE66D, trials)
     _, z = kernels._np_next(states)
     x = z.astype(np.float64) / 2.0**64
     return np.minimum(np.searchsorted(cum, x, side="right"), len(cum) - 1)
 
 
-def sample_pairs(rule: RandomizedRule, trials: int, seed: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (u, v) pairs from the joint law of a randomized rule.
-
-    The draws are those of `_pair_draws`, which `simulate` and
-    `simulate_reference` use too, so all three resolve the same pair for
-    every trial.  The ends come as int64, clamped by `kernels.clamp_sites`.
-    """
-    j = _pair_draws(rule, trials, seed)
-    us = kernels.clamp_sites([u for u, _, _ in rule.joint_law])
-    vs = kernels.clamp_sites([v for _, v, _ in rule.joint_law])
-    return us[j], vs[j]
-
-
 def simulate(rule, trials: int, seed: int,
              max_steps: int = 1_000_000) -> SimReport:
     """Monte Carlo run of a stopping rule; see the rule kinds in `rules`."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
-    if isinstance(rule, RandomizedRule):
+    if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
         ends = [(u, v) for u, v, _ in rule.joint_law]
-        out = kernels.run_two_point(seed, ends,
-                                    _pair_draws(rule, trials, seed), max_steps)
-    elif isinstance(rule, RandomizedPairRule):
-        out = kernels.run_two_point(seed, [(rule.u, rule.v)],
-                                    np.zeros(trials, dtype=np.intp), max_steps)
+        draws = sample_pairs(rule, trials, seed)
+        out = kernels.run_two_point(seed, ends, draws, max_steps)
     elif isinstance(rule, ExitCompositionRule):
         out = kernels.run_exit_composition(seed, trials, rule.steps, max_steps)
     elif isinstance(rule, MaxThresholdRule):
@@ -170,14 +164,14 @@ def simulate_reference(rule, trials: int, seed: int,
     """Step `rule.new_state()` once per trial on the splitmix64 stream that
     `simulate` gives that trial.
 
-    A randomized rule first draws its pairs with `_pair_draws`, then each
-    trial steps the pair rule it drew, with the exact ends of the joint
-    law.  Every kernel of `simulate` must reproduce this replay
+    A pair rule or pair law first draws its pairs with `sample_pairs`,
+    then each trial steps the pair rule it drew, with the exact ends of
+    the joint law.  Every kernel of `simulate` must reproduce this replay
     exactly.
     """
-    if isinstance(rule, RandomizedRule):
+    if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
         pairs = [RandomizedPairRule(u, v) for u, v, _ in rule.joint_law]
-        per_trial = [pairs[j] for j in _pair_draws(rule, trials, seed)]
+        per_trial = [pairs[j] for j in sample_pairs(rule, trials, seed)]
     else:
         per_trial = [rule] * trials
     pos = np.zeros(trials, dtype=np.int64)
@@ -234,15 +228,11 @@ def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
         raise ValueError(f"max_stage must be at least 0, got {max_stage}")
     max_stage = min(max_stage, MAX_STAGE)
     max_steps = 2 * max_stage
-    if isinstance(rule, RandomizedRule):
+    if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
+        # imported per call, so it finds a wrapper set on `classic`
         from .classic import hall_stopped_law
 
         return ExactLaw(dict(hall_stopped_law(rule).atoms), Q(0), 0)
-    if isinstance(rule, RandomizedPairRule):
-        u, v = rule.u, rule.v
-        if v == 0:
-            return ExactLaw({0: Q(1)}, Q(0), 0)
-        return ExactLaw({v: Q(-u, v - u), u: Q(v, v - u)}, Q(0), 0)
     if isinstance(rule, PathCountMatrixRule):
         return ExactLaw(*exact_law_matrix(rule.matrix, max_stage))
     if isinstance(rule, ExitCompositionRule):

@@ -307,8 +307,11 @@ class TestSimulate:
         code, out = run(capsys, argv)
         assert seeds + [out["seed"]] == [5, 6, 0]
 
+    # a trial count past sim.MAX_TRIALS is rejected before any array is
+    # allocated
     @pytest.mark.parametrize("flags", [["--max-steps", "-5"],
-                                       ["--trials", "0"]])
+                                       ["--trials", "0"],
+                                       ["--trials", "1000000000000000"]])
     def test_bad_budget_rejected(self, capsys, tmp_path, flags):
         r = tmp_path / "rule.json"
         r.write_text('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}}')
@@ -728,3 +731,127 @@ class TestSetPointFuzz:
         assert (code, out["verdict"]) == (0, "member")
         code, out = run(capsys, ["set", "--point", point, "--depth", "1000"])
         assert (code, out["verdict"]) == (3, "undecidedAtDepth")
+
+
+# sites within 6 of the origin or at least 10^6 from it: every hull is
+# either a few sites wide or past the hull budget, whose commands would
+# otherwise run for minutes
+NEAR = st.integers(1, 6)
+FAR = st.integers(10**6, 10**12)
+SITES = st.integers(-6, 6) | st.builds(lambda s, x: s * x,
+                                       st.sampled_from([-1, 1]), FAR)
+
+
+def _atoms(weights: dict[int, Fraction]) -> dict[str, str]:
+    total = sum(weights.values())
+    return {str(s): str(w / total) for s, w in weights.items()}
+
+
+@st.composite
+def centred_atoms(draw, ends):
+    """A mixture of two-point laws a < 0 < b with |a|, b drawn from
+    `ends`, each centred, plus an atom at 0 at times."""
+    weights: dict[int, Fraction] = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = -draw(ends), draw(ends)
+        c = draw(st.integers(1, 5))
+        weights[a] = weights.get(a, 0) + Fraction(c * b, b - a)
+        weights[b] = weights.get(b, 0) + Fraction(-c * a, b - a)
+    if draw(st.booleans()):
+        weights[0] = Fraction(draw(st.integers(1, 5)))
+    return {"atoms": _atoms(weights)}
+
+
+NEAR_CENTRED = centred_atoms(NEAR)
+
+
+@st.composite
+def measure_documents(draw):
+    """{"atoms": ...}: centred, any law, malformed weights, or arbitrary
+    JSON."""
+    law = st.dictionaries(SITES, st.integers(1, 9).map(Fraction),
+                          min_size=1, max_size=4).map(_atoms)
+    bad = st.dictionaries(SITES.map(str), FIELD, max_size=4)
+    return pick(draw, NEAR_CENTRED, NEAR_CENTRED, centred_atoms(NEAR | FAR),
+                st.fixed_dictionaries({"atoms": law | bad}), JSON_VALUES)
+
+
+# a strip of 2N + 3 sites: small, past the hull budget, or any field
+STRIP_N = st.integers(-2, 8) | st.integers(2**15, 10**12) | FIELD
+MATRIX_DOCUMENTS = (st.fixed_dictionaries(
+    {"N": STRIP_N, "rows": st.lists(ROW, max_size=3)}) | JSON_VALUES)
+
+
+def _write(tmp_path_factory, name, doc):
+    f = tmp_path_factory.mktemp("fuzz") / name
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+class TestMeasureFuzz:
+    """`classify --measure`, `potential` and `verify` end in exit 0, 2 or
+    3 within 5 s, never in a traceback."""
+
+    @staticmethod
+    def assert_bounded(argv):
+        code, err, seconds = run_bounded(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        assert seconds < 5.0
+
+    @settings(max_examples=100)
+    @given(doc=measure_documents(), depth=st.integers(0, 3))
+    def test_classify_and_potential(self, tmp_path_factory, doc, depth):
+        f = _write(tmp_path_factory, "mu.json", doc)
+        self.assert_bounded(["classify", "--measure", f, "--depth",
+                             str(depth)])
+        self.assert_bounded(["potential", f])
+
+    # mostly a valid measure inside a small strip, so that the matrix gets
+    # checked
+    @settings(max_examples=100)
+    @given(matrix=MATRIX_DOCUMENTS, mu=NEAR_CENTRED | measure_documents())
+    def test_verify(self, tmp_path_factory, matrix, mu):
+        self.assert_bounded(["verify",
+                             _write(tmp_path_factory, "matrix.json", matrix),
+                             _write(tmp_path_factory, "mu.json", mu)])
+
+
+class TestHullBudget:
+    """A command that would tabulate more than MAX_HULL_SITES sites exits
+    3 at once, naming the budget."""
+
+    WIDE = '{"atoms": {"-1000000000000": "1/2", "1000000000000": "1/2"}}'
+
+    @pytest.mark.parametrize("argv", [
+        ["potential", "MU"],
+        ["classify", "--measure", "MU"],
+        ["embed", "ay", "MU"],
+        ["embed", "chw", "MU"],
+        ["embed", "ui-matrix", "MU"],
+    ])
+    def test_wide_hull(self, capsys, tmp_path, argv):
+        p = tmp_path / "mu.json"
+        p.write_text(self.WIDE)
+        t0 = time.perf_counter()
+        code, out = run(capsys, [str(p) if a == "MU" else a for a in argv])
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 3
+        assert out == {"reason": "the hull [-1000000000000, 1000000000000] "
+                                 "has 2000000000001 sites, more than "
+                                 "MAX_HULL_SITES = 65536"}
+
+    def test_wide_strip(self, capsys, tmp_path):
+        m, p = tmp_path / "m.json", tmp_path / "mu.json"
+        m.write_text('{"N": 100000000, "rows": []}')
+        p.write_text('{"atoms": {"0": "1"}}')
+        code, out = run(capsys, ["verify", str(m), str(p)])
+        assert code == 3
+        assert "MAX_HULL_SITES = 65536" in out["reason"]
+
+    def test_pair_and_minimal_rules_need_no_hull(self, capsys, tmp_path):
+        p = tmp_path / "mu.json"
+        p.write_text(self.WIDE)
+        for method in ("hall", "minimal"):
+            assert main(["embed", method, str(p)]) == 0
+        capsys.readouterr()

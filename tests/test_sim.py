@@ -1,9 +1,11 @@
 """Monte Carlo harness and exact stopped laws."""
 
+import json
 import time
 import tracemalloc
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,12 +66,41 @@ class TestBackendParity:
         self.assert_same_run(rule, 2_000, seed=7, max_steps=256)
 
     def test_hall_pairs_backend_independent(self):
+        # indices into the joint law, fixed by the seed
         rule = hall_rule(MU_UNIFORM3)
-        us1, vs1 = sample_pairs(rule, 500, seed=11)
-        us2, vs2 = sample_pairs(rule, 500, seed=11)
-        assert (us1 == us2).all() and (vs1 == vs2).all()
-        support = {(u, v) for u, v, _ in rule.joint_law}
-        assert set(zip(us1.tolist(), vs1.tolist())) <= support
+        draws = sample_pairs(rule, 500, seed=11)
+        assert draws.tolist() == sample_pairs(rule, 500, seed=11).tolist()
+        assert draws.tolist() != sample_pairs(rule, 500, seed=12).tolist()
+        assert set(draws.tolist()) == set(range(len(rule.joint_law)))
+
+    def test_sample_pairs_one_pair_law(self, monkeypatch):
+        # a pair rule is the law of one pair: every trial draws index 0,
+        # and no draw stream is seeded
+        seeded = []
+        monkeypatch.setattr(kernels, "stream_states",
+                            lambda *args: seeded.append(args))
+        for rule in (RandomizedPairRule(-BIG, 2),
+                     RandomizedRule(((-1, 3, Q(1)),))):
+            draws = sample_pairs(rule, 200, seed=3)
+            assert draws.dtype == np.intp
+            assert draws.tolist() == [0] * 200
+        assert seeded == []
+
+    @pytest.mark.parametrize("rule", [hall_rule(MU_UNIFORM3),
+                                      RandomizedPairRule(-2, 2)],
+                             ids=["hall", "pair"])
+    def test_simulate_draws_through_sample_pairs(self, monkeypatch, rule):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_pairs(*args)
+
+        monkeypatch.setattr(sim, "sample_pairs", counted)
+        simulate(rule, 100, seed=5, max_steps=64)
+        assert calls == [(rule, 100, 5)]
+        simulate_reference(rule, 10, seed=5, max_steps=64)
+        assert calls[1:] == [(rule, 10, 5)]
 
     def test_hall_kernel_matches_state_machine(self):
         self.assert_same_run(hall_rule(MU_UNIFORM3), 2_000, seed=7,
@@ -120,12 +151,6 @@ class TestHugeSites:
         got = kernels.clamp_sites([-BIG, -r - 1, -6, 0, r, BIG, 2**63 - 1])
         assert got.dtype == np.int64
         assert got.tolist() == [-r, -r, -6, 0, r, r, r]
-
-    def test_sample_pairs_clamped(self):
-        r = 1 << 62
-        us, vs = sample_pairs(HUGE_SITE_RULES["randomizedRule"], 200, seed=3)
-        assert set(zip(us.tolist(), vs.tolist())) == {(-r, 2), (-1, r),
-                                                      (-2, 1)}
 
 
 class TestBlockSize:
@@ -198,6 +223,52 @@ class TestFrozenMinimal:
                        max_steps=5_000)
         assert (rep.counts, rep.truncated, rep.mean_steps) == (
             counts, truncated, mean_steps)
+
+
+FROZEN_PAIRS_FILE = Path(__file__).with_name("frozen_pairs.json")
+
+# a fixed pair, a pair stopped at time 0, a pair end outside int64, a
+# one-pair law and two Hall laws
+PAIR_TABLE_RULES = {
+    "pair(-2,2)": RandomizedPairRule(-2, 2),
+    "pair(-3,0)": RandomizedPairRule(-3, 0),
+    "pair(-1e23,2)": RandomizedPairRule(-BIG, 2),
+    "law(-1,3)": RandomizedRule(((-1, 3, Q(1)),)),
+    "hall-uniform3": hall_rule(MU_UNIFORM3),
+    "hall-2/9": hall_rule(measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)})),
+}
+
+
+def pair_table(name):
+    """Cell id -> output JSON of `simulate`, `simulate_reference` (at most
+    200 trials) and `exact_law` for the rule `PAIR_TABLE_RULES[name]`."""
+    rule = PAIR_TABLE_RULES[name]
+    table = {f"{name}/exact": exact_law(rule).to_json()}
+    for seed, trials, max_steps in product((3, 11), (1, 500, 5_000),
+                                           (0, 16, 10**6)):
+        # the first passage to 2 from far above -1e23 is heavy-tailed:
+        # past one trial, lockstep stepping to 10^6 takes tens of seconds
+        if name == "pair(-1e23,2)" and max_steps == 10**6 and trials > 1:
+            continue
+        cell = f"{name}/seed={seed}/trials={trials}/max_steps={max_steps}"
+        table[cell] = [
+            simulate(rule, trials, seed, max_steps).to_json(),
+            simulate_reference(rule, min(trials, 200), seed,
+                               max_steps).to_json(),
+        ]
+    return table
+
+
+class TestFrozenPairs:
+    """Pair rules and pair laws, frozen from the code that still gave the
+    pair rule its own branch and its own closed-form law."""
+
+    @pytest.mark.parametrize("name", list(PAIR_TABLE_RULES))
+    def test_frozen(self, name):
+        frozen = json.loads(FROZEN_PAIRS_FILE.read_text())
+        want = {k: v for k, v in frozen.items()
+                if k.startswith(f"{name}/")}
+        assert pair_table(name) == want
 
 
 class TestSeeding:
