@@ -15,7 +15,8 @@ are verified exactly, with no truncation error.
 `CountEngine` is the only code that turns survivors into arrivals.
 Verification and the exact law of a matrix rule run on it, and the search
 uses its arrivals routine; the periodic tail's affine one-period map is
-read off integer engine runs.
+read off integer engine runs.  One call's engine stages, counted in
+site-stages, stay within `MAX_SITE_STAGES`.
 
 The search runs on integers too: at stage n it holds each interior atom's
 unspent budget and each boundary atom's deficit in units of 1/(d 4^n), with
@@ -155,6 +156,29 @@ class StoppingMatrix:
 # The two-phase arrival-count recursion
 
 
+#: Work one `verify_matrix` or `count_scan` call may spend, in site-stages:
+#: a `CountEngine` stage costs the strip's 2N + 3 sites, summed over every
+#: engine the call runs.  The periodic tail's elimination on dim unknowns
+#: is charged 3 dim^3 per stage of the period: a Fraction step of period 1
+#: costs about three site updates, and its entries grow with the period.
+MAX_SITE_STAGES = 2_000_000
+
+
+class WorkBudgetExceeded(ArithmeticError):
+    """A matrix check would spend more than MAX_SITE_STAGES site-stages."""
+
+    def __init__(self, half_width: int):
+        super().__init__(
+            f"past the work budget MAX_SITE_STAGES = {MAX_SITE_STAGES} "
+            f"site-stages on a strip of {2 * half_width + 3} sites")
+
+
+def _affordable_stages(half_width: int, reserved: int = 0) -> int:
+    """Engine stages on a strip of half width N that fit in MAX_SITE_STAGES
+    besides `reserved` site-stages of other work."""
+    return max(0, MAX_SITE_STAGES - reserved) // (2 * half_width + 3)
+
+
 def _arrivals(surv: dict[int, int], sites: list[int]) -> dict[int, int]:
     """Paths arriving at each of `sites`: the survivors one step either side."""
     return {j: surv.get(j - 1, 0) + surv.get(j + 1, 0) for j in sites}
@@ -240,16 +264,17 @@ def count_scan(matrix: StoppingMatrix, max_stage: int
                ) -> tuple[dict[int, Fraction], Fraction, int]:
     """Run the count recursion of `matrix` for `max_stage` stages, or only
     through its heads when every row terminates, checking a <= k at every
-    stage scanned, the last stage's even sites included.
+    stage scanned, the last stage's even sites included.  It runs fewer
+    stages when more would pass `MAX_SITE_STAGES`.
 
     Returns the mass absorbed at +-(N+1), the mass still alive and the
     number of stages run.  Once no stop is left to come, the alive paths
     only wait to be absorbed: the exact gambler's-ruin probabilities share
     them out and the alive mass is zero.
     """
-    stages = max_stage
+    stages = min(max_stage, _affordable_stages(matrix.half_width))
     if matrix.terminates:
-        stages = min(max_stage, matrix.head_length)
+        stages = min(stages, matrix.head_length)
     engine = CountEngine(matrix.half_width, matrix.entry)
     for _ in range(stages):
         engine.advance()
@@ -296,6 +321,8 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
     one-period map and an exact geometric matrix series.  That map is read
     off integer runs of the count engine: one period from the dominating
     counts and one from each unit increase of them.
+
+    Inconclusive when the check would pass `MAX_SITE_STAGES`.
     """
     N = matrix.half_width
     bound = N + 1
@@ -310,7 +337,9 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
 
     try:
         if mode == "zero":
-            masses, _, _ = count_scan(matrix, matrix.head_length)
+            masses, _, n = count_scan(matrix, matrix.head_length)
+            if n < matrix.head_length:
+                raise WorkBudgetExceeded(N)
         elif mode == "doubling":
             masses = _doubling_masses(matrix, max_scan)
         else:
@@ -318,6 +347,8 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
     except CountViolation as v:
         return VerifyResult("violation", site=v.site, stage=v.stage,
                             detail=str(v))
+    except WorkBudgetExceeded as exc:
+        return VerifyResult("inconclusive", detail=str(exc))
     if masses is None:
         return VerifyResult("inconclusive", detail={
             "doubling": "no doubling regime found",
@@ -345,9 +376,9 @@ def exact_law_matrix(matrix: StoppingMatrix, max_stage: int
     mass still alive."""
     masses, residual, n = count_scan(matrix, max_stage)
     law = {b: m for b, m in masses.items() if m}
-    for i in range(-matrix.half_width, matrix.half_width + 1):
+    for i, row in matrix.rows.items():
         # odd sites are first reached at stage 1
-        num = sum(matrix.entry(i, m) * 4 ** (n - m) for m in range(i % 2, n + 1))
+        num = sum(row.entry(m) * 4 ** (n - m) for m in range(i % 2, n + 1))
         if num:
             law[i] = Q(2 ** (i % 2) * num, 4**n)
     return law, residual, n
@@ -357,9 +388,10 @@ def _doubling_masses(matrix: StoppingMatrix, max_scan: int
                      ) -> dict[int, Fraction] | None:
     """Boundary masses of a doubling-tail matrix, or None when the counts
     do not start doubling within `max_scan` stages."""
+    scan = min(max_scan, _affordable_stages(matrix.half_width))
     engine = CountEngine(matrix.half_width, matrix.entry)
     prev = None
-    for _ in range(max_scan):
+    for _ in range(scan):
         engine.advance()
         cur = (engine.k_odd, engine.k_even)
         if prev is not None and _is_double(prev, cur):
@@ -369,6 +401,8 @@ def _doubling_masses(matrix: StoppingMatrix, max_scan: int
             return {b: Q(num + last[b], 4**engine.n)
                     for b, num in engine.absorbed.items()}
         prev = cur if engine.n > matrix.head_length else None
+    if scan < max_scan:
+        raise WorkBudgetExceeded(matrix.half_width)
     return None
 
 
@@ -386,6 +420,9 @@ def _periodic_masses(matrix: StoppingMatrix, max_scan: int
     boundary.  Dominating counts and anything above them raise no
     `CountViolation`, so integer runs of one period from k0 and from each
     k0 + e_j read off column j of A as f(k0 + e_j) - f(k0), and likewise t.
+    The scan stops at `MAX_SITE_STAGES`, so it finds any count violation
+    within the budget; the dim + 1 one-period runs and the elimination
+    must fit in what the scan leaves.
     """
     N = matrix.half_width
     head_len = matrix.head_length
@@ -394,8 +431,9 @@ def _periodic_masses(matrix: StoppingMatrix, max_scan: int
 
     # advance into the aligned periodic regime, hunting for domination
     engine = CountEngine(N, matrix.entry)
+    scan = min(max_scan, _affordable_stages(N))
     snapshots: dict[int, dict[int, int]] = {}
-    for _ in range(max_scan):
+    for _ in range(scan):
         engine.advance()
         cycle, phase = divmod(engine.n - head_len, period)
         if cycle >= 0 and phase == 0:
@@ -405,11 +443,15 @@ def _periodic_masses(matrix: StoppingMatrix, max_scan: int
                 break
             snapshots[cycle] = engine.k_even
     else:
+        if scan < max_scan:
+            raise WorkBudgetExceeded(N)
         return None
 
     start, k0 = engine.n, engine.k_even
     interior = [i for i in engine.even_sites if abs(i) <= N]
     dim = len(interior)
+    if _affordable_stages(N, 3 * dim**3 * period) < start + (dim + 1) * period:
+        raise WorkBudgetExceeded(N)
 
     def one_period(k: dict[int, int]) -> tuple[list[int], dict[int, int]]:
         run = CountEngine(N, matrix.entry)

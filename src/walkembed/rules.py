@@ -132,8 +132,8 @@ class MaxThresholdRule:
 
     def __post_init__(self):
         sites = [s for s, _ in self.thresholds]
-        if not (sites and sites == list(range(sites[0], sites[-1] + 1))
-                and sites[0] <= 0 <= sites[-1]):
+        if not (sites and sites[0] <= 0 <= sites[-1]
+                and all(b - a == 1 for a, b in zip(sites, sites[1:]))):
             raise ValueError("threshold table needs one level per site of "
                              f"an interval containing 0, got sites {sites}")
 

@@ -219,11 +219,6 @@ class IntervalUnion:
     def measure(self) -> Fraction:
         return Q(sum(b - a for a, b in self.pairs), self.den)
 
-    def contains_point(self, x: Fraction) -> bool:
-        x = Q(x)
-        n, d = x.numerator * self.den, x.denominator
-        return any(a * d <= n <= b * d for a, b in self.pairs)
-
     def contains(self, other: "IntervalUnion") -> bool:
         d, e = self.den, other.den
         return all(any(c * e <= a * d and b * d <= f * e for c, f in self.pairs)
@@ -340,44 +335,37 @@ def ifs_approximate(system: IfsSystem, depth: int) -> IntervalUnion:
 
 
 def ifs_membership(p: Fraction, depth: int) -> str:
-    """Attractor membership by inverse iteration: 'member', 'nonMember' or
-    'undecidedAtDepth'.
+    """Membership in the attractor of `weight_set_system` by one inverse
+    orbit: 'member', 'nonMember' or 'undecidedAtDepth'.
 
-    A point inside the condensation set is in the attractor; a point whose
-    inverse orbit revisits a value is the fixed point of a finite map
-    composition, hence also in the attractor.  A point with no admissible
-    preimage escapes the depth-1 image and is out.  Agrees with
+    A point x has the preimage 4x - 1 when x is in [1/4, 1/2] and
+    4x - 1/2 when x is in [1/8, 3/8].  On the overlap [1/4, 3/8] the second
+    lands in [1/2, 1], whose points other than 1/2 and 1 have no preimage
+    and lie outside the condensation set; at x = 1/4 and x = 3/8 the first
+    preimage (0 or 1/2) is a member as well.  So at most one branch can
+    lead to a member, and the orbit follows T(x) = 4x - 1 for x >= 1/4 and
+    4x - 1/2 below.  The point is a member once the orbit reaches [0, 1/8],
+    1/2 (= 1/4 + 1/4) or 1, or repeats (a fixed point of a finite map
+    composition); it is out once the orbit reaches (1/2, 1).  Agrees with
     `classify_weight` whenever it decides.
 
-    The tree of inverse orbits is searched depth first on an explicit
-    stack, so a depth of thousands needs no recursion.  One member leaf
-    makes the root a member; otherwise one leaf cut off at `depth` leaves
-    it undecided.
+    Over D = lcm(q, 8) the orbit stays on the integers 0..D, so it decides
+    every rational; `depth` caps the number of inverse steps.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    system = weight_set_system()
     p = Q(p)
     if p < 0 or p > 1:
         return "nonMember"
-    path: set[Fraction] = set()  # the ancestors of the point on top
-    stack: list[tuple[Fraction, int | None]] = [(p, depth)]
-    undecided = False
-    while stack:
-        x, d = stack.pop()
-        if d is None:  # every preimage of x is searched
-            path.remove(x)
-            continue
-        if system.condensation.contains_point(x) or x in path:
+    den = math.lcm(p.denominator, 8)
+    x = p.numerator * (den // p.denominator)
+    eighth, quarter, half = den // 8, den // 4, den // 2
+    seen: set[int] = set()
+    for _ in range(depth + 1):
+        if x <= eighth or x == half or x == den or x in seen:
             return "member"
-        branches = [pre for off in system.offsets
-                    if 0 <= (pre := 4 * (x - off)) <= 1]
-        if not branches:
-            continue
-        if d == 0:
-            undecided = True
-            continue
-        path.add(x)
-        stack.append((x, None))
-        stack.extend((b, d - 1) for b in branches)
-    return "undecidedAtDepth" if undecided else "nonMember"
+        if x > half:
+            return "nonMember"
+        seen.add(x)
+        x = 4 * x - (den if x >= quarter else half)
+    return "undecidedAtDepth"

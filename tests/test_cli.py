@@ -611,13 +611,20 @@ def fields(draw):
 
 FIELD = fields()
 PAIRS = st.lists(st.lists(FIELD, min_size=2, max_size=2), max_size=4)
+# threshold tables with sites and levels up to 10^12 from the origin: far
+# apart, or consecutive around 0
+WIDE = st.integers(-10**12, 10**12)
+WIDE_THRESHOLDS = (
+    st.lists(st.lists(WIDE, min_size=2, max_size=2), min_size=1, max_size=4)
+    | st.builds(lambda lo, levels: [[lo + j, v] for j, v in enumerate(levels)],
+                st.integers(-3, 0), st.lists(WIDE, min_size=1, max_size=4)))
 ROW = st.fixed_dictionaries(
     {"site": FIELD, "head": st.lists(FIELD, max_size=4)},
     optional={"tail": FIELD | st.sampled_from(TAILS),
               "period": st.lists(FIELD, max_size=3)})
 SHAPES = {
     "exitComposition": PAIRS,
-    "maxThreshold": PAIRS,
+    "maxThreshold": PAIRS | WIDE_THRESHOLDS,
     "randomizedPair": st.fixed_dictionaries({"u": FIELD, "v": FIELD}),
     "minimalTheorem1": st.fixed_dictionaries(
         {"sites": st.lists(FIELD, max_size=4),
@@ -780,6 +787,14 @@ def measure_documents(draw):
 STRIP_N = st.integers(-2, 8) | st.integers(2**15, 10**12) | FIELD
 MATRIX_DOCUMENTS = (st.fixed_dictionaries(
     {"N": STRIP_N, "rows": st.lists(ROW, max_size=3)}) | JSON_VALUES)
+# a strip of any width up to the hull budget (N = 32766), with well-formed
+# rows of each tail kind near the origin
+DIGITS = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+TAILED_ROW = st.fixed_dictionaries(
+    {"site": st.integers(-8, 8), "head": DIGITS,
+     "tail": st.sampled_from(TAILS), "period": DIGITS})
+WIDE_MATRIX_DOCUMENTS = st.fixed_dictionaries(
+    {"N": st.integers(8, 2**15 - 2), "rows": st.lists(TAILED_ROW, max_size=3)})
 
 
 def _write(tmp_path_factory, name, doc):
@@ -815,6 +830,16 @@ class TestMeasureFuzz:
         self.assert_bounded(["verify",
                              _write(tmp_path_factory, "matrix.json", matrix),
                              _write(tmp_path_factory, "mu.json", mu)])
+
+    # strips under the hull budget stop at the work budget, about 2 s at
+    # the widest, so fewer examples
+    @settings(max_examples=12)
+    @given(matrix=WIDE_MATRIX_DOCUMENTS)
+    def test_verify_wide_strip(self, tmp_path_factory, matrix):
+        self.assert_bounded(["verify",
+                             _write(tmp_path_factory, "matrix.json", matrix),
+                             _write(tmp_path_factory, "mu.json",
+                                    {"atoms": {"0": "1"}})])
 
 
 class TestHullBudget:

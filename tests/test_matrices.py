@@ -15,6 +15,8 @@ from walkembed import (
     search_matrix,
     verify_matrix,
 )
+from walkembed import matrices
+from walkembed.matrices import exact_law_matrix
 
 MU_DOUBLING = measure({0: Q(3, 4), -4: Q(1, 8), 4: Q(1, 8)})
 M_DOUBLING = StoppingMatrix(3, {0: MatrixRow((0, 2, 2), "doubling")})
@@ -344,3 +346,69 @@ class TestVerifyTails:
         half = (1 - sum(inner.values())) / 2
         mu = IntegerMeasure({0: inner[0], -bound: half, bound: half})
         assert verify_matrix(m, mu).valid
+
+
+class TestWorkBudget:
+    """Past MAX_SITE_STAGES, `verify_matrix` is inconclusive and names the
+    budget, and `exact_law_matrix` runs fewer stages, leaving the rest in
+    the residual.  The budget is lowered so that each case is quick."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        # 200 stages on the 7-site strip of N = 2, 20 on the 63-site one
+        monkeypatch.setattr(matrices, "MAX_SITE_STAGES", 1400)
+
+    @staticmethod
+    def assert_past_budget(res, sites):
+        assert res.status == "inconclusive"
+        assert res.detail == ("past the work budget MAX_SITE_STAGES = 1400 "
+                              f"site-stages on a strip of {sites} sites")
+
+    def test_long_zero_head(self):
+        head = (0,) * 30 + (1,)
+        long_head = StoppingMatrix(30, {0: MatrixRow(head)})
+        self.assert_past_budget(verify_matrix(long_head, measure({0: 1})), 63)
+
+    def test_doubling_regime_past_budget(self):
+        wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
+        self.assert_past_budget(verify_matrix(wide, measure({0: 1})), 63)
+
+    def test_periodic_scan_past_budget(self):
+        # the stop at stage 250 exceeds its arrivals, but the scan of the
+        # 7-site strip stops at stage 200, before the periodic regime
+        head = (0,) * 250 + (10**200,)
+        late = StoppingMatrix(2, {0: MatrixRow(head, "periodic", (0,))})
+        self.assert_past_budget(verify_matrix(late, measure({0: 1})), 7)
+
+    def test_elimination_past_budget(self):
+        # M_SIXTH's one unknown fits; the 9 unknowns of N = 9 are charged
+        # 3 * 9^3 site-stages, more than the whole budget
+        assert verify_matrix(M_SIXTH, MU_SIXTH).valid
+        wide = StoppingMatrix(9, {0: MatrixRow((0, 0), "periodic", (2,))})
+        self.assert_past_budget(verify_matrix(wide, MU_SIXTH), 21)
+
+    def test_scan_limit_keeps_its_detail(self):
+        # a doubling scan that stops at max_scan, not at the budget
+        never = StoppingMatrix(2, {0: MatrixRow((0,), "doubling")})
+        res = verify_matrix(never, measure({0: 1}), max_scan=100)
+        assert (res.status, res.detail) == ("inconclusive",
+                                            "no doubling regime found")
+
+    @pytest.mark.parametrize("bad", [
+        StoppingMatrix(30, {0: MatrixRow((0, 3) + (0,) * 30)}),
+        # the elimination of N = 9 would not fit, but the scan runs first
+        StoppingMatrix(9, {0: MatrixRow((0, 3), "periodic", (2,))}),
+    ])
+    def test_violation_within_budget_still_reported(self, bad):
+        # a <= k fails at stage 1, long before the budget runs out
+        res = verify_matrix(bad, measure({0: 1}))
+        assert (res.status, res.site, res.stage) == ("violation", 0, 1)
+
+    def test_exact_law_stops_early(self):
+        wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
+        law, residual, stages = exact_law_matrix(wide, 64)
+        assert stages == 1400 // 63
+        assert sum(law.values()) + residual == 1
+        assert residual > 0
+        _, _, stages = exact_law_matrix(M_DOUBLING, 64)
+        assert stages == 64

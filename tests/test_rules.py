@@ -184,6 +184,21 @@ class TestExactLawCrossCheck:
         assert alive == Q(1, 64)
 
 
+class TestMaxThresholdTable:
+    @pytest.mark.parametrize("sites", [
+        (-1, 0, 1), (0,), (-3, -2, -1, 0), (0, 1, 2)])
+    def test_consecutive_sites_around_zero_accepted(self, sites):
+        MaxThresholdRule(tuple((s, 0) for s in sites))
+
+    @pytest.mark.parametrize("sites", [
+        (), (1, 2), (-2, -1), (-1, 1), (0, 0, 1), (1, 0),
+        # far apart: rejected without building the sites in between
+        (-10**12, 10**12), (-1, 0, 10**12)])
+    def test_other_tables_rejected(self, sites):
+        with pytest.raises(ValueError, match="one level per site"):
+            MaxThresholdRule(tuple((s, 0) for s in sites))
+
+
 class TestJson:
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.kind)
     def test_round_trip(self, rule):

@@ -1,6 +1,7 @@
 """Weight/triple classifiers, brute-force oracle and the contraction system."""
 
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from walkembed import (
     weight_set_system,
     weight_set_system_alt,
 )
+
+VERDICTS_FILE = Path(__file__).with_name("ifs_verdicts.txt")
 
 
 class TestClassifyWeight:
@@ -91,8 +94,7 @@ class TestIntervalUnion:
     def test_points_kept(self):
         u = IntervalUnion([(Q(1), Q(1)), (Q(0), Q(1, 8))])
         assert u.measure() == Q(1, 8)
-        assert u.contains_point(Q(1))
-        assert not u.contains_point(Q(1, 2))
+        assert u.intervals == ((Q(0), Q(1, 8)), (Q(1), Q(1)))
 
     def test_affine_and_union(self):
         u = IntervalUnion([(Q(0), Q(1))])
@@ -135,6 +137,40 @@ class TestIfs:
     def test_membership_condensation(self):
         assert ifs_membership(Q(1, 16), depth=2) == "member"
         assert ifs_membership(Q(1), depth=0) == "member"
+
+    def test_half_is_a_member_at_depth_zero(self):
+        # 1/2 = 1/4 + 1/4 is the image of the member 1 under x/4 + 1/4
+        assert ifs_membership(Q(1, 2), depth=0) == "member"
+
+    def test_membership_matches_frozen_table(self):
+        # VERDICTS_FILE holds the verdicts of the depth-first search over
+        # every inverse branch that `ifs_membership` ran before it followed
+        # one orbit: one line per q <= 64, one token per a = -1..q+1, where
+        # "M3" reads undecided at depths 0-2 and member at depths 3-12, and
+        # "U" undecided at every depth
+        verdicts = {"M": "member", "N": "nonMember"}
+        earlier = set()
+        lines = VERDICTS_FILE.read_text().splitlines()
+        assert len(lines) == 64
+        for line in lines:
+            head, tokens = line.split(": ")
+            q = int(head)
+            tokens = tokens.split()
+            assert len(tokens) == q + 3
+            for a, token in zip(range(-1, q + 2), tokens):
+                p = Q(a, q)
+                first = 13 if token == "U" else int(token[1:])
+                for depth in range(13):
+                    got = ifs_membership(p, depth)
+                    if depth >= first:
+                        assert got == verdicts[token[0]], (p, depth)
+                    elif got != "undecidedAtDepth":
+                        member = 0 <= p <= 1 and classify_weight(p).member
+                        assert (got == "member") == member, (p, depth)
+                        earlier.add((p, depth))
+        # the orbit decides 1/2 one step before the search did, and no
+        # other point earlier
+        assert earlier == {(Q(1, 2), 0)}
 
     @given(st.integers(0, 4**4))
     def test_membership_agrees_with_classifier(self, j):
@@ -185,14 +221,6 @@ class TestIntegerCover:
         assert cover.den == 8 * 4**2
         assert cover.pairs == ((0, 48), (64, 64), (128, 128))
         assert cover == IntervalUnion.from_numerators([(0, 3), (4, 4), (8, 8)], 8)
-
-    def test_contains_point_on_numerators(self):
-        u = IntervalUnion([(Q(1, 3), Q(1, 2)), (Q(3, 4), Q(3, 4))])
-        assert u.den == 12
-        for x, inside in ((Q(1, 3), True), (Q(5, 12), True), (Q(1, 2), True),
-                          (Q(2, 3), False), (Q(3, 4), True), (Q(7, 9), False),
-                          (Q(0), False)):
-            assert u.contains_point(x) == inside
 
     def test_membership_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="nonnegative"):
