@@ -54,6 +54,7 @@ from .sim import (
     DEFAULT_MAX_STAGE,
     MAX_KEY_STEPS,
     MAX_STAGE,
+    SiteStepBudgetExceeded,
     exact_law,
     simulate,
 )
@@ -134,6 +135,10 @@ def cmd_embed(args) -> int:
         res = search_matrix(mu, max_stage=args.depth)
         if res.status != "member":
             _emit({"member": "unknown"})
+            # stdout keeps the bare verdict; what ended the search goes to
+            # stderr
+            print(json.dumps({"budget": res.budget,
+                              "nodesSearched": res.nodes}), file=sys.stderr)
             return UNDECIDED
         rule = PathCountMatrixRule(res.matrix)
     elif args.method == "minimal":
@@ -309,6 +314,9 @@ def main(argv=None) -> int:
         return UNDECIDED
     except HullBudgetExceeded as exc:  # too wide to tabulate, not invalid
         _emit({"reason": str(exc)})
+        return UNDECIDED
+    except SiteStepBudgetExceeded as exc:  # too long to step, not invalid
+        _emit({"budget": exc.budget, "reason": str(exc)})
         return UNDECIDED
     except (CountViolation, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,13 @@ reads only bit 63 of the finalizer, and its last xor-shift,
 z ^ (z >> 31), leaves bit 63 as it is, so blocks stop after the second
 multiply.
 
+The matrix kernel runs a zero-tail path-count matrix rule in two phases.
+Through the head it keeps each live trial's rank profile, the row of
+`MatrixRuleState.smaller` over the strip sites the head can reach, as
+int64; after the head every stop count is 0, so the only stop left is the
+exit at +-(N+1), and the live trials run the two-point kernel from where
+the head left them.
+
 Every value a kernel compares positions with (target sites, pair ends,
 chip ends, threshold levels) is clamped to +-2^62 before it becomes int64:
 a walk would need 2^62 steps to reach either the clamped value or the one
@@ -57,6 +64,12 @@ MAX_DYADIC_BITS = 52
 # minimal-rule first passages about threefold, and 2^15 would add memory
 # for little more
 BLOCK = 1 << 14
+
+
+# longest head, in stages, that `run_matrix` takes: its rank phase ends by
+# step 2*31 - 2 = 60, and a rank counts fewer than 2^t histories, so int64
+# holds it exactly
+MAX_MATRIX_HEAD = 31
 
 
 def mix64(z: int) -> int:
@@ -307,6 +320,41 @@ def _np_minimal(states, sites, cuts, max_steps):
     return pos, steps, stopped
 
 
+def _np_matrix_head(states, table, half_width, head_steps):
+    """Step trials through the first `head_steps` steps of a matrix rule.
+
+    `table[n, w + j]` is the stop count a(j, n) of strip site j, |j| <= w.
+    Each trial keeps its rank profile over those sites: every step sums the
+    ranks either side of each site, adds the down-step sibling of an
+    up-step at the previous site less one, stops the trial if its rank is
+    below a(pos, stage) or it left the strip, and takes the stop counts
+    off the rest.  Sites past w are off the strip or out of the head's
+    reach, so their ranks stay 0.
+    """
+    n, width = states.shape[0], table.shape[1]
+    w = width // 2
+    rank = np.zeros((n, width), dtype=np.int64)
+
+    def at_zero():
+        return np.full(n, table[0, w] > 0)
+
+    def consume(idx, up, pos, t):
+        p = pos[idx]
+        old = rank[idx]
+        new = np.zeros_like(old)
+        new[:, 1:] = old[:, :-1]
+        new[:, :-1] += old[:, 1:]
+        sib = np.nonzero(up & (p - 2 >= -w))[0]
+        new[sib, p[sib] - 2 + w] += 1
+        a = table[(t + 1) // 2]
+        col = np.clip(p + w, 0, width - 1)
+        hit = (np.abs(p) > half_width) | (new[np.arange(idx.size), col] < a[col])
+        rank[idx] = np.maximum(new - a, 0)
+        return hit
+
+    return _np_run(states, head_steps, at_zero, consume)
+
+
 # ---------------------------------------------------------------------------
 # entry points: seed the streams, then step
 
@@ -341,3 +389,37 @@ def run_minimal(seed, trials, sites, cut_points, max_steps):
     sites = clamp_sites(sites)
     cuts = np.asarray([float(c) for c in cut_points], dtype=np.float64)
     return _np_minimal(states, sites, cuts, max_steps)
+
+
+def run_matrix(seed, trials, matrix, max_steps):
+    """Trials of the rule of a `StoppingMatrix` whose rows all have zero
+    tails and whose head is at most `MAX_MATRIX_HEAD` stages.
+
+    The head phase runs to step 2 * head_length - 2, the last of a stage
+    below head_length, in chunks of trials whose rank arrays hold at most
+    max(trials, BLOCK) elements, as a first-passage block does.  Every
+    trial still live then sits at step head_steps, and walks to the first
+    visit of -(N+1) or N+1 on the same stream.
+    """
+    states = stream_states(seed, trials)
+    bound = matrix.half_width + 1
+    head_steps = min(2 * matrix.head_length - 2, max_steps)
+    w = min(matrix.half_width, head_steps)
+    # `count_scan` bounds every count the head reads by its arrivals, below
+    # 2^60, but not a(j, 0) at odd j, which no walk reads; any count of
+    # 2^62 or more would stop and clear the same trials as 2^62
+    cap = 1 << 62
+    table = np.asarray([[min(matrix.entry(j, n), cap) for j in range(-w, w + 1)]
+                        for n in range(matrix.head_length)], dtype=np.int64)
+    rows = max(1, max(trials, BLOCK) // (2 * w + 1))
+    parts = [_np_matrix_head(states[i:i + rows], table, matrix.half_width,
+                             head_steps) for i in range(0, trials, rows)]
+    pos, steps, stopped = (np.concatenate(x) for x in zip(*parts))
+    live = np.nonzero(~stopped)[0]
+    p = pos[live]
+    q, s, done = _np_two_point(states[live], -bound - p, bound - p,
+                               max_steps - head_steps)
+    pos[live] = p + q
+    steps[live] += s
+    stopped[live] = done
+    return pos, steps, stopped

@@ -509,6 +509,10 @@ def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
 class SearchResult:
     status: str  # "member" | "unknown"
     matrix: StoppingMatrix | None = None
+    # what ended an "unknown": "nodeBudget", "maxStage", or None when every
+    # zero-tail head on the strip dead-ends before the stage cap
+    budget: str | None = None
+    nodes: int = 0
 
 
 def _site_choices(caps: list[int], floors: list[int] | None = None):
@@ -575,6 +579,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     deficits = int(mu.weight(-bound) * d), int(mu.weight(bound) * d)
 
     nodes = 0
+    capped = False  # some branch reached the stage cap with budget unspent
     even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
     odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
     # the interior sites' positions in `rem` and in each stage's stops
@@ -584,7 +589,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     start = {i: int(i == 0) for i in even_sites}
 
     def recurse(stage, k_even, rem, lo, hi, path):
-        nonlocal nodes
+        nonlocal nodes, capped
         nodes += 1
         if nodes > node_budget or stage > max_stage:
             return None
@@ -626,6 +631,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                 rem2 = [r - a * d for r, a in zip(rem, taken)]
                 if stage == max_stage and any(rem2):
                     nodes += 1  # the child's node: a leaf past the stage cap
+                    capped = True
                     continue
                 path2 = path + (tuple(taken),)
                 surv_even = {i: k_new[i] - a
@@ -647,6 +653,8 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
         return None
 
     found = recurse(0, {}, budgets, *deficits, ())
-    if found is None:
-        return SearchResult("unknown")
-    return SearchResult("member", found)
+    if found is not None:
+        return SearchResult("member", found, nodes=nodes)
+    budget = ("nodeBudget" if nodes > node_budget
+              else "maxStage" if capped else None)
+    return SearchResult("unknown", budget=budget, nodes=nodes)

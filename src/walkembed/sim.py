@@ -5,7 +5,9 @@ vectorized kernels and reports the empirical law, with truncation (trials
 that never stopped within the step budget) reported separately and never
 folded into the law.  `simulate_reference` replays the rule's executable
 state machine on the same per-trial streams; it is the reference the
-kernels are tested against.  A pair rule is the one-pair law of a
+kernels are tested against, and it runs the matrix rules no kernel takes
+(a doubling or periodic tail, or a head past `kernels.MAX_MATRIX_HEAD`),
+within `MAX_SITE_STEPS`.  A pair rule is the one-pair law of a
 randomized rule, so both share one branch: `sample_pairs` draws every
 trial's pair.  `exact_law` computes the stopped law of a rule
 exactly, with a certified residual: the rational mass not yet stopped at the
@@ -58,6 +60,23 @@ MAX_KEY_STEPS = 1_000_000
 # minimal kernel's first-passage blocks, measured with tracemalloc at 100k
 # trials), so 10^7 trials stay near 1.3 GB
 MAX_TRIALS = 10**7
+# work cap of the matrix rules `simulate` leaves to the state machine: a
+# `MatrixRuleState` step updates the 2N + 3 sites of its strip, 0.8-1 us
+# per site.  At 100 000 trials the paper's doubling 3/4 and periodic 1/6
+# certificates take 3.6 and 1.7 * 10^6 site-steps; the cap ends a doubling
+# row on an N = 30 strip in about 8 s
+MAX_SITE_STEPS = 10**7
+
+
+class SiteStepBudgetExceeded(ArithmeticError):
+    """A state-machine run would take more than its site-step budget."""
+
+    budget = "MAX_SITE_STEPS"
+
+    def __init__(self, limit: int, sites: int):
+        super().__init__(
+            f"past the work budget of {limit} site-steps "
+            f"({sites} sites a step)")
 
 
 @dataclass(frozen=True)
@@ -148,11 +167,17 @@ def simulate(rule, trials: int, seed: int,
         out = kernels.run_minimal(seed, trials, cert.sites, cert.cut_points,
                                   max_steps)
     elif isinstance(rule, PathCountMatrixRule):
-        # the rank profile assumes a <= k: reject what `exact_law` rejects.
-        # It does not vectorize, so the state machine runs (matrix rules
-        # live on a bounded strip, so stopping is fast)
-        count_scan(rule.matrix, DEFAULT_MAX_STAGE)
-        return simulate_reference(rule, trials, seed, max_steps)
+        # the rank profile assumes a <= k: reject what `exact_law` rejects
+        matrix = rule.matrix
+        count_scan(matrix, DEFAULT_MAX_STAGE)
+        if matrix.terminates and matrix.head_length <= kernels.MAX_MATRIX_HEAD:
+            out = kernels.run_matrix(seed, trials, matrix, max_steps)
+        else:
+            # a doubling or periodic tail reads ranks at every step, and a
+            # longer head past int64: the state machine runs, within
+            # MAX_SITE_STEPS
+            return simulate_reference(rule, trials, seed, max_steps,
+                                      MAX_SITE_STEPS)
     else:
         raise TypeError(f"cannot simulate {type(rule).__name__}")
     pos, steps, stopped = out
@@ -160,14 +185,18 @@ def simulate(rule, trials: int, seed: int,
 
 
 def simulate_reference(rule, trials: int, seed: int,
-                       max_steps: int = 1_000_000) -> SimReport:
+                       max_steps: int = 1_000_000,
+                       max_site_steps: int | None = None) -> SimReport:
     """Step `rule.new_state()` once per trial on the splitmix64 stream that
     `simulate` gives that trial.
 
     A pair rule or pair law first draws its pairs with `sample_pairs`,
     then each trial steps the pair rule it drew, with the exact ends of
     the joint law.  Every kernel of `simulate` must reproduce this replay
-    exactly.
+    exactly.  With `max_site_steps`, it raises `SiteStepBudgetExceeded`
+    rather than let all trials together spend more site-steps: a step
+    counts the sites it updates, the 2N + 3 of a matrix rule's strip and
+    one for other rules.
     """
     if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
         pairs = [RandomizedPairRule(u, v) for u, v, _ in rule.joint_law]
@@ -177,15 +206,22 @@ def simulate_reference(rule, trials: int, seed: int,
     pos = np.zeros(trials, dtype=np.int64)
     steps = np.zeros(trials, dtype=np.int64)
     stopped = np.zeros(trials, dtype=bool)
+    sites = (2 * rule.matrix.half_width + 3
+             if isinstance(rule, PathCountMatrixRule) else 1)
+    left = math.inf if max_site_steps is None else max_site_steps // sites
     for i, trial_rule in enumerate(per_trial):
         s = kernels.mix64((seed + i * kernels.STREAM) & kernels.MASK)
         state = trial_rule.new_state()
         t = 0
-        while not state.stopped and t < max_steps:
+        cap = min(max_steps, left)
+        while not state.stopped and t < cap:
             s = (s + kernels.GAMMA) & kernels.MASK
             eps = 1 if (kernels.mix64(s) >> 63) else -1
             state.step(eps)
             t += 1
+        if not state.stopped and t < max_steps:
+            raise SiteStepBudgetExceeded(max_site_steps, sites)
+        left -= t
         pos[i] = state.position
         steps[i] = t
         stopped[i] = state.stopped

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkembed import cli
+from walkembed import sim
 from walkembed.classic import chw_search
 from walkembed.cli import main
+from walkembed.matrices import search_matrix
 
 MU_516_JSON = '{"atoms": {"0": "5/16", "-2": "11/32", "2": "11/32"}}'
 MU_29_JSON = '{"atoms": {"-3": "2/9", "0": "4/9", "2": "1/3"}}'
@@ -135,6 +137,27 @@ class TestEmbed:
         assert code == 3
         assert out == {"member": "unknown", "budget": "maxStates",
                        "statesSearched": 4}
+
+    # the node budget pinned by test_matrices.TestSearch runs out on the
+    # 236th node; 5/16 needs three stages; p0 = 1/3 dead-ends on every
+    # branch at the second stage
+    @pytest.mark.parametrize("atoms,depth,budget,nodes", [
+        ({"-1": "89/128", "0": "3/64", "2": "5/64", "3": "23/128"}, 6,
+         "nodeBudget", 239),
+        ({"-2": "11/32", "0": "5/16", "2": "11/32"}, 1, "maxStage", 7),
+        ({"-1": "1/3", "0": "1/3", "1": "1/3"}, 8, None, 3),
+    ], ids=["nodeBudget", "maxStage", "exhausted"])
+    def test_ui_matrix_names_budget(self, capsys, tmp_path, monkeypatch,
+                                    atoms, depth, budget, nodes):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"atoms": atoms}))
+        monkeypatch.setattr(cli, "search_matrix",
+                            functools.partial(search_matrix, node_budget=235))
+        assert main(["embed", "ui-matrix", str(p), "--depth", str(depth)]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"member": "unknown"}
+        assert json.loads(captured.err) == {"budget": budget,
+                                            "nodesSearched": nodes}
 
     def test_ui_matrix(self, capsys, mu_516):
         code, out = run(capsys, ["embed", "ui-matrix", mu_516])
@@ -272,6 +295,26 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", expected)
         assert "exceeds arrival count" in expected
+
+    def test_site_step_budget_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_SITE_STEPS", 10_000)
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 30, "rows": [{"site": 0, "head": [0], "tail": "doubling"}]}}))
+        code, out = run(capsys, ["simulate", str(r)])
+        assert code == 3
+        assert out["budget"] == "MAX_SITE_STEPS"
+        assert "budget of 10000 site-steps (63 sites a step)" in out["reason"]
+
+    def test_simulate_matrix_rule_numpy(self, capsys, tmp_path, mu_516):
+        code, out = run(capsys, ["embed", "ui-matrix", mu_516])
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps(out))
+        code, out = run(capsys, ["simulate", str(r), "--trials", "5000",
+                                 "--seed", "7"])
+        assert code == 0
+        assert out["backend"] == "numpy"
+        assert sum(out["counts"].values()) + out["truncated"] == 5000
 
     def test_simulate_pair_rule(self, capsys, tmp_path):
         r = tmp_path / "rule.json"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from walkembed import (
@@ -34,10 +34,19 @@ from walkembed import (
     simulate_reference,
 )
 from walkembed import sim
+from walkembed.matrices import CountViolation, count_scan
 
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
 MU_UNIFORM3 = measure({-2: Q(1, 3), 0: Q(1, 3), 2: Q(1, 3)})
+# zero tails: a 4-stage head on a 5-site strip, and no stops at all
+M_HEAD4 = StoppingMatrix(2, {-1: MatrixRow((0, 1, 0, 1)),
+                             0: MatrixRow((0, 0, 1, 2)),
+                             2: MatrixRow((0, 0, 1))})
+EMPTY_STRIP = StoppingMatrix(30, {})
+# the paper's doubling 3/4 and periodic 1/6 certificates
+DOUBLING_34 = StoppingMatrix(3, {0: MatrixRow((0, 2, 2), "doubling")})
+PERIODIC_16 = StoppingMatrix(1, {0: MatrixRow((0, 0), "periodic", (2,))})
 
 BACKEND_RULES = [
     RandomizedPairRule(-2, 2),
@@ -45,7 +54,19 @@ BACKEND_RULES = [
     pytest.param(ExitCompositionRule(()), id="exitComposition-empty"),
     MaxThresholdRule(((-1, 0), (0, 1), (1, 1))),
     MinimalRule(minimal_certificate(MU_516)),
+    PathCountMatrixRule(M_516),
+    pytest.param(PathCountMatrixRule(M_HEAD4), id="pathCountMatrix-head4"),
 ]
+
+
+@st.composite
+def zero_tail_matrices(draw):
+    """Random zero-tail matrices on strips of up to 9 sites, mostly zero."""
+    n = draw(st.integers(0, 3))
+    heads = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 2]), max_size=5),
+                          min_size=2 * n + 1, max_size=2 * n + 1))
+    return StoppingMatrix(n, {j: MatrixRow(tuple(h))
+                              for j, h in zip(range(-n, n + 1), heads)})
 
 
 class TestBackendParity:
@@ -101,6 +122,44 @@ class TestBackendParity:
         assert calls == [(rule, 100, 5)]
         simulate_reference(rule, 10, seed=5, max_steps=64)
         assert calls[1:] == [(rule, 10, 5)]
+
+    # the state machine steps all 63 sites of the strip, about 40 us a
+    # step, so few trials; some are cut at max_steps
+    def test_empty_strip_matches_state_machine(self):
+        rep = self.assert_same_run(PathCountMatrixRule(EMPTY_STRIP), 30,
+                                   seed=7, max_steps=2_000)
+        assert rep.truncated > 0
+
+    def test_empty_strip_is_the_pair_exit(self):
+        strip = simulate(PathCountMatrixRule(EMPTY_STRIP), 2_000, seed=1)
+        pair = simulate(RandomizedPairRule(-31, 31), 2_000, seed=1)
+        assert (strip.counts, strip.mean_steps) == (pair.counts, pair.mean_steps)
+        assert strip.truncated == pair.truncated == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=zero_tail_matrices(), seed=st.integers(0, 2**64 - 1),
+           max_steps=st.sampled_from([0, 3, 7, 256]))
+    def test_matrix_kernel_matches_state_machine(self, matrix, seed,
+                                                 max_steps):
+        try:
+            count_scan(matrix, sim.DEFAULT_MAX_STAGE)
+        except CountViolation:
+            assume(False)
+        self.assert_same_run(PathCountMatrixRule(matrix), 200, seed=seed,
+                             max_steps=max_steps)
+
+    def test_unread_count_outside_int64(self):
+        # a(1, 0) is never read: odd sites are first reached at stage 1
+        rule = PathCountMatrixRule(StoppingMatrix(1, {1: MatrixRow((2**70, 1))}))
+        self.assert_same_run(rule, 200, seed=1, max_steps=100)
+
+    def test_matrix_head_in_chunks(self, monkeypatch):
+        # rank arrays of at most max(trials, BLOCK) elements, 5 sites a
+        # trial: one chunk by default, 5 chunks of 60 trials at BLOCK = 16
+        rule = PathCountMatrixRule(M_HEAD4)
+        whole = simulate(rule, 300, seed=2, max_steps=64)
+        monkeypatch.setattr(kernels, "BLOCK", 16)
+        assert simulate(rule, 300, seed=2, max_steps=64) == whole
 
     def test_hall_kernel_matches_state_machine(self):
         self.assert_same_run(hall_rule(MU_UNIFORM3), 2_000, seed=7,
@@ -326,11 +385,22 @@ class TestSimulate:
         assert rep.counts == {}
         assert rep.tv_distance(measure({-2: Q(1, 2), 2: Q(1, 2)})) == 1
 
-    def test_matrix_rule_python_backend(self):
+    def test_matrix_rule_numpy_backend(self):
         rep = simulate(PathCountMatrixRule(M_516), 4_000, seed=5,
                        max_steps=512)
-        assert rep.backend == "python"
+        assert rep.backend == "numpy"
         assert rep.tv_distance(MU_516) < Q(1, 25)
+
+    @pytest.mark.parametrize("matrix", [
+        DOUBLING_34,
+        PERIODIC_16,
+        StoppingMatrix(1, {0: MatrixRow((0, 1) + (0,) * 30)}),
+    ], ids=["doubling", "periodic", "head-32"])
+    def test_matrix_rule_left_to_state_machine(self, matrix):
+        rule = PathCountMatrixRule(matrix)
+        rep = simulate(rule, 300, seed=4, max_steps=512)
+        assert rep == simulate_reference(rule, 300, seed=4, max_steps=512)
+        assert rep.backend == "python"
 
     def test_report_json_deterministic(self):
         r1 = simulate(RandomizedPairRule(-1, 1), 100, seed=9, max_steps=64)
@@ -344,6 +414,39 @@ class TestSimulate:
         r2 = simulate(RandomizedPairRule(-2, 2), 1_000, seed=2,
                       max_steps=256)
         assert r1.counts != r2.counts
+
+
+class TestSiteStepBudget:
+    @pytest.mark.parametrize("matrix", [DOUBLING_34, PERIODIC_16],
+                             ids=["doubling", "periodic"])
+    def test_paper_certificates_fit_at_default_trials(self, matrix):
+        # site-steps at 100 000 trials, from 5 000: within half the budget
+        rep = simulate_reference(PathCountMatrixRule(matrix), 5_000, seed=1)
+        sites = 2 * matrix.half_width + 3
+        assert rep.truncated == 0
+        assert rep.mean_steps * 100_000 * sites < sim.MAX_SITE_STEPS / 2
+
+    def test_budget_is_exact(self):
+        rule = PathCountMatrixRule(DOUBLING_34)
+        rep = simulate_reference(rule, 50, seed=3)
+        spent = round(rep.mean_steps * 50) * 9
+        assert simulate_reference(rule, 50, seed=3,
+                                  max_site_steps=spent) == rep
+        with pytest.raises(sim.SiteStepBudgetExceeded,
+                           match="budget of 1234 site-steps"):
+            simulate_reference(rule, 50, seed=3, max_site_steps=1234)
+        with pytest.raises(sim.SiteStepBudgetExceeded):
+            simulate_reference(rule, 50, seed=3, max_site_steps=spent - 1)
+
+    def test_simulate_stops_at_the_budget(self, monkeypatch):
+        # 63 sites a step: the first trial alone passes 630 site-steps
+        monkeypatch.setattr(sim, "MAX_SITE_STEPS", 630)
+        wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
+        t0 = time.perf_counter()
+        with pytest.raises(sim.SiteStepBudgetExceeded) as info:
+            simulate(PathCountMatrixRule(wide), 100_000, seed=1)
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.budget == "MAX_SITE_STEPS"
 
 
 class TestExactLaw:
