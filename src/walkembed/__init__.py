@@ -38,16 +38,13 @@ from .measures import (
     PotentialFunction,
     barycenter,
     measure,
-    measure_from_potential,
     potential,
 )
 from .rational import (
     Base4Expansion,
     Q,
     digit_half_weight,
-    format_expansion,
     format_rational,
-    parse_expansion,
     parse_rational,
     to_base4,
 )
@@ -60,7 +57,6 @@ from .rules import (
     PrefixError,
     RandomizedPairRule,
     WalkPath,
-    alive_class_rank,
     decide,
     rule_from_json,
     rule_to_json,
@@ -84,7 +80,6 @@ from .uiset import (
     ifs_approximate,
     ifs_membership,
     weight_set_system,
-    weight_set_system_alt,
 )
 
 __version__ = "1.0.0"

@@ -70,8 +70,20 @@ from .uiset import (
 OK, INVALID, UNDECIDED = 0, 2, 3
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all different: `json.loads` alone
+    keeps the last of two equal keys."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = val
+    return obj
+
+
 def _load_measure(text: str) -> IntegerMeasure:
-    return IntegerMeasure.from_json_dict(json.loads(text))
+    return IntegerMeasure.from_json_dict(
+        json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def _read(path: str) -> str:

@@ -140,7 +140,10 @@ class StoppingMatrix:
             for r in data.get("rows", []):
                 if not isinstance(r, dict):
                     raise ValueError(f"matrix row must be an object, got {r!r}")
-                rows[parse_int(r["site"])] = MatrixRow(
+                site = parse_int(r["site"])
+                if site in rows:
+                    raise ValueError(f"matrix lists site {site} twice")
+                rows[site] = MatrixRow(
                     tuple(parse_int(x) for x in r.get("head", [])),
                     r.get("tail", "zero"),
                     tuple(parse_int(x) for x in r.get("period", [])),

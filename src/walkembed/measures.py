@@ -8,8 +8,6 @@ barycenter (Hardy-Littlewood) step function.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,16 +104,15 @@ class IntegerMeasure:
             raise MeasureError('"atoms" must map integer strings to rational strings')
         atoms: dict[int, Fraction] = {}
         for key, val in raw.items():
-            try:
+            try:  # one spelling per site: "1" only, not "01", "+1" or "1_0"
                 site = int(key)
-            except ValueError as exc:
-                raise MeasureError(f"site key is not an integer: {key!r}") from exc
+            except ValueError:
+                site = None
+            if key != str(site):
+                raise MeasureError(
+                    f"site key is not an integer in canonical form: {key!r}")
             atoms[site] = parse_rational(val)
         return cls(atoms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntegerMeasure":
-        return cls.from_json_dict(json.loads(text))
 
 
 def measure(atoms: dict[int, object]) -> IntegerMeasure:
@@ -137,17 +134,6 @@ class PotentialFunction:
     mean: Fraction
     values: tuple[Fraction, ...]  # u(lo), u(lo+1), ..., u(hi)
 
-    def value(self, x: Fraction) -> Fraction:
-        x = Q(x)
-        if x <= self.lo or x >= self.hi:
-            return -abs(x - self.mean)
-        k = math.floor(x)
-        left = self.values[k - self.lo]
-        if x == k:
-            return left
-        right = self.values[k + 1 - self.lo]
-        return left + (x - k) * (right - left)
-
     def value_at(self, k: int) -> Fraction:
         """Value at an integer site (valid for any integer)."""
         if k < self.lo or k > self.hi:
@@ -165,27 +151,6 @@ def potential(mu: IntegerMeasure) -> PotentialFunction:
         for k in range(lo, hi + 1)
     )
     return PotentialFunction(lo, hi, mu.mean(), vals)
-
-
-def measure_from_potential(u: PotentialFunction) -> IntegerMeasure:
-    """The unique measure whose potential is `u`.
-
-    The atom weight at k is half the slope decrease of u at k; slopes just
-    outside the hull are +1 (left) and -1 (right).
-    """
-    vals = list(u.values)
-    ext = [u.value_at(u.lo - 1)] + vals + [u.value_at(u.hi + 1)]
-    atoms: dict[int, Fraction] = {}
-    for i in range(1, len(ext) - 1):
-        drop = (2 * ext[i] - ext[i - 1] - ext[i + 1]) / 2
-        if drop < 0:
-            raise MeasureError(f"potential is not concave at site {u.lo + i - 1}")
-        if drop > 0:
-            atoms[u.lo + i - 1] = drop
-    mu = IntegerMeasure(atoms)
-    if mu.mean() != u.mean:
-        raise MeasureError("potential asymptotics inconsistent with its mean")
-    return mu
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Every probability, atom weight and potential value in the library is a
 `fractions.Fraction`; nothing in this module rounds.  A `Base4Expansion`
 stores the digits of a rational in [0, 1] written in base 4, split into a
 finite preperiod and a (possibly empty) repeating period, and supports
-closed-form evaluation of digit-weighted series.
+closed-form evaluation of digit-weighted series.  The tests check
+`to_base4` against `to_rational` in `tests/reference.py`, which sums an
+expansion back to its value.
 """
 
 from __future__ import annotations
@@ -51,30 +53,6 @@ class Base4Expansion:
         if not self.period:
             return 0
         return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-    def digits(self, count: int) -> list[int]:
-        """The fractional digits a_1 .. a_count."""
-        return [self.digit(i) for i in range(1, count + 1)]
-
-    @property
-    def is_terminating(self) -> bool:
-        return not self.period
-
-    def to_rational(self) -> Q:
-        """Exact value of the expansion (round trip with `to_base4`)."""
-        m = len(self.preperiod)
-        value = Q(self.integer_part)
-        acc = 0
-        for d in self.preperiod:
-            acc = 4 * acc + d
-        value += Q(acc, 4**m)
-        if self.period:
-            per = 0
-            for d in self.period:
-                per = 4 * per + d
-            span = 4 ** len(self.period) - 1
-            value += Q(per, span) / 4**m
-        return value
 
 
 #: most base-4 digits (preperiod plus period) `to_base4` writes out
@@ -162,25 +140,3 @@ def parse_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"not an integer: {x!r}")
     return x
-
-
-def format_expansion(e: Base4Expansion) -> str:
-    """Serialize as "a0.pre(period)", digits 0-3."""
-    out = f"{e.integer_part}." + "".join(str(d) for d in e.preperiod)
-    if e.period:
-        out += "(" + "".join(str(d) for d in e.period) + ")"
-    return out
-
-
-def parse_expansion(s: str) -> Base4Expansion:
-    s = s.strip()
-    if "." not in s:
-        raise ValueError(f"missing '.': {s!r}")
-    head, frac = s.split(".", 1)
-    period: tuple[int, ...] = ()
-    if "(" in frac:
-        if not frac.endswith(")"):
-            raise ValueError(f"unterminated period: {s!r}")
-        frac, per = frac[:-1].split("(", 1)
-        period = tuple(int(c) for c in per)
-    return Base4Expansion(int(head), tuple(int(c) for c in frac), period)

@@ -42,12 +42,6 @@ class WalkPath:
         if any(e not in (-1, 1) for e in self.increments):
             raise ValueError("increments must be -1 or +1")
 
-    def positions(self) -> list[int]:
-        out = [0]
-        for e in self.increments:
-            out.append(out[-1] + e)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # exitComposition
@@ -217,21 +211,6 @@ class PathCountMatrixRule:
 
     def payload(self) -> object:
         return self.matrix.to_json_dict()
-
-
-def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:
-    """Rank of `path` among alive same-endpoint histories under `matrix`.
-
-    Raises PrefixError if the rule stops the path before its end.
-    """
-    state = MatrixRuleState(matrix)
-    if state.stopped:
-        raise PrefixError("rule stops at time 0")
-    for i, eps in enumerate(path.increments):
-        state.step(eps)
-        if state.stopped:
-            raise PrefixError(f"rule stops after {i + 1} steps")
-    return state.smaller.get(state.position, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ import numpy as np
 from . import kernels
 from .classic import MinimalCertificate, RandomizedRule
 from .matrices import count_scan, exact_law_matrix
-from .measures import IntegerMeasure
 from .rational import Q, format_rational
 from .rules import (
     ExitCompositionRule,
@@ -88,16 +87,6 @@ class SimReport:
     truncated: int
     max_steps: int
     mean_steps: float
-
-    def frequency(self, site: int) -> Fraction:
-        return Q(self.counts.get(site, 0), self.trials)
-
-    def tv_distance(self, mu: IntegerMeasure) -> Fraction:
-        """Total variation against a target, truncated mass counted as
-        lying entirely outside the support (worst case)."""
-        sites = set(mu.support) | set(self.counts)
-        gap = sum(abs(self.frequency(s) - mu.weight(s)) for s in sites)
-        return (gap + Q(self.truncated, self.trials)) / 2
 
     def to_json(self) -> str:
         return json.dumps(

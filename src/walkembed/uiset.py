@@ -12,9 +12,9 @@ denominators of a system's offsets and condensation set, every endpoint of
 the depth-d cover of [0, 1] is an integer over L * 4^d, and in those units
 the map x -> x/4 + off is the shift n -> n + off * L * 4^d: numerators are
 never rescaled, so a level is a few shifted copies, one sort and a linear
-merge.  `IntervalUnion` stores such numerators over one denominator;
-`IntervalUnion.affine` and `IfsSystem.apply` stay on `Fraction`s as the
-independent reference that the tests replay covers through.
+merge.  `IntervalUnion` stores such numerators over one denominator.
+The independent reference, the same levels computed on `Fraction`
+endpoints, lives with the tests in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class WeightVerdict:
     member: bool
     expansion: Base4Expansion
     half_weight: Fraction
-
-    @property
-    def excess(self) -> Fraction:
-        return self.half_weight - 1
 
 
 def classify_weight(p: Fraction) -> WeightVerdict:
@@ -219,19 +215,6 @@ class IntervalUnion:
     def measure(self) -> Fraction:
         return Q(sum(b - a for a, b in self.pairs), self.den)
 
-    def contains(self, other: "IntervalUnion") -> bool:
-        d, e = self.den, other.den
-        return all(any(c * e <= a * d and b * d <= f * e for c, f in self.pairs)
-                   for a, b in other.pairs)
-
-    def affine(self, scale: Fraction, offset: Fraction) -> "IntervalUnion":
-        return IntervalUnion(
-            [(scale * a + offset, scale * b + offset) for a, b in self.intervals]
-        )
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(list(self.intervals) + list(other.intervals))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalUnion) and self.intervals == other.intervals
 
@@ -251,29 +234,12 @@ class IfsSystem:
     offsets: tuple[Fraction, ...]
     condensation: IntervalUnion | None = None
 
-    def apply(self, a: IntervalUnion) -> IntervalUnion:
-        out = a.affine(Q(1, 4), self.offsets[0])
-        for off in self.offsets[1:]:
-            out = out.union(a.affine(Q(1, 4), off))
-        if self.condensation is not None:
-            out = out.union(self.condensation)
-        return out
-
 
 def weight_set_system() -> IfsSystem:
     """x/4 + 1/4 and x/4 + 1/8, with condensation [0, 1/8] and the point 1."""
     return IfsSystem(
         offsets=(Q(1, 4), Q(1, 8)),
         condensation=IntervalUnion([(Q(0), Q(1, 8)), (Q(1), Q(1))]),
-    )
-
-
-def weight_set_system_alt() -> IfsSystem:
-    """Condensation-free variant: x/4 + k/64 for k in {0,2,4,6,8,16},
-    plus the fixed point 1."""
-    return IfsSystem(
-        offsets=tuple(Q(k, 64) for k in (0, 2, 4, 6, 8, 16)),
-        condensation=IntervalUnion([(Q(1), Q(1))]),
     )
 
 
@@ -299,7 +265,7 @@ def ifs_approximate(system: IfsSystem, depth: int) -> IntervalUnion:
     multiplied by 4 at each level.  Over the new D, x -> x/4 + off is the
     shift n -> n + off * D, so a level is one shifted copy of the pairs per
     offset plus the condensation pairs scaled to D, one sort and a linear
-    merge; `IfsSystem.apply` computes the same level on `Fraction`s.
+    merge.
     Raises CoverBudgetExceeded when a level's merged cover holds more than
     MAX_COVER_INTERVALS intervals.
     """

@@ -1,0 +1,125 @@
+"""Reference implementations the tests compare the package against.
+
+Each one is a direct, unoptimized reading of a definition, kept outside the
+package because no command runs it:
+
+- `measure_from_potential` inverts `potential` from slope changes;
+- `to_rational` sums a base-4 expansion in closed form;
+- `affine`, `union`, `contains` and `apply` compute covers on `Fraction`
+  endpoints, next to `ifs_approximate`'s integer numerators;
+- `weight_set_system_alt` is a second contraction system with the same
+  covers as `weight_set_system`;
+- `alive_class_rank` reads a path's rank off the matrix state machine;
+- `frequency` and `tv_distance` compare a simulation report with a target.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+
+from walkembed.matrices import StoppingMatrix
+from walkembed.measures import (
+    IntegerMeasure,
+    MeasureError,
+    PotentialFunction,
+)
+from walkembed.rational import Base4Expansion
+from walkembed.rules import MatrixRuleState, PrefixError, WalkPath
+from walkembed.sim import SimReport
+from walkembed.uiset import IfsSystem, IntervalUnion
+
+
+def measure_from_potential(u: PotentialFunction) -> IntegerMeasure:
+    """The unique measure whose potential is `u`.
+
+    The atom weight at k is half the slope decrease of u at k; slopes just
+    outside the hull are +1 (left) and -1 (right).
+    """
+    ext = [u.value_at(u.lo - 1), *u.values, u.value_at(u.hi + 1)]
+    atoms: dict[int, Q] = {}
+    for i in range(1, len(ext) - 1):
+        drop = (2 * ext[i] - ext[i - 1] - ext[i + 1]) / 2
+        if drop < 0:
+            raise MeasureError(f"potential is not concave at site {u.lo + i - 1}")
+        if drop > 0:
+            atoms[u.lo + i - 1] = drop
+    mu = IntegerMeasure(atoms)
+    if mu.mean() != u.mean:
+        raise MeasureError("potential asymptotics inconsistent with its mean")
+    return mu
+
+
+def to_rational(e: Base4Expansion) -> Q:
+    """Exact value of the expansion (round trip with `to_base4`)."""
+    m = len(e.preperiod)
+    acc = 0
+    for d in e.preperiod:
+        acc = 4 * acc + d
+    value = e.integer_part + Q(acc, 4**m)
+    if e.period:
+        per = 0
+        for d in e.period:
+            per = 4 * per + d
+        value += Q(per, 4 ** len(e.period) - 1) / 4**m
+    return value
+
+
+def affine(u: IntervalUnion, scale: Q, offset: Q) -> IntervalUnion:
+    return IntervalUnion([(scale * a + offset, scale * b + offset)
+                          for a, b in u.intervals])
+
+
+def union(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
+    return IntervalUnion(list(u.intervals) + list(v.intervals))
+
+
+def contains(u: IntervalUnion, v: IntervalUnion) -> bool:
+    """Every interval of v lies inside one interval of u."""
+    return all(any(c <= a and b <= f for c, f in u.intervals)
+               for a, b in v.intervals)
+
+
+def apply(system: IfsSystem, a: IntervalUnion) -> IntervalUnion:
+    """One level of the system's cover, on `Fraction` endpoints."""
+    out = affine(a, Q(1, 4), system.offsets[0])
+    for off in system.offsets[1:]:
+        out = union(out, affine(a, Q(1, 4), off))
+    if system.condensation is not None:
+        out = union(out, system.condensation)
+    return out
+
+
+def weight_set_system_alt() -> IfsSystem:
+    """Condensation-free variant: x/4 + k/64 for k in {0,2,4,6,8,16},
+    plus the fixed point 1."""
+    return IfsSystem(
+        offsets=tuple(Q(k, 64) for k in (0, 2, 4, 6, 8, 16)),
+        condensation=IntervalUnion([(Q(1), Q(1))]),
+    )
+
+
+def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:
+    """Rank of `path` among alive same-endpoint histories under `matrix`.
+
+    Raises PrefixError if the rule stops the path before its end.
+    """
+    state = MatrixRuleState(matrix)
+    if state.stopped:
+        raise PrefixError("rule stops at time 0")
+    for i, eps in enumerate(path.increments):
+        state.step(eps)
+        if state.stopped:
+            raise PrefixError(f"rule stops after {i + 1} steps")
+    return state.smaller.get(state.position, 0)
+
+
+def frequency(report: SimReport, site: int) -> Q:
+    return Q(report.counts.get(site, 0), report.trials)
+
+
+def tv_distance(report: SimReport, mu: IntegerMeasure) -> Q:
+    """Total variation against a target, truncated mass counted as lying
+    entirely outside the support (worst case)."""
+    sites = set(mu.support) | set(report.counts)
+    gap = sum(abs(frequency(report, s) - mu.weight(s)) for s in sites)
+    return (gap + Q(report.truncated, report.trials)) / 2

@@ -32,7 +32,6 @@ from walkembed import (
     hall_rule,
     ifs_approximate,
     measure,
-    measure_from_potential,
     minimal_certificate,
     potential,
     search_matrix,
@@ -40,6 +39,7 @@ from walkembed import (
     verify_matrix,
     weight_set_system,
 )
+from reference import contains, frequency, measure_from_potential, tv_distance
 
 TRIALS = 100_000
 
@@ -52,7 +52,7 @@ def assert_within_tolerance(report, mu):
     assert report.truncated <= TRIALS // 500  # truncation is reported, tiny
     for s in mu.support:
         p = float(mu.weight(s))
-        err = abs(float(report.frequency(s)) - p)
+        err = abs(float(frequency(report, s)) - p)
         assert err <= atom_tolerance(p), (s, err, atom_tolerance(p))
 
 
@@ -87,7 +87,7 @@ def test_criterion_3_strict_inclusion_chain():
     mu3 = measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)})
     rep = simulate(MinimalRule(minimal_certificate(mu3)), TRIALS, seed=42,
                    max_steps=1_000_000)
-    assert rep.tv_distance(mu3) <= Q(1, 100)
+    assert tv_distance(rep, mu3) <= Q(1, 100)
 
     # 5/16 measure: UI member by matrix search, but no chip sequence of
     # length <= 8 reaches it
@@ -151,7 +151,7 @@ def test_criterion_5_ifs_measure_bracket():
         m = cover.measure()
         assert m <= previous
         assert m >= Q(1, 4)
-        assert cover.contains(segment)
+        assert contains(cover, segment)
         previous = m
     assert previous == Q(2049, 8192)
     assert previous <= Q(26, 100)

@@ -17,12 +17,12 @@ from walkembed import (
     hall_rule,
     hall_stopped_law,
     measure,
-    measure_from_potential,
     minimal_certificate,
     potential,
     replay_chips,
 )
 from walkembed.classic import ChwResult, _chord, _to_state
+from reference import measure_from_potential
 
 MU_29 = measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)})
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})

@@ -454,8 +454,25 @@ class TestWireFormat:
          "malformed matrix JSON: missing field 'N'"),
         ("verify", '{"N": 1, "rows": [{"head": [0, 1]}]}',
          "malformed matrix JSON: missing field 'site'"),
+        # one entry per site: a second spelling of a site, a repeated key
+        # or a repeated row would replace the first, and a matrix verdict
+        # would depend on the order of its rows
+        ("potential", '{"atoms": {"1": "1/2", "01": "1/2", "-1": "1/2"}}',
+         "site key is not an integer in canonical form: '01'"),
+        ("potential", '{"atoms": {"1_0": "1/2", "-10": "1/2"}}',
+         "site key is not an integer in canonical form: '1_0'"),
+        ("potential", '{"atoms": {"1": "1/2", "1": "1/2", "-1": "1/2"}}',
+         "key '1' appears twice in one object"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0]}, '
+                   '{"site": 0, "head": [1]}]}',
+         "matrix lists site 0 twice"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [1]}, '
+                   '{"site": 0, "head": [0]}]}',
+         "matrix lists site 0 twice"),
     ], ids=["pair-u", "hall-w", "minimal-weights", "chip-triple",
-            "threshold-single", "matrix-N", "matrix-site"])
+            "threshold-single", "matrix-N", "matrix-site", "site-spellings",
+            "site-underscore", "repeated-key", "repeated-row",
+            "repeated-row-swapped"])
     def test_error_names_field(self, capsys, tmp_path, command, text,
                                message):
         f = tmp_path / "input.json"

@@ -54,6 +54,14 @@ class TestMatrixRow:
         for m in (M_DOUBLING, M_516, M_SIXTH):
             assert StoppingMatrix.from_json_dict(m.to_json_dict()) == m
 
+    def test_json_rejects_repeated_site(self):
+        # keeping the last of two rows would make the verdict depend on
+        # the order of the rows
+        rows = [{"site": 0, "head": [0]}, {"site": 0, "head": [1]}]
+        for order in (rows, rows[::-1]):
+            with pytest.raises(ValueError, match="lists site 0 twice"):
+                StoppingMatrix.from_json_dict({"N": 1, "rows": order})
+
 
 class TestVerify:
     def test_terminating_valid(self):
