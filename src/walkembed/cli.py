@@ -47,6 +47,7 @@ from .rules import (
     MaxThresholdRule,
     MinimalRule,
     PathCountMatrixRule,
+    parse_json,
     rule_from_json,
     rule_to_json,
 )
@@ -70,20 +71,8 @@ from .uiset import (
 OK, INVALID, UNDECIDED = 0, 2, 3
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object whose keys are all different: `json.loads` alone
-    keeps the last of two equal keys."""
-    obj = {}
-    for key, val in pairs:
-        if key in obj:
-            raise ValueError(f"key {key!r} appears twice in one object")
-        obj[key] = val
-    return obj
-
-
 def _load_measure(text: str) -> IntegerMeasure:
-    return IntegerMeasure.from_json_dict(
-        json.loads(text, object_pairs_hook=_unique_keys))
+    return IntegerMeasure.from_json_dict(parse_json(text))
 
 
 def _read(path: str) -> str:
@@ -165,7 +154,7 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     mu = _load_measure(_read(args.measure))
-    matrix = StoppingMatrix.from_json_dict(json.loads(_read(args.matrix)))
+    matrix = StoppingMatrix.from_json_dict(parse_json(_read(args.matrix)))
     res = verify_matrix(matrix, mu)
     _emit({"status": res.status, "site": res.site, "stage": res.stage,
            "detail": res.detail})

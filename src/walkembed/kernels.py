@@ -39,11 +39,16 @@ beyond it, so values outside int64 simulate exactly.
 Each kernel returns (positions, steps, stopped): final site, number of
 steps consumed, and whether the rule actually stopped within `max_steps`
 (unstopped trials are truncation, reported, never folded into the law).
+
+The module imports without numpy, so `import walkembed` and every exact
+command stay numpy-free: the global `np` is bound by `_numpy` in
+`stream_states` and `clamp_sites`, and every entry point seeds its trials
+through `stream_states` before any other array is made.
 """
 
 from __future__ import annotations
 
-import numpy as np
+np = None  # numpy, once `_numpy` has run
 
 # read by the benchmark's set-up child (perfbench/run.py)
 HAVE_NUMBA = False
@@ -80,6 +85,11 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _numpy() -> None:
+    global np
+    import numpy as np
+
+
 def stream_states(seed: int, trials: int) -> np.ndarray:
     """Initial splitmix64 state for each trial, as uint64.
 
@@ -87,6 +97,7 @@ def stream_states(seed: int, trials: int) -> np.ndarray:
     trials in one numpy pass: the uint64 products and sums wrap mod 2^64
     exactly as the masked Python ints do.
     """
+    _numpy()
     z = np.arange(trials, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z *= np.uint64(STREAM)
@@ -101,6 +112,7 @@ def clamp_sites(values) -> np.ndarray:
     never, in any run that can finish.  2^62 leaves room for the
     differences the kernels take of positions and sites.
     """
+    _numpy()
     r = 1 << 62
     return np.asarray([min(max(v, -r), r) for v in values], dtype=np.int64)
 

@@ -359,8 +359,24 @@ def rule_to_json(rule) -> str:
     return json.dumps({"kind": kind, "payload": payload}, sort_keys=True)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = val
+    return obj
+
+
+def parse_json(text: str):
+    """`json.loads` for rule, matrix and measure documents: a key repeated
+    in one object is a ValueError, where `json.loads` alone keeps the last
+    value and a document would mean what its key order says."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def rule_from_json(text: str):
-    data = json.loads(text)
+    data = parse_json(text)
     if not isinstance(data, dict):
         raise ValueError('rule JSON must be an object with "kind" and "payload"')
     kind = data.get("kind")

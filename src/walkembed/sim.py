@@ -19,6 +19,10 @@ minimal rule has its own integer solver with the same result: its
 selection words are integers tested against integer cut points, and after
 selection each (target, side) lane of first-passage counts is one packed
 integer that a whole step advances with one shift and one add.
+
+numpy is imported only where arrays are made: in `sample_pairs`,
+`simulate_reference` and the report reduction, and in the kernels that
+`simulate` runs.  `exact_law` and its dynamic programs never load it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import kernels
 from .classic import MinimalCertificate, RandomizedRule
@@ -104,6 +106,8 @@ class SimReport:
 
 
 def _report(pos, steps, stopped, trials, seed, backend, max_steps) -> SimReport:
+    import numpy as np
+
     counts: dict[int, int] = {}
     stopped_pos = pos[stopped]
     for site, cnt in zip(*np.unique(stopped_pos, return_counts=True)):
@@ -125,6 +129,8 @@ def sample_pairs(rule, trials: int, seed: int) -> np.ndarray:
     `simulate` and `simulate_reference` both draw here.  A one-pair law,
     such as a `RandomizedPairRule`'s, gets all zeros and seeds no stream.
     """
+    import numpy as np
+
     law = rule.joint_law
     if len(law) == 1:
         return np.zeros(trials, dtype=np.intp)
@@ -187,6 +193,8 @@ def simulate_reference(rule, trials: int, seed: int,
     counts the sites it updates, the 2N + 3 of a matrix rule's strip and
     one for other rules.
     """
+    import numpy as np
+
     if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
         pairs = [RandomizedPairRule(u, v) for u, v, _ in rule.joint_law]
         per_trial = [pairs[j] for j in sample_pairs(rule, trials, seed)]

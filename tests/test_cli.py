@@ -7,13 +7,17 @@ import io
 import json
 import random
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import walkembed
 from walkembed import cli
 from walkembed import sim
 from walkembed.classic import chw_search
@@ -483,6 +487,34 @@ class TestWireFormat:
                 else [command, str(f)])
         assert self.assert_rejected(capsys, argv) == f"error: {message}\n"
 
+    # `json.loads` alone keeps the last of two equal keys, so swapping two
+    # "rows" would turn a violation into a valid matrix
+    @pytest.mark.parametrize("command, text, key", [
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0, 1, 1]}], '
+                   '"rows": []}', "rows"),
+        ("verify", '{"N": 1, "rows": [], '
+                   '"rows": [{"site": 0, "head": [0, 1, 1]}]}', "rows"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0, 1, 1], '
+                   '"head": [0]}]}', "head"),
+        ("exact-law", '{"kind": "randomizedPair", "kind": "randomizedPair", '
+                      '"payload": {"u": -1, "v": 1}}', "kind"),
+        ("exact-law", '{"kind": "randomizedPair", '
+                      '"payload": {"u": -1, "u": -3, "v": 1}}', "u"),
+        ("simulate", '{"kind": "pathCountMatrix", "payload": {"N": 1, '
+                     '"rows": [{"site": 0, "site": 1, "head": [0]}]}}', "site"),
+    ], ids=["matrix-rows", "matrix-rows-swapped", "matrix-row-head",
+            "rule-kind", "pair-u", "matrix-rule-site"])
+    def test_repeated_key_rejected(self, capsys, tmp_path, command, text,
+                                   key):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        mu = tmp_path / "mu.json"
+        mu.write_text(MU_516_JSON)
+        argv = ([command, str(f), str(mu)] if command == "verify"
+                else [command, str(f)])
+        assert self.assert_rejected(capsys, argv) == (
+            f"error: key {key!r} appears twice in one object\n")
+
     # the state machine and the kernel read a table the same way only when
     # it has one level per site of an interval containing the origin
     @pytest.mark.parametrize("command", ["exact-law", "simulate"])
@@ -555,6 +587,60 @@ class TestSetAndPotential:
         assert code == 0
         assert out["values"]["0"] == "-4/3"
         assert out["barycenter"]["0"] == "6/7"
+
+
+# Runs in a fresh interpreter: every command but `simulate` on the files
+# in sys.argv[2], then `simulate`, which alone may load numpy.
+NUMPY_FREE_CHILD = r"""
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import walkembed, walkembed.cli, walkembed.kernels
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = walkembed.cli.main(list(argv))
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+def path(name, text=None):
+    p = os.path.join(sys.argv[2], name)
+    if text is not None:
+        with open(p, "w") as f:
+            f.write(text)
+    return p
+
+mu, bern = path("mu.json"), path("bern.json")
+run("classify", "--weight", "1/6")
+run("classify", "--triple", "1/4,1/2,1/4")
+run("classify", "--measure", mu, "--depth", "3")
+rules = [path(method + ".json", run("embed", method, target, "--depth", "3"))
+         for method, target in [("ay", bern), ("chw", bern), ("ui-matrix", mu),
+                                ("minimal", mu), ("hall", mu)]]
+with open(rules[2]) as f:
+    run("verify", path("matrix.json", json.dumps(json.load(f)["payload"])), mu)
+rules.append(path("pair.json",
+                  '{"kind": "randomizedPair", "payload": {"u": -1, "v": 2}}'))
+for rule in rules:
+    run("exact-law", rule)
+run("set", "--depth", "4")
+run("set", "--point", "1/6")
+run("potential", mu)
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+report = json.loads(run("simulate", rules[2], "--trials", "100"))
+assert "numpy" in sys.modules and report["backend"] == "numpy", report
+"""
+
+
+class TestNumpyFree:
+    def test_only_simulate_loads_numpy(self, tmp_path):
+        (tmp_path / "mu.json").write_text(MU_516_JSON)
+        (tmp_path / "bern.json").write_text(MU_BERNOULLI_JSON)
+        src = Path(walkembed.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_CHILD, str(src), str(tmp_path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNegativeRationals:

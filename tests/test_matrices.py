@@ -15,7 +15,7 @@ from walkembed import (
     search_matrix,
     verify_matrix,
 )
-from walkembed import matrices
+from walkembed import matrices, rules
 from walkembed.matrices import exact_law_matrix
 
 MU_DOUBLING = measure({0: Q(3, 4), -4: Q(1, 8), 4: Q(1, 8)})
@@ -61,6 +61,25 @@ class TestMatrixRow:
         for order in (rows, rows[::-1]):
             with pytest.raises(ValueError, match="lists site 0 twice"):
                 StoppingMatrix.from_json_dict({"N": 1, "rows": order})
+
+    # a key repeated in one object is rejected as the text is parsed, at
+    # any depth of the document
+    @pytest.mark.parametrize("text, key", [
+        ('{"N": 1, "rows": [{"site": 0, "head": [0, 1, 1]}], "rows": []}',
+         "rows"),
+        ('{"N": 1, "N": 2, "rows": []}', "N"),
+        ('{"N": 1, "rows": [{"site": 0, "head": [0, 1, 1], "head": [0]}]}',
+         "head"),
+        ('{"N": 1, "rows": [{"site": 0, "head": [0], "tail": "zero", '
+         '"tail": "doubling"}]}', "tail"),
+    ], ids=["rows", "N", "row-head", "row-tail"])
+    def test_json_rejects_repeated_key(self, text, key):
+        match = f"key '{key}' appears twice in one object"
+        with pytest.raises(ValueError, match=match):
+            StoppingMatrix.from_json_dict(rules.parse_json(text))
+        with pytest.raises(ValueError, match=match):
+            rules.rule_from_json(
+                f'{{"kind": "pathCountMatrix", "payload": {text}}}')
 
 
 class TestVerify:

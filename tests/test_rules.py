@@ -212,3 +212,18 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             rule_from_json('{"kind": "nope", "payload": null}')
+
+    # `json.loads` alone keeps the last of two equal keys: the document
+    # would mean whatever its key order says
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}, '
+         '"kind": "maxThreshold"}', "kind"),
+        ('{"kind": "randomizedPair", "payload": {"u": -1, "u": -3, "v": 1}}',
+         "u"),
+        ('{"kind": "minimalTheorem1", "payload": {"sites": [-1, 1], '
+         '"weights": ["1/2", "1/2"], "sites": [-2, 2]}}', "sites"),
+    ], ids=["top-level", "pair-field", "minimal-field"])
+    def test_repeated_key_rejected(self, text, key):
+        with pytest.raises(ValueError,
+                           match=f"key '{key}' appears twice in one object"):
+            rule_from_json(text)
