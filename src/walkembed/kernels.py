@@ -9,27 +9,38 @@ rule state machines on the same streams, seeding each trial with the
 scalar `mix64` as an independent reference; the tests hold every kernel,
 seeding included, to it bit for bit.
 
-The two-point, exit-composition and max-threshold kernels step all live
-trials in lockstep, one loop iteration per walk step.  The minimal kernel
-does so only while some live trial is still reading selector bits (at most
-`MAX_DYADIC_BITS` steps).  Once every live trial has a fixed target, what
-is left is a first passage to that target, often heavy-tailed, and it runs
-in blocks: each live trial advances
+Every lockstep kernel (two-point, exit-composition, max-threshold, the
+minimal kernel's selection and the matrix kernel's head) runs on one
+engine, `_np_lockstep`.  It holds only the live trials, in compact
+columns: stream state, position, trial index and the kernel's per-trial
+lanes (pair ends, chip index, running maximum, dyadic interval and
+target, rank profile).  A walk step costs work in the live trials only:
+the finalizer stops after its second multiply, the position moves by the
+sign bit, and the kernel's `step` updates its lanes and returns a stop
+mask.  When some trial stops, every column is compacted with the integer
+index of the trials left; indexing by a boolean mask costs several times
+as much.  Until the first stop the columns are the caller's arrays,
+stepped in place.
+
+The minimal kernel steps in lockstep only while some live trial is still
+reading selector bits (at most `MAX_DYADIC_BITS` steps).  Once every live
+trial has a fixed target, what is left is a first passage to that target,
+often heavy-tailed, and it runs in blocks: each live trial advances
 B = min(max(trials, BLOCK) // live, max_steps - t) steps per iteration, so
 a block never holds more than max(trials, BLOCK) elements, and the floor
 `BLOCK` keeps the blocks long once few trials are live.  splitmix64 is
 counter based, state_j = s + j*GAMMA, so a block's increments are the ones
 lockstep stepping would draw, and the results are bit-identical.  A step
 reads only bit 63 of the finalizer, and its last xor-shift,
-z ^ (z >> 31), leaves bit 63 as it is, so blocks stop after the second
-multiply.
+z ^ (z >> 31), leaves bit 63 as it is, so both lockstep steps and blocks
+stop after the second multiply.
 
 The matrix kernel runs a zero-tail path-count matrix rule in two phases.
 Through the head it keeps each live trial's rank profile, the row of
 `MatrixRuleState.smaller` over the strip sites the head can reach, as
 int64; after the head every stop count is 0, so the only stop left is the
-exit at +-(N+1), and the live trials run the two-point kernel from where
-the head left them.
+exit at +-(N+1), and the live trials run the two-point kernel from the
+states and positions the engine wrote back for them.
 
 Every value a kernel compares positions with (target sites, pair ends,
 chip ends, threshold levels) is clamped to +-2^62 before it becomes int64:
@@ -137,97 +148,145 @@ def _np_next(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return states, _np_mix(states)
 
 
-def _np_run(states, max_steps, is_stopped, consume, until=None):
-    """Drive all trials in lockstep, advancing `states` in place.
+def _np_lockstep(states, lanes, stopped, step, max_steps, until=None):
+    """Step every trial not `stopped` at time zero in lockstep, on the
+    compact columns the module docstring describes.
 
-    `is_stopped()` marks freshly stopped trials at time zero;
-    `consume(idx, up, pos, t)` advances per-trial rule state for active
-    indices and returns a boolean stop mask for them.  If `until(active)`
-    holds before a step, stepping ends there; either way each trial still
-    running is left with `steps` equal to the steps it has taken.
+    `lanes` is a list of per-trial arrays, whose entries the engine
+    replaces with compact copies as trials stop.  After each step
+    `step(lanes, p, down, t)` sees the live positions `p` and negated
+    increments `down` (+1 down, -1 up), updates the lanes in place or by
+    rebinding an entry, and returns the stop mask over the live trials.
+    Stepping ends when no trial is live, at `max_steps`, or once
+    `until(lanes)` holds before a step.
+
+    Returns (pos, steps, stopped, live), `stopped` updated in place:
+    `live` lists the trials still running, in the order of the compact
+    `lanes`; their states, positions and steps taken are written back to
+    `states`, `pos` and `steps`.
     """
     n = states.shape[0]
     pos = np.zeros(n, dtype=np.int64)
     steps = np.zeros(n, dtype=np.int64)
-    stopped = is_stopped()
-    active = ~stopped
+    s, p, idx = states, pos, None
+    if stopped.any():
+        idx = np.flatnonzero(~stopped)
+        s, p = s[idx], p[idx]
+        for i in range(len(lanes)):
+            lanes[i] = lanes[i][idx]
+    gamma, mix1, mix2 = np.uint64(GAMMA), np.uint64(MIX1), np.uint64(MIX2)
+    r30, r27 = np.uint64(30), np.uint64(27)
     t = 0
     with np.errstate(over="ignore"):
-        while (active.any() and t < max_steps
-               and not (until is not None and until(active))):
+        while p.size and t < max_steps and not (until and until(lanes)):
             t += 1
-            idx = np.nonzero(active)[0]
-            states[idx], z = _np_next(states[idx])
-            up = (z >> np.uint64(63)).astype(bool)
-            pos[idx] += np.where(up, 1, -1)
-            hit = consume(idx, up, pos, t)
-            just = idx[hit]
-            steps[just] = t
-            stopped[just] = True
-            active[just] = False
-    steps[active] = t
-    return pos, steps, stopped
+            s += gamma
+            z = s >> r30
+            z ^= s
+            z *= mix1
+            w = z >> r27
+            z ^= w
+            del w
+            z *= mix2
+            down = z.view(np.int64)
+            down >>= 63
+            down |= 1
+            p -= down
+            hit = step(lanes, p, down, t)
+            del z, down
+            just = np.flatnonzero(hit)
+            if not just.size:
+                continue
+            if idx is None:  # p is still `pos` itself
+                who = just
+            else:
+                who = idx[just]
+                pos[who] = p[just]
+            steps[who] = t
+            stopped[who] = True
+            del who, just
+            keep = np.flatnonzero(np.logical_not(hit, out=hit))
+            del hit
+            # one column at a time, so each old one is freed before the
+            # next is copied
+            idx = keep if idx is None else idx[keep]
+            s = s[keep]
+            p = p[keep]
+            for i in range(len(lanes)):
+                lanes[i] = lanes[i][keep]
+    if idx is None:
+        steps[:] = t
+        return pos, steps, stopped, np.arange(n)
+    states[idx], pos[idx], steps[idx] = s, p, t
+    return pos, steps, stopped, idx
 
 
-def _np_two_point(states, us, vs, max_steps):
-    def at_zero():
-        return (us == 0) | (vs == 0)
+def _np_two_point(states, ends, max_steps):
+    """Each trial stops at the first visit of either of its `ends`, the
+    lanes [us, vs]; a caller that keeps no reference to them lets the
+    engine free each at its first compaction."""
+    def step(lanes, p, down, t):
+        us, vs = lanes
+        hit = p == us
+        hit |= p == vs
+        return hit
 
-    def consume(idx, up, pos, t):
-        return (pos[idx] == us[idx]) | (pos[idx] == vs[idx])
-
-    return _np_run(states, max_steps, at_zero, consume)
+    stop0 = (ends[0] == 0) | (ends[1] == 0)
+    return _np_lockstep(states, ends, stop0, step, max_steps)[:3]
 
 
 def _np_exit_composition(states, chips_a, chips_b, max_steps):
-    n = states.shape[0]
-    m = chips_a.shape[0]
-    idx_state = np.zeros(n, dtype=np.int64)
+    """Each live trial's lane is the index of its chip; a trial that
+    reached an end of its chip moves on to the next chip that holds it,
+    and stops once it has passed the last."""
+    n, m = states.shape[0], chips_a.shape[0]
 
-    def settle(which, pos_vals):
-        cur = idx_state[which]
-        while m > 0:  # an empty composition stops every trial at time zero
-            running = cur < m
-            a = chips_a[np.minimum(cur, m - 1)]
-            b = chips_b[np.minimum(cur, m - 1)]
-            inside = (a < pos_vals) & (pos_vals < b)
-            bump = running & ~inside
+    def settle(cur, p):
+        while True:
+            last = np.minimum(cur, m - 1)
+            bump = (cur < m) & ((p <= chips_a[last]) | (p >= chips_b[last]))
             if not bump.any():
-                break
+                return cur
             cur = cur + bump
-        idx_state[which] = cur
-        return cur >= m
 
-    def at_zero():
-        return settle(np.arange(n), np.zeros(n, dtype=np.int64))
+    def step(lanes, p, down, t):
+        cur = lanes[0]
+        hit = p == chips_a[cur]
+        hit |= p == chips_b[cur]
+        out = np.flatnonzero(hit)
+        if out.size:
+            cur[out] = c = settle(cur[out] + 1, p[out])
+            hit[out] = c >= m
+        return hit
 
-    def consume(idx, up, pos, t):
-        return settle(idx, pos[idx])
-
-    return _np_run(states, max_steps, at_zero, consume)
+    # every trial starts at 0, on the first chip that holds 0; an empty
+    # composition stops every trial there
+    c0 = settle(np.zeros(1, dtype=np.int64), 0)[0] if m else 0
+    return _np_lockstep(states, [np.full(n, c0)], np.full(n, c0 == m), step,
+                        max_steps)[:3]
 
 
 def _np_max_threshold(states, levels, lo, hi, max_steps):
+    """A trial stops once its running maximum reaches the level of its
+    site; a site below `lo` reads the level of `lo`, and a site above `hi`
+    stops at once, so the table gains a last entry below every maximum."""
     n = states.shape[0]
-    mx = np.zeros(n, dtype=np.int64)
+    table = np.append(levels, np.iinfo(np.int64).min)
 
-    def thresh(p):
-        clipped = np.clip(p, lo, hi)
-        th = levels[clipped - lo]
-        return np.where(p > hi, p, th)
+    def step(lanes, p, down, t):
+        mx = lanes[0]
+        np.maximum(mx, p, out=mx)
+        k = p - lo
+        np.clip(k, 0, hi - lo + 1, out=k)
+        return mx >= table[k]
 
-    def at_zero():
-        return mx >= thresh(np.zeros(n, dtype=np.int64))
-
-    def consume(idx, up, pos, t):
-        mx[idx] = np.maximum(mx[idx], pos[idx])
-        return mx[idx] >= thresh(pos[idx])
-
-    return _np_run(states, max_steps, at_zero, consume)
+    stop0 = np.full(n, levels[-lo] <= 0)
+    return _np_lockstep(states, [np.zeros(n, dtype=np.int64)], stop0, step,
+                        max_steps)[:3]
 
 
-def _np_first_passage(states, pos, steps, stopped, target, max_steps):
-    """Walk each trial still running to its first visit of `target`.
+def _np_first_passage(states, pos, steps, stopped, live, goal, max_steps):
+    """Walk each trial in `live` to its first visit of its `goal`.
 
     All such trials have taken the same number of steps t; each loop
     iteration advances them B = min(max(trials, BLOCK) // live,
@@ -240,11 +299,10 @@ def _np_first_passage(states, pos, steps, stopped, target, max_steps):
     up.  Its running sum is p - position, compared with p - goal.
     Updates `pos`, `steps` and `stopped` in place.
     """
-    idx = np.nonzero(~stopped & (steps < max_steps))[0]
-    if idx.size == 0:
+    if live.size == 0 or steps[live[0]] >= max_steps:
         return
-    t = int(steps[idx[0]])
-    s, p, goal = states[idx], pos[idx], target[idx]
+    t, idx = int(steps[live[0]]), live
+    s, p = states[idx], pos[idx]
     cap = max(states.shape[0], BLOCK)
     ramp = np.arange(1, cap + 1, dtype=np.uint64) * np.uint64(GAMMA)
     # z takes the mix, w the shifts and then the running sum: the out of
@@ -287,48 +345,49 @@ def _np_first_passage(states, pos, steps, stopped, target, max_steps):
 def _np_minimal(states, sites, cuts, max_steps):
     """Selection runs in lockstep, first passage in blocks.
 
-    While some live trial has no target, all trials step in lockstep and
-    read up-steps as dyadic digits; this ends by step `MAX_DYADIC_BITS`.
-    Every trial without a target is live and has read t digits, so its
-    dyadic interval is [low, low + 2^-t).  From then on each live trial
-    only waits for the first visit of its target, and `_np_first_passage`
-    walks it there in blocks.
+    While some live trial has no target, the live trials step on
+    `_np_lockstep` with lanes `low`, `target` and `resolved`, and the
+    trials still selecting read up-steps as dyadic digits; this ends by
+    step `MAX_DYADIC_BITS`.  Every trial without a target is live and has
+    read t digits, so its dyadic interval is [low, low + 2^-t).  From then
+    on each live trial only waits for the first visit of its target, and
+    `_np_first_passage` walks it there in blocks from the states,
+    positions and targets the selection left.
     """
     n = states.shape[0]
-    low = np.zeros(n, dtype=np.float64)
-    target = np.zeros(n, dtype=np.int64)
-    resolved = np.zeros(n, dtype=bool)
 
-    def try_resolve(which, t):
-        open_ = which[~resolved[which]]
-        if open_.size == 0:
-            return
+    def resolve(lanes, open_, t):
+        low, target, resolved = lanes
         width = 0.5 ** t
         force = t >= MAX_DYADIC_BITS
-        probe = low[open_] + (width * 0.5 if force else 0.0)
-        j = np.searchsorted(cuts, probe, side="right")
+        base = low[open_]
+        j = np.searchsorted(cuts, base + (width * 0.5 if force else 0.0),
+                            side="right")
         j = np.minimum(j, len(cuts) - 1)
-        ok = force | (low[open_] + width <= cuts[j])
+        ok = force | (base + width <= cuts[j])
         hit = open_[ok]
         resolved[hit] = True
         target[hit] = sites[j[ok]]
 
-    def at_zero():
-        try_resolve(np.arange(n), 0)
-        return resolved & (target == 0)
+    def step(lanes, p, down, t):
+        low, target, resolved = lanes
+        open_ = np.flatnonzero(~resolved)
+        if open_.size:
+            low[open_[down[open_] < 0]] += 0.5 ** t
+            resolve(lanes, open_, t)
+        hit = p == target
+        hit &= resolved
+        return hit
 
-    def consume(idx, up, pos, t):
-        lifted = idx[up & ~resolved[idx]]
-        low[lifted] += 0.5 ** t
-        try_resolve(idx, t)
-        return resolved[idx] & (pos[idx] == target[idx])
-
-    def selected(active):
-        return resolved[active].all()
-
-    pos, steps, stopped = _np_run(states, max_steps, at_zero, consume,
-                                  until=selected)
-    _np_first_passage(states, pos, steps, stopped, target, max_steps)
+    lanes = [np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.int64),
+             np.zeros(n, dtype=bool)]
+    resolve(lanes, np.arange(n), 0)
+    stop0 = lanes[2] & (lanes[1] == 0)
+    pos, steps, stopped, live = _np_lockstep(
+        states, lanes, stop0, step, max_steps, until=lambda lanes: lanes[2].all())
+    goal = lanes[1]
+    del lanes[:]  # free the dyadic intervals before the blocks are made
+    _np_first_passage(states, pos, steps, stopped, live, goal, max_steps)
     return pos, steps, stopped
 
 
@@ -336,35 +395,35 @@ def _np_matrix_head(states, table, half_width, head_steps):
     """Step trials through the first `head_steps` steps of a matrix rule.
 
     `table[n, w + j]` is the stop count a(j, n) of strip site j, |j| <= w.
-    Each trial keeps its rank profile over those sites: every step sums the
-    ranks either side of each site, adds the down-step sibling of an
-    up-step at the previous site less one, stops the trial if its rank is
-    below a(pos, stage) or it left the strip, and takes the stop counts
-    off the rest.  Sites past w are off the strip or out of the head's
-    reach, so their ranks stay 0.
+    Each live trial's lane is its rank profile over those sites: every
+    step sums the ranks either side of each site, adds the down-step
+    sibling of an up-step at the previous site less one, stops the trial
+    if its rank is below a(pos, stage) or it left the strip, and takes the
+    stop counts off the rest.  Sites past w are off the strip or out of
+    the head's reach, so their ranks stay 0.  The states and positions of
+    the trials still live are written back for the exit phase.
     """
     n, width = states.shape[0], table.shape[1]
     w = width // 2
-    rank = np.zeros((n, width), dtype=np.int64)
 
-    def at_zero():
-        return np.full(n, table[0, w] > 0)
-
-    def consume(idx, up, pos, t):
-        p = pos[idx]
-        old = rank[idx]
-        new = np.zeros_like(old)
+    def step(lanes, p, down, t):
+        old = lanes[0]
+        new = np.empty_like(old)
+        new[:, 0] = 0
         new[:, 1:] = old[:, :-1]
         new[:, :-1] += old[:, 1:]
-        sib = np.nonzero(up & (p - 2 >= -w))[0]
+        sib = np.flatnonzero((down < 0) & (p - 2 >= -w))
         new[sib, p[sib] - 2 + w] += 1
         a = table[(t + 1) // 2]
         col = np.clip(p + w, 0, width - 1)
-        hit = (np.abs(p) > half_width) | (new[np.arange(idx.size), col] < a[col])
-        rank[idx] = np.maximum(new - a, 0)
+        hit = (np.abs(p) > half_width) | (new[np.arange(p.size), col] < a[col])
+        new -= a
+        lanes[0] = np.maximum(new, 0, out=new)
         return hit
 
-    return _np_run(states, head_steps, at_zero, consume)
+    stop0 = np.full(n, table[0, w] > 0)
+    return _np_lockstep(states, [np.zeros((n, width), dtype=np.int64)], stop0,
+                        step, head_steps)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +433,9 @@ def _np_matrix_head(states, table, half_width, head_steps):
 def run_two_point(seed, ends, draws, max_steps):
     """Trial i stops at the first visit of either end of `ends[draws[i]]`."""
     states = stream_states(seed, len(draws))
-    us = clamp_sites([u for u, _ in ends])[draws]
-    vs = clamp_sites([v for _, v in ends])[draws]
-    return _np_two_point(states, us, vs, max_steps)
+    return _np_two_point(states, [clamp_sites([u for u, _ in ends])[draws],
+                                  clamp_sites([v for _, v in ends])[draws]],
+                         max_steps)
 
 
 def run_exit_composition(seed, trials, chips, max_steps):
@@ -429,7 +488,7 @@ def run_matrix(seed, trials, matrix, max_steps):
     pos, steps, stopped = (np.concatenate(x) for x in zip(*parts))
     live = np.nonzero(~stopped)[0]
     p = pos[live]
-    q, s, done = _np_two_point(states[live], -bound - p, bound - p,
+    q, s, done = _np_two_point(states[live], [-bound - p, bound - p],
                                max_steps - head_steps)
     pos[live] = p + q
     steps[live] += s

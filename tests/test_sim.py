@@ -260,6 +260,30 @@ class TestBlockSize:
         assert peak < bound
 
 
+class TestLockstepMemory:
+    """The lockstep engine holds compact copies of the live trials only
+    after it has let go of the full-size columns it copied them from."""
+
+    @pytest.mark.parametrize("run", [
+        lambda n: kernels.run_two_point(7, [(-3, 4)],
+                                        np.zeros(n, dtype=np.intp), 10**6),
+        lambda n: kernels.run_exit_composition(
+            7, n, (ChipStep(-1, 2), ChipStep(-3, 0)), 10**6),
+        lambda n: kernels.run_max_threshold(7, n, ((-1, 0), (0, 1), (1, 1)),
+                                            10**6),
+    ], ids=["two-point", "exit-composition", "max-threshold"])
+    def test_peak_at_many_trials(self, run):
+        # about 8 MB each at 100 000 trials; a copy of every column held
+        # next to the full-size arrays passes 12 MB
+        tracemalloc.start()
+        try:
+            run(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
+
+
 class TestFrozenMinimal:
     """`simulate` of minimal rules at the scale of the benchmark, where the
     state-machine replay is too slow to check against; frozen from the
@@ -518,6 +542,56 @@ def chips(draw):
 def threshold_tables(draw):
     lo, hi = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
     return tuple((s, draw(st.integers(-2, 5))) for s in range(lo, hi + 1))
+
+
+@st.composite
+def pair_laws(draw):
+    """Laws over one to four pairs u < 0 <= v; a pair with v = 0 stops its
+    trials at time zero."""
+    pairs = draw(st.lists(st.tuples(st.integers(-5, -1), st.integers(0, 5)),
+                          min_size=1, max_size=4, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in pairs]
+    return RandomizedRule(tuple((u, v, Q(w, sum(weights)))
+                                for (u, v), w in zip(pairs, weights)))
+
+
+class TestLockstepEngine:
+    """`simulate` against `simulate_reference` at small step caps, where
+    the engine's time-zero stops, its in-place steps before the first stop
+    and its write-back of truncated trials all show."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.lists(chips(), max_size=4).map(
+                         lambda c: ExitCompositionRule(tuple(c))),
+                     threshold_tables().map(MaxThresholdRule),
+                     pair_laws()),
+           st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 3, 64]))
+    # every trial stops at time zero
+    @example(ExitCompositionRule(()), 1, 3)
+    @example(MaxThresholdRule(((-1, 2), (0, 0), (1, 1))), 2, 64)
+    @example(RandomizedRule(((-2, 0, Q(1)),)), 3, 1)
+    # no trial stops at time zero
+    @example(ExitCompositionRule((ChipStep(-2, 1), ChipStep(-4, 3))), 4, 64)
+    @example(MaxThresholdRule(((-1, 1), (0, 2), (1, 2), (2, 3))), 5, 64)
+    @example(RandomizedRule(((-1, 3, Q(1, 2)), (-4, 1, Q(1, 2)))), 6, 3)
+    # no trial stops at all before the cap
+    @example(RandomizedRule(((-5, 5, Q(1)),)), 7, 3)
+    def test_kernel_matches_state_machine(self, rule, seed, max_steps):
+        TestBackendParity.assert_same_run(rule, 200, seed, max_steps)
+
+    @pytest.mark.parametrize("run", [
+        lambda m: kernels.run_exit_composition(
+            7, 500, (ChipStep(-3, 2), ChipStep(-5, 4)), m),
+        lambda m: kernels.run_max_threshold(
+            7, 500, ((-2, 1), (-1, 2), (0, 3), (1, 3), (2, 4)), m),
+    ], ids=["exit-composition", "max-threshold"])
+    # no trial stops at step 1, so a one-step run never compacts
+    @pytest.mark.parametrize("max_steps", [1, 16])
+    def test_truncated_steps(self, run, max_steps):
+        _, steps, stopped = run(max_steps)
+        assert stopped.any() == (max_steps > 1) and not stopped.all()
+        assert (steps[~stopped] == max_steps).all()
+        assert (steps[stopped] <= max_steps).all()
 
 
 class TestExactLawOracle:
