@@ -25,15 +25,19 @@ stepped in place.
 The minimal kernel steps in lockstep only while some live trial is still
 reading selector bits (at most `MAX_DYADIC_BITS` steps).  Once every live
 trial has a fixed target, what is left is a first passage to that target,
-often heavy-tailed, and it runs in blocks: each live trial advances
-B = min(max(trials, BLOCK) // live, max_steps - t) steps per iteration, so
-a block never holds more than max(trials, BLOCK) elements, and the floor
-`BLOCK` keeps the blocks long once few trials are live.  splitmix64 is
-counter based, state_j = s + j*GAMMA, so a block's increments are the ones
-lockstep stepping would draw, and the results are bit-identical.  A step
-reads only bit 63 of the finalizer, and its last xor-shift,
-z ^ (z >> 31), leaves bit 63 as it is, so both lockstep steps and blocks
-stop after the second multiply.
+often heavy-tailed, and it runs in packed blocks: each live trial
+advances B = min(8 * (max(trials, BLOCK) // live), max_steps - t) steps
+per iteration.  splitmix64 is counter based, state_j = s + j*GAMMA, so a
+block's increments are the ones lockstep stepping would draw, and the
+results are bit-identical.  A step reads only bit 63 of the finalizer,
+and its last xor-shift, z ^ (z >> 31), leaves bit 63 as it is, so both
+lockstep steps and blocks stop after the second multiply.  A block hashes
+its states in tiles of at most max(trials, BLOCK) elements and keeps only
+the sign bits, eight steps to a byte, so its byte array holds at most
+max(trials, BLOCK) bytes.  It then finds each trial's first visit a byte
+at a time, with 256-entry tables of each byte's displacement, the range
+of positions it visits and the step at which it first visits each:
+a cumsum over bytes in place of one over steps.
 
 The matrix kernel runs a zero-tail path-count matrix rule in two phases.
 Through the head it keeps each live trial's rank profile, the row of
@@ -59,6 +63,8 @@ through `stream_states` before any other array is made.
 
 from __future__ import annotations
 
+import functools
+
 np = None  # numpy, once `_numpy` has run
 
 # read by the benchmark's set-up child (perfbench/run.py)
@@ -75,10 +81,12 @@ MASK = (1 << 64) - 1
 # ambiguity (one part in 2^52) is far below any Monte Carlo resolution
 MAX_DYADIC_BITS = 52
 
-# element floor of a first-passage block.  Each block costs a dozen numpy
-# calls whatever its size; at 5000 trials the floor cuts the blocks of
-# minimal-rule first passages about threefold, and 2^15 would add memory
-# for little more
+# element floor of a first-passage block: its hash tiles hold at most
+# max(trials, BLOCK) states, and its byte array as many bytes, 8 steps
+# each.  A block costs a few dozen numpy calls whatever its size; at 5000
+# trials the floor cuts the blocks of minimal-rule first passages about
+# threefold.  2^15 would add 384 KB of hash tiles, about 1 % of the
+# peak RSS of a 5000-trial `simulate`
 BLOCK = 1 << 14
 
 
@@ -138,14 +146,23 @@ def resolve_backend(requested: str | None = None) -> str:
 
 
 def _np_mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer of each element of `z`, in place, with one
+    scratch buffer of its size."""
+    tmp = np.empty_like(z)
+    for shift, mul in ((30, MIX1), (27, MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mul)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
-def _np_next(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    states = states + np.uint64(GAMMA)
-    return states, _np_mix(states)
+def _np_next(states: np.ndarray) -> np.ndarray:
+    """The first draw of each stream, in place: every state advances by
+    GAMMA and is replaced by its finalizer."""
+    states += np.uint64(GAMMA)
+    return _np_mix(states)
 
 
 def _np_lockstep(states, lanes, stopped, step, max_steps, until=None):
@@ -285,60 +302,175 @@ def _np_max_threshold(states, levels, lo, hi, max_steps):
                         max_steps)[:3]
 
 
-def _np_first_passage(states, pos, steps, stopped, live, goal, max_steps):
-    """Walk each trial in `live` to its first visit of its `goal`.
+@functools.cache
+def _byte_tables():
+    """Tables over the 256 values of a packed byte, whose bit j (least
+    significant first) is 1 when step j + 1 of the byte goes up.
+
+    `table[v]` holds, as int8: the displacement of the byte's eight
+    steps; `lod`, the lowest position they visit less that displacement;
+    and `span`, the highest position less the lowest.  Positions count
+    from the byte's start, after each of its steps.  A +-1 walk visits
+    every integer between its lowest and highest positions, so the byte
+    visits lowest + u exactly when 0 <= u <= span, and `first[v, u]` is
+    then its first step (1..8) there.  Built once, on first use.
+    """
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    walk = np.cumsum(2 * bits - 1, axis=1)
+    lo, hi, disp = walk.min(axis=1), walk.max(axis=1), walk[:, -1]
+    table = np.zeros((256, 4), dtype=np.int8)
+    table[:, 0], table[:, 1], table[:, 2] = disp, lo - disp, hi - lo
+    meet = walk[:, :, None] == lo[:, None, None] + np.arange(8)
+    return table, (meet.argmax(axis=1) + 1).astype(np.int8)
+
+
+def _np_pack_steps(s, nb, bufs):
+    """Signs of steps 1..8*nb of the stream at each state of `s`, packed:
+    bit j of byte i of row r is 1 when step 8i + j + 1 of s[r] goes up.
+
+    The states s + j*GAMMA are hashed in tiles of at most the size of the
+    three uint64 buffers `bufs` (states, finalizer, scratch): each tile
+    spans `cols` steps of as many rows as fit.  The first tile of those
+    rows adds a ramp of GAMMA multiples to their states; each further tile
+    adds cols*GAMMA to the states of the one before, which stay in their
+    own buffer.  The finalizer stops after its second multiply, since
+    z ^ (z >> 31) has the bit 63 of z.
+    """
+    st, z, tmp = bufs
+    n = s.size
+    cols = min(8 * nb, max(8, st.size // n // 8 * 8))
+    rows = st.size // cols
+    ramp = np.arange(1, cols + 1, dtype=np.uint64)
+    ramp *= np.uint64(GAMMA)
+    stride = np.uint64((cols * GAMMA) & MASK)
+    mix1, mix2 = np.uint64(MIX1), np.uint64(MIX2)
+    r30, r27 = np.uint64(30), np.uint64(27)
+    bits = np.empty((n, nb), dtype=np.uint8)
+    for r in range(0, n, rows):
+        sr = s[r:r + rows]
+        x = st[:sr.size * cols].reshape(sr.size, cols)
+        np.add(sr[:, None], ramp, out=x)
+        for c in range(0, 8 * nb, cols):
+            if c:
+                x += stride
+            w = min(cols, 8 * nb - c)
+            k = sr.size * w
+            y = z[:k]
+            y2 = y.reshape(sr.size, w)
+            np.right_shift(x[:, :w], r30, out=y2)
+            np.bitwise_xor(y2, x[:, :w], out=y2)
+            y *= mix1
+            np.right_shift(y, r27, out=tmp[:k])
+            y ^= tmp[:k]
+            y *= mix2
+            up = np.less(y.view(np.int64), 0, out=tmp.view(np.bool_)[:k])
+            bits[r:r + rows, c // 8:(c + w) // 8] = np.packbits(
+                up, bitorder="little").reshape(sr.size, w // 8)
+    return bits
+
+
+def _np_scan(bits, dist, b, bufs):
+    """First visits in a packed block, found a byte at a time.
+
+    Row r starts the block `dist[r]` steps below its goal (above it, if
+    negative) and takes the b steps whose signs `bits` holds, its last
+    byte padded with down-steps.  Returns the rows that visit their goal
+    within the b steps, the step (1..b) of each first visit, and every
+    row's displacement over its 8*nb steps, padding included.
+
+    One cumsum over the bytes' displacements, the rows laid end to end,
+    gives the position at each byte end; each row's distance is shifted
+    by the position at which its own bytes start.  The first byte of a
+    row whose range of positions holds the distance left at its start
+    holds the visit, and `first` names its step.  The work arrays are
+    int32 views of `bufs`: a distance is clipped to 8*nb + 8, beyond which
+    no byte of the block can meet it, so no value exceeds 16*m + 8*nb + 16
+    for m = n*nb bytes, inside int32 for any block under 10^8 bytes.
+    """
+    table, first = _byte_tables()
+    n, nb = bits.shape
+    m = n * nb
+    st, z, tmp = bufs
+    flat = bits.reshape(-1)
+    ix = z.view(np.intp)[:m]
+    ix[:] = flat
+    # one gather per byte of (disp, lod, span), as int8 columns
+    g = np.take(table.view(np.int32)[:, 0], ix, mode="wrap",
+                out=tmp.view(np.int32)[:m]).view(np.int8).reshape(m, 4)
+    c = np.cumsum(g[:, 0], dtype=np.int32, out=z.view(np.int32)[:m])
+    last = c.reshape(n, nb)[:, -1]
+    far = 8 * nb + 8
+    d = np.clip(dist, -far, far).astype(np.int32)
+    d[1:] += last[:-1]
+    end = last.copy()
+    end[1:] -= last[:-1]
+    # u = distance left at a byte's start less the byte's lowest position
+    c += g[:, 1]
+    np.subtract(d[:, None], c.reshape(n, nb), out=c.reshape(n, nb))
+    hit = np.less_equal(c.view(np.uint32), g[:, 2].view(np.uint8),
+                        out=st.view(np.bool_)[:m])
+    h = np.flatnonzero(hit)
+    row = h // nb
+    lead = np.ones(h.size, dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=lead[1:])
+    h, row = h[lead], row[lead]
+    k = 8 * (h - row * nb) + first[flat[h], c[h]]
+    ok = k <= b
+    return row[ok], k[ok], end
+
+
+def _np_first_passage(states, pos, steps, stopped, lanes, max_steps):
+    """Walk each trial of `live` to its first visit of its `goal`, the
+    lanes [live, goal]; the caller's list is emptied, so each is freed at
+    the first compaction.
 
     All such trials have taken the same number of steps t; each loop
-    iteration advances them B = min(max(trials, BLOCK) // live,
-    max_steps - t) steps at once.  Step j of a block uses state
-    s + j*GAMMA, the state lockstep stepping would reach, so stop steps and
-    sites are bit-identical to it.  A block runs in place in two buffers
-    allocated once: the finalizer stops after its second multiply, since
-    z ^ (z >> 31) has the bit 63 of z, and the arithmetic shift z >> 63 of
-    the int64 view, or-ed with 1, is the negated increment, +1 down and -1
-    up.  Its running sum is p - position, compared with p - goal.
-    Updates `pos`, `steps` and `stopped` in place.
+    iteration advances them B = min(8 * (max(trials, BLOCK) // live),
+    max_steps - t) steps at once, a byte of `_np_pack_steps` per 8 steps,
+    and `_np_scan` finds the first visits.  Step j of a block uses state
+    s + j*GAMMA, the state lockstep stepping would reach, so stop steps
+    and sites are bit-identical to it.  A trial is live only while it
+    has not visited its goal, so no block starts on it.  Hashing and scan
+    share three uint64 buffers of max(trials, BLOCK) elements, allocated
+    once.  Updates `pos`, `steps` and `stopped` in place.
     """
-    if live.size == 0 or steps[live[0]] >= max_steps:
+    idx, goal = lanes
+    del lanes[:]
+    if idx.size == 0 or steps[idx[0]] >= max_steps:
         return
-    t, idx = int(steps[live[0]]), live
-    s, p = states[idx], pos[idx]
+    t = int(steps[idx[0]])
+    s, dist = states[idx], goal - pos[idx]
     cap = max(states.shape[0], BLOCK)
-    ramp = np.arange(1, cap + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    # z takes the mix, w the shifts and then the running sum: the out of
-    # cumsum never aliases its input, which numpy 1.24 does not promise
-    # to handle
-    zbuf, wbuf = np.empty(cap, dtype=np.uint64), np.empty(cap, dtype=np.int64)
+    # a tile holds at least one byte of steps
+    bufs = tuple(np.empty(max(8, cap), dtype=np.uint64) for _ in range(3))
     with np.errstate(over="ignore"):
         while idx.size and t < max_steps:
-            b = min(cap // idx.size, max_steps - t)
-            z = zbuf[:idx.size * b].reshape(idx.size, b)
-            w = wbuf[:idx.size * b].reshape(idx.size, b)
-            tmp = w.view(np.uint64)
-            np.add(s[:, None], ramp[:b], out=z)
-            np.right_shift(z, np.uint64(30), out=tmp)
-            z ^= tmp
-            z *= np.uint64(MIX1)
-            np.right_shift(z, np.uint64(27), out=tmp)
-            z ^= tmp
-            z *= np.uint64(MIX2)
-            down = z.view(np.int64)
-            down >>= 63
-            down |= 1
-            np.cumsum(down, axis=1, out=w)
-            hit = w == (p - goal)[:, None]
-            first = hit.argmax(axis=1)
-            done = hit[np.arange(idx.size), first]
-            just = idx[done]
-            pos[just] = goal[done]
-            steps[just] = t + 1 + first[done]
-            stopped[just] = True
-            left = ~done
-            idx, goal = idx[left], goal[left]
-            s = s[left] + ramp[b - 1]
-            p = p[left] - w[left, -1]
+            n = idx.size
+            b = min(8 * (cap // n), max_steps - t)
+            nb = (b + 7) // 8
+            bits = _np_pack_steps(s, nb, bufs)
+            if b % 8:  # the pad of the last byte walks down
+                bits[:, -1] &= np.uint8((1 << (b % 8)) - 1)
+            row, k, end = _np_scan(bits, dist, b, bufs)
+            if row.size:
+                just = idx[row]
+                pos[just] = goal[row]
+                steps[just] = t + k
+                stopped[just] = True
+                keep = np.ones(n, dtype=bool)
+                keep[row] = False
+                keep = np.flatnonzero(keep)
+                # one lane at a time, each old one freed before the next
+                idx = idx[keep]
+                goal = goal[keep]
+                s = s[keep]
+                dist = dist[keep]
+                end = end[keep]
+            s += np.uint64((b * GAMMA) & MASK)
+            dist -= end
+            dist -= 8 * nb - b
             t += b
-    pos[idx] = p
+    pos[idx] = goal - dist
     steps[idx] = max_steps
 
 
@@ -385,9 +517,9 @@ def _np_minimal(states, sites, cuts, max_steps):
     stop0 = lanes[2] & (lanes[1] == 0)
     pos, steps, stopped, live = _np_lockstep(
         states, lanes, stop0, step, max_steps, until=lambda lanes: lanes[2].all())
-    goal = lanes[1]
-    del lanes[:]  # free the dyadic intervals before the blocks are made
-    _np_first_passage(states, pos, steps, stopped, live, goal, max_steps)
+    lanes[:] = live, lanes[1]  # free the dyadic intervals
+    del live
+    _np_first_passage(states, pos, steps, stopped, lanes, max_steps)
     return pos, steps, stopped
 
 

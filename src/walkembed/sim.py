@@ -57,9 +57,9 @@ MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
 # stage 579.  No exact-law of the certify benchmark
 # takes 17 000 key-steps
 MAX_KEY_STEPS = 1_000_000
-# trial cap of `simulate`: a run peaks at about 130 bytes per trial (the
-# minimal kernel's first-passage blocks, measured with tracemalloc at 100k
-# trials), so 10^7 trials stay near 1.3 GB
+# trial cap of `simulate`: a run peaks at about 100 bytes per trial (99 in
+# the minimal kernel's selection, 52-85 in the other kernels, measured with
+# tracemalloc at 100k trials), so 10^7 trials stay near 1 GB
 MAX_TRIALS = 10**7
 # work cap of the matrix rules `simulate` leaves to the state machine: a
 # `MatrixRuleState` step updates the 2N + 3 sites of its strip, 0.8-1 us
@@ -135,8 +135,7 @@ def sample_pairs(rule, trials: int, seed: int) -> np.ndarray:
     if len(law) == 1:
         return np.zeros(trials, dtype=np.intp)
     cum = np.cumsum([float(w) for _, _, w in law])
-    states = kernels.stream_states(seed ^ 0x5DEECE66D, trials)
-    _, z = kernels._np_next(states)
+    z = kernels._np_next(kernels.stream_states(seed ^ 0x5DEECE66D, trials))
     x = z.astype(np.float64) / 2.0**64
     return np.minimum(np.searchsorted(cum, x, side="right"), len(cum) - 1)
 

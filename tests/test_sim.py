@@ -4,7 +4,7 @@ import json
 import time
 import tracemalloc
 from fractions import Fraction as Q
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -217,17 +217,19 @@ class TestBlockSize:
     """The first-passage block size changes no stop site, step or
     truncation."""
 
-    # one trial that stops at step 16 748, past the first block of BLOCK
-    # steps, and one cut at max_steps; more trials than BLOCK; a prime
-    # max_steps, so the last block is cut short; an atom no block reaches
+    # one trial that stops at step 16 748, many blocks in at the small
+    # BLOCK values, and one cut at max_steps; more trials than BLOCK; a prime
+    # max_steps, so the last block is cut short; an atom no block reaches;
+    # a last byte of 3 steps, whose padding would reach the goal
     @pytest.mark.parametrize("mu, trials, max_steps, seed", [
         (measure({-40: Q(1)}), 1, 20_000, 9),
         (measure({-40: Q(1)}), 1, 20_000, 11),
         (measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}), 20_000, 300, 11),
         (measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}), 1_000, 4_099, 11),
         (measure({-1: Q(1, 2), 50_000: Q(1, 2)}), 50, 20_000, 11),
+        (measure({-4: Q(1)}), 1, 43, 0),
     ], ids=["one-trial-stop", "one-trial-cut", "many-trials", "ragged-end",
-            "far-atom"])
+            "far-atom", "pad-stop"])
     def test_same_result_for_any_block(self, monkeypatch, mu, trials,
                                        max_steps, seed):
         cert = minimal_certificate(mu)
@@ -237,10 +239,24 @@ class TestBlockSize:
                                        cert.cut_points, max_steps)
 
         want = run()
-        for block in (1, 2, 7):
+        for block in (1, 2, 7, 8, 9, 64):
             monkeypatch.setattr(kernels, "BLOCK", block)
             for a, b in zip(run(), want):
                 assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 8, 9, 64, kernels.BLOCK])
+    def test_visit_on_the_padding_is_dropped(self, monkeypatch, block):
+        # trial 0 of seed 0 stays above -4 for 43 steps and ends at -1.
+        # Every block spans a multiple of 8 steps, so step 43 is bit 2 of
+        # a byte, and 3 of the 5 down-steps padding that byte reach -4
+        path = scalar_walk(0, 43)
+        assert (min(path), path[-1]) == (-3, -1)
+        cert = minimal_certificate(measure({-4: Q(1)}))
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        pos, steps, stopped = kernels.run_minimal(0, 1, cert.sites,
+                                                  cert.cut_points, 43)
+        assert (pos.tolist(), steps.tolist(), stopped.tolist()) == (
+            [-1], [43], [False])
 
     @pytest.mark.parametrize("trials, max_steps, bound", [
         (1, 10**5, 1 << 20),
@@ -258,6 +274,76 @@ class TestBlockSize:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize("atoms", [
+        {-1: Q(1, 2), 3: Q(1, 2)},
+        {0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)},
+    ], ids=["off-center", "5/16"])
+    def test_peak_per_trial(self, atoms):
+        # about 99 bytes per trial at 100 000 trials, in the selection;
+        # the first passage stays below it
+        cert = minimal_certificate(measure(atoms))
+        tracemalloc.start()
+        try:
+            kernels.run_minimal(7, 100_000, cert.sites, cert.cut_points,
+                                2_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
+
+def scalar_walk(seed, steps):
+    """Positions after steps 1..`steps` of trial 0 of `seed`, drawn with
+    the scalar `mix64`."""
+    state, p, path = kernels.mix64(seed), 0, []
+    for j in range(1, steps + 1):
+        p += 1 if kernels.mix64(state + j * kernels.GAMMA) >> 63 else -1
+        path.append(p)
+    return path
+
+
+@st.composite
+def small_measures(draw):
+    sites = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4,
+                          unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in sites]
+    return measure({s: Q(w, sum(weights)) for s, w in zip(sites, weights)})
+
+
+class TestPackedScan:
+    """The byte tables of the packed first passage, and the kernel against
+    the state machine at any block size."""
+
+    def test_tables_match_enumeration(self):
+        table, first = kernels._byte_tables()
+        assert table.shape == (256, 4) and first.shape == (256, 8)
+        for v in range(256):
+            walk = list(accumulate(1 if v >> j & 1 else -1 for j in range(8)))
+            disp, lod, span = (int(x) for x in table[v, :3])
+            assert disp == walk[-1]
+            lo = lod + disp
+            assert (lo, lo + span) == (min(walk), max(walk))
+            for d in range(-16, 17):
+                u = d - lo
+                visits = 0 <= u <= span
+                assert visits == (d in walk)
+                if visits:
+                    assert first[v, u] == walk.index(d) + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=small_measures(), block=st.integers(1, 80),
+           seed=st.integers(0, 2**64 - 1),
+           max_steps=st.sampled_from([0, 1, 9, 43, 300]))
+    def test_minimal_matches_state_machine(self, mu, block, seed,
+                                           max_steps):
+        saved = kernels.BLOCK
+        kernels.BLOCK = block
+        try:
+            TestBackendParity.assert_same_run(
+                MinimalRule(minimal_certificate(mu)), 60, seed, max_steps)
+        finally:
+            kernels.BLOCK = saved
 
 
 class TestLockstepMemory:
