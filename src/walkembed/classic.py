@@ -110,6 +110,10 @@ def chip_apply(u: PotentialFunction, step: ChipStep) -> PotentialFunction:
     return PotentialFunction(lo, hi, u.mean, tuple(vals))
 
 
+#: distinct states `chw_search` may visit before it answers UNKNOWN
+MAX_STATES = 200_000
+
+
 class ChwStatus(Enum):
     MEMBER = "member"
     NON_MEMBER_UP_TO_DEPTH = "nonMemberUpToDepth"
@@ -221,8 +225,7 @@ def _tangent_tail(state: State, target: State,
         m += 1
 
 
-def chw_search(mu: IntegerMeasure, max_depth: int,
-               max_states: int = 200_000) -> ChwResult:
+def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     """Breadth-first search for a chip sequence embedding `mu`.
 
     States are exact potential vectors on the support hull, reachable from
@@ -249,7 +252,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
     yields NON_MEMBER_UP_TO_DEPTH, never an unconditional non-membership.
-    UNKNOWN is returned only when the state budget is exceeded.
+    UNKNOWN is returned only when more than `MAX_STATES` states are seen.
     `states_searched` counts the distinct states visited, start included.
     """
     if not mu.is_centered():
@@ -303,7 +306,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int,
                     if tail is not None:
                         note(new_path + tuple(tail))
                     nxt[new] = new_path
-                    if len(seen) > max_states:
+                    if len(seen) > MAX_STATES:
                         if best is not None:
                             return ChwResult(ChwStatus.MEMBER, best, depth,
                                              len(seen))
@@ -360,8 +363,8 @@ def hall_rule(mu: IntegerMeasure) -> RandomizedRule:
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
     m = sum((k * w for k, w in mu.atoms.items() if k > 0), Q(0))
-    if m == 0:
-        raise MeasureError("degenerate measure: all mass at 0")
+    if m == 0:  # all mass at 0: the pair (-1, 0) stops at time 0
+        return RandomizedRule(((-1, 0, Q(1)),))
     pairs = []
     for u, wu in mu.atoms.items():
         if u >= 0:

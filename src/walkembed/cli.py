@@ -16,8 +16,10 @@ Measures are JSON objects {"atoms": {"-2": "11/32", ...}}; rationals are
 the embed subcommand.
 
 Exit status: 0 on success, 2 on invalid input, 3 when the answer is an
-honest "unknown"/"undecided" rather than a verdict, or when a budget
-(such as the `MAX_HULL_SITES` sites a table may span) stops the command.
+honest "unknown"/"undecided" rather than a verdict.  A command that a
+stated budget stops exits 3 with {"budget": NAME, "reason": TEXT}, where
+NAME is the module constant that ran out (such as "MAX_HULL_SITES", the
+sites a table may span).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .matrices import (
     search_matrix,
     verify_matrix,
 )
-from .measures import HullBudgetExceeded, IntegerMeasure, barycenter, potential
-from .rational import DigitBudgetExceeded, format_rational, parse_rational
+from .measures import IntegerMeasure, barycenter, potential
+from .rational import BudgetExceeded, format_rational, parse_rational
 from .rules import (
     ExitCompositionRule,
     MaxThresholdRule,
@@ -55,12 +57,10 @@ from .sim import (
     DEFAULT_MAX_STAGE,
     MAX_KEY_STEPS,
     MAX_STAGE,
-    SiteStepBudgetExceeded,
     exact_law,
     simulate,
 )
 from .uiset import (
-    CoverBudgetExceeded,
     classify_triple,
     classify_weight,
     ifs_approximate,
@@ -185,11 +185,7 @@ def cmd_set(args) -> int:
         verdict = ifs_membership(parse_rational(args.point), depth=args.depth)
         _emit({"point": args.point, "verdict": verdict})
         return UNDECIDED if verdict == "undecidedAtDepth" else OK
-    try:
-        cover = ifs_approximate(weight_set_system(), depth=args.depth)
-    except CoverBudgetExceeded as exc:
-        _emit({"depth": args.depth, "reason": str(exc)})
-        return UNDECIDED
+    cover = ifs_approximate(weight_set_system(), depth=args.depth)
     _emit({
         "depth": args.depth,
         "measure": format_rational(cover.measure()),
@@ -310,13 +306,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(_join_negative_rationals(argv))
     try:
         return args.fn(args)
-    except DigitBudgetExceeded as exc:  # `classify`: undecided, not invalid
-        _emit({"member": "unknown", "reason": str(exc)})
-        return UNDECIDED
-    except HullBudgetExceeded as exc:  # too wide to tabulate, not invalid
-        _emit({"reason": str(exc)})
-        return UNDECIDED
-    except SiteStepBudgetExceeded as exc:  # too long to step, not invalid
+    except BudgetExceeded as exc:  # a stated budget ran out, not invalid
         _emit({"budget": exc.budget, "reason": str(exc)})
         return UNDECIDED
     except (CountViolation, ValueError, KeyError, OSError) as exc:

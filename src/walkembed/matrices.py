@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .measures import IntegerMeasure, MeasureError, check_hull
-from .rational import Q, parse_int
+from .rational import BudgetExceeded, Q, parse_int
 
 
 @dataclass(frozen=True)
@@ -165,15 +165,17 @@ class StoppingMatrix:
 #: is charged 3 dim^3 per stage of the period: a Fraction step of period 1
 #: costs about three site updates, and its entries grow with the period.
 MAX_SITE_STAGES = 2_000_000
+#: Stages `verify_matrix` scans a doubling or periodic tail for the regime
+#: that confirms it before it calls the check inconclusive.
+MAX_SCAN = 512
 
 
-class WorkBudgetExceeded(ArithmeticError):
-    """A matrix check would spend more than MAX_SITE_STAGES site-stages."""
-
-    def __init__(self, half_width: int):
-        super().__init__(
-            f"past the work budget MAX_SITE_STAGES = {MAX_SITE_STAGES} "
-            f"site-stages on a strip of {2 * half_width + 3} sites")
+def _over_budget(half_width: int) -> BudgetExceeded:
+    """A matrix check that would spend more than MAX_SITE_STAGES."""
+    return BudgetExceeded(
+        "MAX_SITE_STAGES",
+        f"past the work budget MAX_SITE_STAGES = {MAX_SITE_STAGES} "
+        f"site-stages on a strip of {2 * half_width + 3} sites")
 
 
 def _affordable_stages(half_width: int, reserved: int = 0) -> int:
@@ -307,8 +309,7 @@ class VerifyResult:
         return self.status == "valid"
 
 
-def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
-                  max_scan: int = 512) -> VerifyResult:
+def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
     """Check that `matrix` encodes an adapted rule embedding `mu`.
 
     Recomputes the arrival counts, checks a[i][n] <= k[i][n] at every stage
@@ -325,7 +326,9 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
     off integer runs of the count engine: one period from the dominating
     counts and one from each unit increase of them.
 
-    Inconclusive when the check would pass `MAX_SITE_STAGES`.
+    Inconclusive when the check would pass `MAX_SITE_STAGES`, or a strip
+    of `measures.MAX_HULL_SITES` sites, or finds no stabilization within
+    `MAX_SCAN` stages.
     """
     N = matrix.half_width
     bound = N + 1
@@ -342,15 +345,15 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure,
         if mode == "zero":
             masses, _, n = count_scan(matrix, matrix.head_length)
             if n < matrix.head_length:
-                raise WorkBudgetExceeded(N)
+                raise _over_budget(N)
         elif mode == "doubling":
-            masses = _doubling_masses(matrix, max_scan)
+            masses = _doubling_masses(matrix)
         else:
-            masses = _periodic_masses(matrix, max_scan)
+            masses = _periodic_masses(matrix)
     except CountViolation as v:
         return VerifyResult("violation", site=v.site, stage=v.stage,
                             detail=str(v))
-    except WorkBudgetExceeded as exc:
+    except BudgetExceeded as exc:
         return VerifyResult("inconclusive", detail=str(exc))
     if masses is None:
         return VerifyResult("inconclusive", detail={
@@ -387,11 +390,10 @@ def exact_law_matrix(matrix: StoppingMatrix, max_stage: int
     return law, residual, n
 
 
-def _doubling_masses(matrix: StoppingMatrix, max_scan: int
-                     ) -> dict[int, Fraction] | None:
+def _doubling_masses(matrix: StoppingMatrix) -> dict[int, Fraction] | None:
     """Boundary masses of a doubling-tail matrix, or None when the counts
-    do not start doubling within `max_scan` stages."""
-    scan = min(max_scan, _affordable_stages(matrix.half_width))
+    do not start doubling within `MAX_SCAN` stages."""
+    scan = min(MAX_SCAN, _affordable_stages(matrix.half_width))
     engine = CountEngine(matrix.half_width, matrix.entry)
     prev = None
     for _ in range(scan):
@@ -404,8 +406,8 @@ def _doubling_masses(matrix: StoppingMatrix, max_scan: int
             return {b: Q(num + last[b], 4**engine.n)
                     for b, num in engine.absorbed.items()}
         prev = cur if engine.n > matrix.head_length else None
-    if scan < max_scan:
-        raise WorkBudgetExceeded(matrix.half_width)
+    if scan < MAX_SCAN:
+        raise _over_budget(matrix.half_width)
     return None
 
 
@@ -413,10 +415,9 @@ def _is_double(prev, cur) -> bool:
     return all(cur[p][i] == 2 * prev[p][i] for p in (0, 1) for i in cur[p])
 
 
-def _periodic_masses(matrix: StoppingMatrix, max_scan: int
-                     ) -> dict[int, Fraction] | None:
+def _periodic_masses(matrix: StoppingMatrix) -> dict[int, Fraction] | None:
     """Boundary masses of a periodic-tail matrix, or None when no
-    phase-aligned domination shows up within `max_scan` stages.
+    phase-aligned domination shows up within `MAX_SCAN` stages.
 
     From the dominating stage on, the recursion is affine in the interior
     even counts k: one period maps k to A k + v and absorbs t.k + s at each
@@ -434,7 +435,7 @@ def _periodic_masses(matrix: StoppingMatrix, max_scan: int
 
     # advance into the aligned periodic regime, hunting for domination
     engine = CountEngine(N, matrix.entry)
-    scan = min(max_scan, _affordable_stages(N))
+    scan = min(MAX_SCAN, _affordable_stages(N))
     snapshots: dict[int, dict[int, int]] = {}
     for _ in range(scan):
         engine.advance()
@@ -446,15 +447,15 @@ def _periodic_masses(matrix: StoppingMatrix, max_scan: int
                 break
             snapshots[cycle] = engine.k_even
     else:
-        if scan < max_scan:
-            raise WorkBudgetExceeded(N)
+        if scan < MAX_SCAN:
+            raise _over_budget(N)
         return None
 
     start, k0 = engine.n, engine.k_even
     interior = [i for i in engine.even_sites if abs(i) <= N]
     dim = len(interior)
     if _affordable_stages(N, 3 * dim**3 * period) < start + (dim + 1) * period:
-        raise WorkBudgetExceeded(N)
+        raise _over_budget(N)
 
     def one_period(k: dict[int, int]) -> tuple[list[int], dict[int, int]]:
         run = CountEngine(N, matrix.entry)
@@ -508,6 +509,10 @@ def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
 # Search
 
 
+#: Nodes `search_matrix` may visit before it answers "unknown"
+NODE_BUDGET = 50_000
+
+
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "member" | "unknown"
@@ -543,15 +548,14 @@ def _head_row(stops: tuple[int, ...]) -> MatrixRow:
     return MatrixRow(stops[:max(n + 1 for n, a in enumerate(stops) if a)])
 
 
-def search_matrix(mu: IntegerMeasure, max_stage: int,
-                  node_budget: int = 50_000) -> SearchResult:
+def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     """Greedy stage-by-stage construction with backtracking.
 
     At each stage every interior site stops as many paths as both the
     arrival count and the remaining base-4 budget of its atom allow; on a
     dead end the latest choice is decremented.  Sound but deliberately
     incomplete: success is certified (the result verifies), failure within
-    the stage and node budgets only yields "unknown".
+    `max_stage` stages and `NODE_BUDGET` nodes only yields "unknown".
 
     The state at stage n is integer: the even survivor counts, each
     interior atom's remaining budget and each boundary atom's deficit, the
@@ -594,7 +598,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     def recurse(stage, k_even, rem, lo, hi, path):
         nonlocal nodes, capped
         nodes += 1
-        if nodes > node_budget or stage > max_stage:
+        if nodes > NODE_BUDGET or stage > max_stage:
             return None
 
         # phase 1: odd arrivals (none at stage 0); an odd boundary absorbs now
@@ -628,7 +632,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
                          for i, r in zip(even_interior, even_rem)]
             for even_choice in _site_choices(even_caps):
                 nodes += 1
-                if nodes > node_budget:
+                if nodes > NODE_BUDGET:
                     return None
                 taken[even_slots] = even_choice
                 rem2 = [r - a * d for r, a in zip(rem, taken)]
@@ -658,6 +662,6 @@ def search_matrix(mu: IntegerMeasure, max_stage: int,
     found = recurse(0, {}, budgets, *deficits, ())
     if found is not None:
         return SearchResult("member", found, nodes=nodes)
-    budget = ("nodeBudget" if nodes > node_budget
+    budget = ("nodeBudget" if nodes > NODE_BUDGET
               else "maxStage" if capped else None)
     return SearchResult("unknown", budget=budget, nodes=nodes)

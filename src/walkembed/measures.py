@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import Q, format_rational, parse_rational
+from .rational import BudgetExceeded, Q, format_rational, parse_rational
 
 
 class MeasureError(ValueError):
@@ -24,15 +24,12 @@ class MeasureError(ValueError):
 MAX_HULL_SITES = 2**16
 
 
-class HullBudgetExceeded(ArithmeticError):
-    """A table would span more than MAX_HULL_SITES sites."""
-
-
 def check_hull(lo: int, hi: int) -> None:
-    """Raise HullBudgetExceeded if [lo, hi] has more than MAX_HULL_SITES
+    """Raise BudgetExceeded if [lo, hi] has more than MAX_HULL_SITES
     sites."""
     if hi - lo + 1 > MAX_HULL_SITES:
-        raise HullBudgetExceeded(
+        raise BudgetExceeded(
+            "MAX_HULL_SITES",
             f"the hull [{lo}, {hi}] has {hi - lo + 1} sites, more than "
             f"MAX_HULL_SITES = {MAX_HULL_SITES}")
 

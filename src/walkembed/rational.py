@@ -59,8 +59,13 @@ class Base4Expansion:
 DIGIT_BUDGET = 4096
 
 
-class DigitBudgetExceeded(ArithmeticError):
-    """A base-4 expansion needs more than DIGIT_BUDGET digits."""
+class BudgetExceeded(ArithmeticError):
+    """A computation would pass a stated budget; no verdict was refuted.
+    `budget` names the module constant that ran out, e.g. "DIGIT_BUDGET"."""
+
+    def __init__(self, budget: str, message: str):
+        super().__init__(message)
+        self.budget = budget
 
 
 def to_base4(x: Q) -> Base4Expansion:
@@ -70,7 +75,7 @@ def to_base4(x: Q) -> Base4Expansion:
     ceil(v/2) digits before its period and a period as long as the order of
     4 modulo m (none when m = 1).  Both lengths are found first, within
     DIGIT_BUDGET digits, and the digits are then written by long division.
-    Raises DigitBudgetExceeded when they need more.
+    Raises BudgetExceeded when they need more.
     """
     x = Q(x)
     if x < 0 or x > 1:
@@ -87,8 +92,8 @@ def to_base4(x: Q) -> Base4Expansion:
         while power != 1 and pre + span <= DIGIT_BUDGET:
             span, power = span + 1, 4 * power % odd
     if pre + span > DIGIT_BUDGET:
-        raise DigitBudgetExceeded(
-            f"base-4 expansion needs more than DIGIT_BUDGET = {DIGIT_BUDGET} digits")
+        raise BudgetExceeded("DIGIT_BUDGET", f"base-4 expansion needs more "
+                             f"than DIGIT_BUDGET = {DIGIT_BUDGET} digits")
     digits: list[int] = []
     rem = num
     for _ in range(pre + span):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from . import kernels
 from .classic import MinimalCertificate, RandomizedRule
 from .matrices import count_scan, exact_law_matrix
-from .rational import Q, format_rational
+from .rational import BudgetExceeded, Q, format_rational
 from .rules import (
     ExitCompositionRule,
     MaxThresholdRule,
@@ -67,17 +67,6 @@ MAX_TRIALS = 10**7
 # certificates take 3.6 and 1.7 * 10^6 site-steps; the cap ends a doubling
 # row on an N = 30 strip in about 8 s
 MAX_SITE_STEPS = 10**7
-
-
-class SiteStepBudgetExceeded(ArithmeticError):
-    """A state-machine run would take more than its site-step budget."""
-
-    budget = "MAX_SITE_STEPS"
-
-    def __init__(self, limit: int, sites: int):
-        super().__init__(
-            f"past the work budget of {limit} site-steps "
-            f"({sites} sites a step)")
 
 
 @dataclass(frozen=True)
@@ -187,7 +176,7 @@ def simulate_reference(rule, trials: int, seed: int,
     A pair rule or pair law first draws its pairs with `sample_pairs`,
     then each trial steps the pair rule it drew, with the exact ends of
     the joint law.  Every kernel of `simulate` must reproduce this replay
-    exactly.  With `max_site_steps`, it raises `SiteStepBudgetExceeded`
+    exactly.  With `max_site_steps`, it raises `BudgetExceeded`
     rather than let all trials together spend more site-steps: a step
     counts the sites it updates, the 2N + 3 of a matrix rule's strip and
     one for other rules.
@@ -216,7 +205,9 @@ def simulate_reference(rule, trials: int, seed: int,
             state.step(eps)
             t += 1
         if not state.stopped and t < max_steps:
-            raise SiteStepBudgetExceeded(max_site_steps, sites)
+            raise BudgetExceeded(
+                "MAX_SITE_STEPS", f"past the work budget of {max_site_steps} "
+                f"site-steps ({sites} sites a step)")
         left -= t
         pos[i] = state.position
         steps[i] = t

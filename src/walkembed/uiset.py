@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .measures import MeasureError
-from .rational import Base4Expansion, Q, digit_half_weight, to_base4
+from .rational import Base4Expansion, BudgetExceeded, Q, digit_half_weight, to_base4
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +243,6 @@ def weight_set_system() -> IfsSystem:
     )
 
 
-class CoverBudgetExceeded(ArithmeticError):
-    """A contraction-system cover needs more than MAX_COVER_INTERVALS
-    intervals."""
-
-
 #: Intervals a cover may hold after any level's merge.  The depth-16 cover
 #: of `weight_set_system` has 32 769 intervals and depth 17 would have
 #: 65 537: the count doubles at each level.
@@ -266,7 +261,7 @@ def ifs_approximate(system: IfsSystem, depth: int) -> IntervalUnion:
     shift n -> n + off * D, so a level is one shifted copy of the pairs per
     offset plus the condensation pairs scaled to D, one sort and a linear
     merge.
-    Raises CoverBudgetExceeded when a level's merged cover holds more than
+    Raises BudgetExceeded when a level's merged cover holds more than
     MAX_COVER_INTERVALS intervals.
     """
     if depth < 0:
@@ -294,7 +289,8 @@ def ifs_approximate(system: IfsSystem, depth: int) -> IntervalUnion:
                 hi = b
         pairs.append((lo, hi))
         if len(pairs) > MAX_COVER_INTERVALS:
-            raise CoverBudgetExceeded(
+            raise BudgetExceeded(
+                "MAX_COVER_INTERVALS",
                 f"the depth-{level} cover has {len(pairs)} intervals, more "
                 f"than MAX_COVER_INTERVALS = {MAX_COVER_INTERVALS}")
     return IntervalUnion.from_numerators(pairs, den)

@@ -10,6 +10,8 @@ package because no command runs it:
 - `weight_set_system_alt` is a second contraction system with the same
   covers as `weight_set_system`;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
+- `replay_trials` steps a rule's state machine once per trial, for the
+  kernels' per-trial outputs to match;
 - `frequency` and `tv_distance` compare a simulation report with a target.
 """
 
@@ -17,6 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import numpy as np
+
+from walkembed.classic import RandomizedRule
+from walkembed.kernels import GAMMA, MASK, STREAM, mix64
 from walkembed.matrices import StoppingMatrix
 from walkembed.measures import (
     IntegerMeasure,
@@ -24,8 +30,13 @@ from walkembed.measures import (
     PotentialFunction,
 )
 from walkembed.rational import Base4Expansion
-from walkembed.rules import MatrixRuleState, PrefixError, WalkPath
-from walkembed.sim import SimReport
+from walkembed.rules import (
+    MatrixRuleState,
+    PrefixError,
+    RandomizedPairRule,
+    WalkPath,
+)
+from walkembed.sim import SimReport, sample_pairs
 from walkembed.uiset import IfsSystem, IntervalUnion
 
 
@@ -111,6 +122,28 @@ def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:
         if state.stopped:
             raise PrefixError(f"rule stops after {i + 1} steps")
     return state.smaller.get(state.position, 0)
+
+
+def replay_trials(rule, trials: int, seed: int, max_steps: int):
+    """(pos, steps, stopped) arrays of `rule.new_state()` stepped on the
+    splitmix64 stream of each trial, as `simulate` seeds it, for at most
+    `max_steps` steps.  A pair law first draws each trial's pair with
+    `sample_pairs`.  A trial cut at `max_steps` reports where it stands."""
+    if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
+        pairs = [RandomizedPairRule(u, v) for u, v, _ in rule.joint_law]
+        per_trial = [pairs[j] for j in sample_pairs(rule, trials, seed)]
+    else:
+        per_trial = [rule] * trials
+    out = np.zeros((3, trials), dtype=np.int64)
+    for i, trial_rule in enumerate(per_trial):
+        s = mix64((seed + i * STREAM) & MASK)
+        state, t = trial_rule.new_state(), 0
+        while not state.stopped and t < max_steps:
+            s = (s + GAMMA) & MASK
+            state.step(1 if mix64(s) >> 63 else -1)
+            t += 1
+        out[:, i] = state.position, t, state.stopped
+    return out[0], out[1], out[2].astype(bool)
 
 
 def frequency(report: SimReport, site: int) -> Q:

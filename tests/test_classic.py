@@ -21,6 +21,7 @@ from walkembed import (
     potential,
     replay_chips,
 )
+from walkembed import classic
 from walkembed.classic import ChwResult, _chord, _to_state
 from reference import measure_from_potential
 
@@ -207,16 +208,18 @@ class TestSearchResults:
         assert res.depth_searched == searched
         assert res.states_searched == states
 
-    def test_state_budget_without_witness(self):
-        res = chw_search(MU_516, max_depth=8, max_states=3)
+    def test_state_budget_without_witness(self, monkeypatch):
+        monkeypatch.setattr(classic, "MAX_STATES", 3)
+        res = chw_search(MU_516, max_depth=8)
         assert res.status is ChwStatus.UNKNOWN
         assert res.steps == ()
         assert (res.depth_searched, res.states_searched) == (1, 4)
 
-    def test_state_budget_with_tangent_witness(self):
+    def test_state_budget_with_tangent_witness(self, monkeypatch):
         # the start state's tangent completion is in hand when the budget
         # runs out: it is returned although BFS would find a shorter one
-        res = chw_search(MU_29, max_depth=4, max_states=1)
+        monkeypatch.setattr(classic, "MAX_STATES", 1)
+        res = chw_search(MU_29, max_depth=4)
         assert res.status is ChwStatus.MEMBER
         assert len(res.steps) == 3
         assert measure_from_potential(replay_chips(res.steps)) == MU_29
@@ -302,13 +305,17 @@ class TestSearchEquivalence:
     @given(centered_measures(), st.integers(1, 4),
            st.sampled_from([1, 5, 40, 300]))
     def test_matches_reference(self, mu, depth, max_states):
-        got = chw_search(mu, max_depth=depth, max_states=max_states)
+        # hypothesis reruns the body, so the budget is set per example
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classic, "MAX_STATES", max_states)
+            got = chw_search(mu, max_depth=depth)
         assert got == reference_chw_search(mu, depth, max_states)
 
     @pytest.mark.parametrize("mu", [MU_29, MU_516, FIVE_ATOM],
                              ids=["2/9", "5/16", "five-atom"])
-    def test_named_targets_match_reference(self, mu):
-        assert chw_search(mu, 3, 2000) == reference_chw_search(mu, 3, 2000)
+    def test_named_targets_match_reference(self, monkeypatch, mu):
+        monkeypatch.setattr(classic, "MAX_STATES", 2000)
+        assert chw_search(mu, 3) == reference_chw_search(mu, 3, 2000)
 
 
 class TestHall:

@@ -1,7 +1,6 @@
 """CLI subcommands, exit codes, and JSON shapes."""
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -18,11 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkembed
-from walkembed import cli
-from walkembed import sim
-from walkembed.classic import chw_search
+from walkembed import classic, cli, matrices, sim
 from walkembed.cli import main
-from walkembed.matrices import search_matrix
 
 MU_516_JSON = '{"atoms": {"0": "5/16", "-2": "11/32", "2": "11/32"}}'
 MU_29_JSON = '{"atoms": {"-3": "2/9", "0": "4/9", "2": "1/3"}}'
@@ -84,8 +80,8 @@ class TestClassify:
         code, out = run(capsys, argv)
         assert time.perf_counter() - t0 < 5.0
         assert code == 3
-        assert out["member"] == "unknown"
-        assert "DIGIT_BUDGET = 4096" in out["reason"]
+        assert out == {"budget": "DIGIT_BUDGET", "reason": "base-4 expansion "
+                       "needs more than DIGIT_BUDGET = 4096 digits"}
 
     def test_parser_built_once(self, capsys, monkeypatch):
         build, calls = cli.build_parser, []
@@ -135,8 +131,7 @@ class TestEmbed:
         assert code == 3
         assert out == {"member": False, "depthSearched": 3,
                        "statesSearched": 10}
-        monkeypatch.setattr(cli, "chw_search",
-                            functools.partial(chw_search, max_states=3))
+        monkeypatch.setattr(classic, "MAX_STATES", 3)
         code, out = run(capsys, ["embed", "chw", mu_516])
         assert code == 3
         assert out == {"member": "unknown", "budget": "maxStates",
@@ -155,8 +150,7 @@ class TestEmbed:
                                     atoms, depth, budget, nodes):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"atoms": atoms}))
-        monkeypatch.setattr(cli, "search_matrix",
-                            functools.partial(search_matrix, node_budget=235))
+        monkeypatch.setattr(matrices, "NODE_BUDGET", 235)
         assert main(["embed", "ui-matrix", str(p), "--depth", str(depth)]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"member": "unknown"}
@@ -230,6 +224,22 @@ class TestVerifyAndLaws:
         code, out = run(capsys, ["exact-law", str(r)])
         assert code == 0
         assert out["law"] == {"-2": "1/3", "0": "1/3", "2": "1/3"}
+
+    def test_hall_point_mass_at_zero(self, capsys, tmp_path):
+        # the one pair (-1, 0) stops every walk at time 0
+        p = tmp_path / "delta.json"
+        p.write_text('{"atoms": {"0": "1"}}')
+        code, out = run(capsys, ["embed", "hall", str(p)])
+        assert (code, out) == (0, {"kind": "randomizedRule", "payload": [
+            {"u": -1, "v": 0, "w": "1"}]})
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps(out))
+        code, out = run(capsys, ["exact-law", str(r)])
+        assert (code, out["law"], out["residual"]) == (0, {"0": "1"}, "0")
+        code, out = run(capsys, ["simulate", str(r), "--trials", "500"])
+        assert code == 0
+        assert (out["counts"], out["truncated"], out["meanSteps"]) == (
+            {"0": 500}, 0, 0.0)
 
     def test_exact_law_infeasible_matrix(self, capsys, tmp_path):
         r = tmp_path / "rule.json"
@@ -704,8 +714,9 @@ class TestSetCoverBudget:
     def test_depth_17_exceeds_budget(self, capsys):
         code, out = run(capsys, ["set", "--depth", "17"])
         assert code == 3
-        assert out["depth"] == 17
-        assert "MAX_COVER_INTERVALS = 65536" in out["reason"]
+        assert out == {"budget": "MAX_COVER_INTERVALS", "reason": "the "
+                       "depth-17 cover has 65537 intervals, more than "
+                       "MAX_COVER_INTERVALS = 65536"}
 
     @pytest.mark.parametrize("argv", [
         ["set", "--depth", "-1"],
@@ -1008,7 +1019,8 @@ class TestHullBudget:
         code, out = run(capsys, [str(p) if a == "MU" else a for a in argv])
         assert time.perf_counter() - t0 < 5.0
         assert code == 3
-        assert out == {"reason": "the hull [-1000000000000, 1000000000000] "
+        assert out == {"budget": "MAX_HULL_SITES",
+                       "reason": "the hull [-1000000000000, 1000000000000] "
                                  "has 2000000000001 sites, more than "
                                  "MAX_HULL_SITES = 65536"}
 
@@ -1018,7 +1030,16 @@ class TestHullBudget:
         p.write_text('{"atoms": {"0": "1"}}')
         code, out = run(capsys, ["verify", str(m), str(p)])
         assert code == 3
-        assert "MAX_HULL_SITES = 65536" in out["reason"]
+        assert out == {"status": "inconclusive", "site": None, "stage": None,
+                       "detail": "the hull [-100000001, 100000001] has "
+                                 "200000003 sites, more than "
+                                 "MAX_HULL_SITES = 65536"}
+        r = tmp_path / "rule.json"
+        r.write_text('{"kind": "pathCountMatrix", "payload": '
+                     '{"N": 100000000, "rows": []}}')
+        code, out = run(capsys, ["exact-law", str(r)])
+        assert code == 3
+        assert out["budget"] == "MAX_HULL_SITES"
 
     def test_pair_and_minimal_rules_need_no_hull(self, capsys, tmp_path):
         p = tmp_path / "mu.json"

@@ -176,11 +176,13 @@ class TestSearch:
         assert res.status == status
         assert (res.matrix.to_json_dict() if res.matrix else None) == matrix
 
-    def test_node_budget_pinned(self):
+    def test_node_budget_pinned(self, monkeypatch):
         # found on exactly the 236th node, so this pins node counting
         mu = measure({-1: Q(89, 128), 0: Q(3, 64), 2: Q(5, 64), 3: Q(23, 128)})
-        assert search_matrix(mu, max_stage=6, node_budget=235).status == "unknown"
-        res = search_matrix(mu, max_stage=6, node_budget=236)
+        monkeypatch.setattr(matrices, "NODE_BUDGET", 235)
+        assert search_matrix(mu, max_stage=6).status == "unknown"
+        monkeypatch.setattr(matrices, "NODE_BUDGET", 236)
+        res = search_matrix(mu, max_stage=6)
         assert res.status == "member"
         assert res.matrix == StoppingMatrix(2, {
             -1: MatrixRow((0, 1, 1, 2, 1)),
@@ -258,16 +260,16 @@ class TestSearchBudgets:
     }
 
     @pytest.mark.parametrize("name", list(FROZEN))
-    def test_frozen_results(self, name):
+    def test_frozen_results(self, monkeypatch, name):
         weights, heads, grid = self.FROZEN[name]
         mu = _atoms(weights)
         N = max(abs(k) for k in weights) - 1
         expected = None if heads is None else StoppingMatrix(
             N, {i: MatrixRow(head) for i, head in heads.items()})
         for budget, statuses in grid.items():
+            monkeypatch.setattr(matrices, "NODE_BUDGET", budget)
             for max_stage, status in zip(self.STAGES, statuses):
-                res = search_matrix(mu, max_stage=max_stage,
-                                    node_budget=budget)
+                res = search_matrix(mu, max_stage=max_stage)
                 got = (res.status, res.matrix)
                 want = ("member", expected) if status == "m" else ("unknown",
                                                                   None)
@@ -414,10 +416,11 @@ class TestWorkBudget:
         wide = StoppingMatrix(9, {0: MatrixRow((0, 0), "periodic", (2,))})
         self.assert_past_budget(verify_matrix(wide, MU_SIXTH), 21)
 
-    def test_scan_limit_keeps_its_detail(self):
-        # a doubling scan that stops at max_scan, not at the budget
+    def test_scan_limit_keeps_its_detail(self, monkeypatch):
+        # a doubling scan that stops at MAX_SCAN, not at the budget
+        monkeypatch.setattr(matrices, "MAX_SCAN", 100)
         never = StoppingMatrix(2, {0: MatrixRow((0,), "doubling")})
-        res = verify_matrix(never, measure({0: 1}), max_scan=100)
+        res = verify_matrix(never, measure({0: 1}))
         assert (res.status, res.detail) == ("inconclusive",
                                             "no doubling regime found")
 

@@ -13,7 +13,7 @@ from walkembed import (
     parse_rational,
     to_base4,
 )
-from walkembed.rational import DIGIT_BUDGET, DigitBudgetExceeded
+from walkembed.rational import DIGIT_BUDGET, BudgetExceeded
 from reference import to_rational
 
 
@@ -88,9 +88,10 @@ class TestToBase4:
 
     def test_digit_budget(self):
         assert len(to_base4(Q(1, 4**DIGIT_BUDGET)).preperiod) == DIGIT_BUDGET
-        with pytest.raises(DigitBudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             to_base4(Q(1, 4 ** (DIGIT_BUDGET + 1)))
-        with pytest.raises(DigitBudgetExceeded):
+        assert info.value.budget == "DIGIT_BUDGET"
+        with pytest.raises(BudgetExceeded):
             to_base4(Q(1, 1_000_000_007))  # period about 5 * 10^8 digits
 
 

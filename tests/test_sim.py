@@ -35,7 +35,8 @@ from walkembed import (
 )
 from walkembed import sim
 from walkembed.matrices import CountViolation, count_scan
-from reference import frequency, tv_distance
+from walkembed.rational import BudgetExceeded
+from reference import frequency, replay_trials, tv_distance
 
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
@@ -482,6 +483,40 @@ class TestTruncatedSteps:
         assert (steps[stopped] <= 16).all()
 
 
+class TestPerTrialParity:
+    """Each kernel's per-trial stop site, step count and stopped flag
+    against the state-machine replay, array for array.  Every cap cuts
+    some trials short, and no report shows where a cut trial ends."""
+
+    @pytest.mark.parametrize("rule, max_steps", [
+        (RandomizedRule(((-3, 2, Q(1, 2)), (-1, 5, Q(1, 2)))), 5),
+        (ExitCompositionRule((ChipStep(-1, 2), ChipStep(-3, 0))), 7),
+        (MaxThresholdRule(((-1, 1), (0, 2), (1, 2), (2, 3))), 7),
+        (PathCountMatrixRule(M_HEAD4), 3),  # cut in the head
+        (PathCountMatrixRule(M_HEAD4), 9),  # cut on the way to +-3
+        # selection fixes every target at step 1, then each first-passage
+        # block spans a multiple of 8 steps, so step 43 is bit 2 of a byte
+        (MinimalRule(minimal_certificate(measure({-1: Q(1, 2),
+                                                  3: Q(1, 2)}))), 43),
+        (MinimalRule(minimal_certificate(measure({-1: Q(1, 3), 0: Q(1, 3),
+                                                  1: Q(1, 3)}))), 3),
+    ], ids=["two-point", "exit-composition", "max-threshold", "matrix-head",
+            "matrix-exit", "minimal-byte-cut", "minimal-selection"])
+    @pytest.mark.parametrize("block", [9, kernels.BLOCK])
+    def test_kernel_matches_replay(self, monkeypatch, rule, max_steps, block):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        runs = []
+        monkeypatch.setattr(sim, "_report",
+                            lambda *args: runs.append(args))
+        simulate(rule, 300, seed=5, max_steps=max_steps)
+        (pos, steps, stopped, *_, backend, _), = runs
+        want = replay_trials(rule, 300, 5, max_steps)
+        assert backend == "numpy"
+        assert stopped.any() and not stopped.all()
+        for got, ref in zip((pos, steps, stopped), want):
+            assert got.tolist() == ref.tolist()
+
+
 class TestSimulate:
     def test_two_point_split(self):
         rep = simulate(RandomizedPairRule(-2, 2), 20_000, seed=1,
@@ -543,10 +578,10 @@ class TestSiteStepBudget:
         spent = round(rep.mean_steps * 50) * 9
         assert simulate_reference(rule, 50, seed=3,
                                   max_site_steps=spent) == rep
-        with pytest.raises(sim.SiteStepBudgetExceeded,
+        with pytest.raises(BudgetExceeded,
                            match="budget of 1234 site-steps"):
             simulate_reference(rule, 50, seed=3, max_site_steps=1234)
-        with pytest.raises(sim.SiteStepBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             simulate_reference(rule, 50, seed=3, max_site_steps=spent - 1)
 
     def test_simulate_stops_at_the_budget(self, monkeypatch):
@@ -554,7 +589,7 @@ class TestSiteStepBudget:
         monkeypatch.setattr(sim, "MAX_SITE_STEPS", 630)
         wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
         t0 = time.perf_counter()
-        with pytest.raises(sim.SiteStepBudgetExceeded) as info:
+        with pytest.raises(BudgetExceeded) as info:
             simulate(PathCountMatrixRule(wide), 100_000, seed=1)
         assert time.perf_counter() - t0 < 1.0
         assert info.value.budget == "MAX_SITE_STEPS"

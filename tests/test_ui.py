@@ -1,6 +1,8 @@
 """Weight/triple classifiers, brute-force oracle and the contraction system."""
 
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,9 @@ from walkembed import (
     classify_weight,
     ifs_approximate,
     ifs_membership,
+    measure,
+    search_matrix,
+    verify_matrix,
     weight_set_system,
 )
 from reference import affine, apply, contains, union, weight_set_system_alt
@@ -65,6 +70,41 @@ class TestClassifyTriple:
             p = Q(j, 4**4)
             assert classify_triple(Q(0), p, Q(0)).member == \
                 classify_weight(p).member
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_matches_matrix_search_on_grid(self, h):
+        # every triple j / 4^h whose centred completion reaches +-2: the
+        # digit criterion against `search_matrix`, whose members verify
+        q, tally = 4**h, Counter()
+        for i, j, k in product(range(q + 1), repeat=3):
+            p_minus, p_zero, p_plus = Q(i, q), Q(j, q), Q(k, q)
+            rest = 1 - p_minus - p_zero - p_plus
+            w_hi = (rest + (p_minus - p_plus) / 2) / 2
+            w_lo = rest - w_hi
+            if min(w_lo, w_hi) < 0 or rest == 0:
+                continue  # no centred completion, or a hull inside +-1
+            mu = measure({-2: w_lo, -1: p_minus, 0: p_zero, 1: p_plus,
+                          2: w_hi})
+            v = classify_triple(p_minus, p_zero, p_plus)
+            res = search_matrix(mu, max_stage=h + 2)
+            assert v.member == (res.status == "member"), (i, j, k)
+            if res.matrix is not None:
+                assert verify_matrix(res.matrix, mu).valid
+            tally["member" if v.member else v.reason.split()[0]] += 1
+        # both failure branches run: the digit sum, and a stage's capacity
+        assert tally == {1: {"member": 10, "capacity": 4, "budget": 4},
+                         2: {"member": 92, "capacity": 46,
+                             "budget": 474}}[h]
+
+    # periodic digits: 5/24 = 0.0311..., 1/6 = 0.0222... in base 4
+    @pytest.mark.parametrize("triple, member, reason", [
+        ((Q(0), Q(0), Q(5, 12)), False, "capacity at stage 2"),
+        ((Q(0), Q(0), Q(1, 3)), True, ""),
+        ((Q(0), Q(1, 6), Q(0)), True, ""),
+    ])
+    def test_periodic_digits(self, triple, member, reason):
+        v = classify_triple(*triple)
+        assert (v.member, v.reason) == (member, reason)
 
 
 class TestOracle:
