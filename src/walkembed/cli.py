@@ -43,7 +43,12 @@ from .matrices import (
     verify_matrix,
 )
 from .measures import IntegerMeasure, barycenter, potential
-from .rational import BudgetExceeded, format_rational, parse_rational
+from .rational import (
+    BudgetExceeded,
+    format_ratio,
+    format_rational,
+    parse_rational,
+)
 from .rules import (
     ExitCompositionRule,
     MaxThresholdRule,
@@ -186,11 +191,12 @@ def cmd_set(args) -> int:
         _emit({"point": args.point, "verdict": verdict})
         return UNDECIDED if verdict == "undecidedAtDepth" else OK
     cover = ifs_approximate(weight_set_system(), depth=args.depth)
+    den = cover.den
     _emit({
         "depth": args.depth,
         "measure": format_rational(cover.measure()),
-        "intervals": [[format_rational(a), format_rational(b)]
-                      for a, b in cover.intervals],
+        "intervals": [[format_ratio(a, den), format_ratio(b, den)]
+                      for a, b in cover.pairs],
     })
     return OK
 

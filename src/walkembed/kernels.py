@@ -255,16 +255,20 @@ def _np_two_point(states, ends, max_steps):
 def _np_exit_composition(states, chips_a, chips_b, max_steps):
     """Each live trial's lane is the index of its chip; a trial that
     reached an end of its chip moves on to the next chip that holds it,
-    and stops once it has passed the last."""
-    n, m = states.shape[0], chips_a.shape[0]
+    and stops once it has passed the last.
 
-    def settle(cur, p):
-        while True:
-            last = np.minimum(cur, m - 1)
-            bump = (cur < m) & ((p <= chips_a[last]) | (p >= chips_b[last]))
-            if not bump.any():
-                return cur
-            cur = cur + bump
+    A down-step can only reach a chip's lower end and an up-step its
+    upper end, so `after[c, 0]` and `after[c, 1]` give the chip that
+    follows c from each end: the first later chip holding that end
+    strictly inside, or m to stop, as `ExitCompositionState` settles."""
+    n, m = states.shape[0], chips_a.shape[0]
+    a, b = chips_a.tolist(), chips_b.tolist()
+
+    def holder(first, x):
+        return next((j for j in range(first, m) if a[j] < x < b[j]), m)
+
+    after = np.array([[holder(c + 1, a[c]), holder(c + 1, b[c])]
+                      for c in range(m)], dtype=np.int64)
 
     def step(lanes, p, down, t):
         cur = lanes[0]
@@ -272,13 +276,14 @@ def _np_exit_composition(states, chips_a, chips_b, max_steps):
         hit |= p == chips_b[cur]
         out = np.flatnonzero(hit)
         if out.size:
-            cur[out] = c = settle(cur[out] + 1, p[out])
+            # down is +1 on a down-step and -1 on an up-step
+            cur[out] = c = after[cur[out], (1 - down[out]) >> 1]
             hit[out] = c >= m
         return hit
 
     # every trial starts at 0, on the first chip that holds 0; an empty
     # composition stops every trial there
-    c0 = settle(np.zeros(1, dtype=np.int64), 0)[0] if m else 0
+    c0 = holder(0, 0)
     return _np_lockstep(states, [np.full(n, c0)], np.full(n, c0 == m), step,
                         max_steps)[:3]
 

@@ -569,8 +569,12 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     With an even boundary, its arrivals are the odd survivors at -N and N,
     so the deficits floor the odd stops there (`_site_choices`'s floors)
     and an odd choice that would overdraw a deficit is never enumerated.
-    At the stage cap, a choice that leaves budget unspent is a leaf that
-    only counts its child's node, so that node is counted in place.
+    At the stage cap, a choice that leaves budget unspent is a leaf worth
+    two nodes, its own and its child's past the cap.  Only the greedy
+    first choice can spend every budget (a_j <= r_j // d at each site), so
+    the cap stage checks that one choice and counts the other leaves,
+    prod(cap_j + 1) of them, without visiting them; node counts, and
+    where `NODE_BUDGET` stops, are the same as visiting each leaf.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
@@ -594,6 +598,18 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     odd_slots = slice((N + 1) % 2, 2 * N + 1, 2)
     even_interior, odd_interior = interior[even_slots], interior[odd_slots]
     start = {i: int(i == 0) for i in even_sites}
+
+    def solved(stage, k_new, even_choice, lo, hi, path):
+        """The matrix of `path`, whose last stage spends every budget, when
+        the survivors' ruin masses meet both deficits; None at a dead end."""
+        surv_even = {i: k_new[i] - a for i, a in zip(even_interior, even_choice)}
+        extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
+        scale = d * 4**stage
+        if extra_lo * scale != lo or extra_hi * scale != hi:
+            return None
+        rows = zip(interior, zip(*path))  # each site's stops by stage
+        return StoppingMatrix(N, {i: _head_row(stops)
+                                  for i, stops in rows if any(stops)})
 
     def recurse(stage, k_even, rem, lo, hi, path):
         nonlocal nodes, capped
@@ -630,29 +646,41 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
 
             even_caps = [min(k_new[i], r // d)
                          for i, r in zip(even_interior, even_rem)]
+            if stage == max_stage:  # count the leaves, as the docstring says
+                leaves = math.prod(c + 1 for c in even_caps)
+                taken[even_slots] = even_caps
+                if not any(r - a * d for r, a in zip(rem, taken)):
+                    nodes += 1
+                    if nodes > NODE_BUDGET:
+                        return None
+                    found = solved(stage, k_new, even_caps, lo2, hi2,
+                                   path + (tuple(taken),))
+                    if found is not None:
+                        return found
+                    leaves -= 1
+                # leaf j of the run would pass the budget at nodes + 2j + 1
+                stop = (NODE_BUDGET - nodes + 1) // 2
+                if stop < leaves:
+                    nodes += 2 * stop + 1
+                    return None
+                nodes += 2 * leaves
+                capped = capped or leaves > 0
+                continue
             for even_choice in _site_choices(even_caps):
                 nodes += 1
                 if nodes > NODE_BUDGET:
                     return None
                 taken[even_slots] = even_choice
                 rem2 = [r - a * d for r, a in zip(rem, taken)]
-                if stage == max_stage and any(rem2):
-                    nodes += 1  # the child's node: a leaf past the stage cap
-                    capped = True
-                    continue
                 path2 = path + (tuple(taken),)
-                surv_even = {i: k_new[i] - a
-                             for i, a in zip(even_interior, even_choice)}
-
                 if not any(rem2):
-                    extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
-                    scale = d * 4**stage
-                    if extra_lo * scale == lo2 and extra_hi * scale == hi2:
-                        rows = zip(interior, zip(*path2))  # each site's stops by stage
-                        return StoppingMatrix(N, {i: _head_row(stops)
-                                                  for i, stops in rows if any(stops)})
+                    found = solved(stage, k_new, even_choice, lo2, hi2, path2)
+                    if found is not None:
+                        return found
                     continue  # budgets spent but boundary wrong: dead end
 
+                surv_even = {i: k_new[i] - a
+                             for i, a in zip(even_interior, even_choice)}
                 result = recurse(stage + 1, surv_even, [4 * r for r in rem2],
                                  4 * lo2, 4 * hi2, path2)
                 if result is not None:

@@ -11,6 +11,7 @@ expansion back to its value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,6 +126,13 @@ def format_rational(x: Q) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(n: int, d: int) -> str:
+    """`format_rational(Fraction(n, d))` for d > 0, with one gcd and no
+    Fraction built."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def parse_rational(s: str) -> Q:

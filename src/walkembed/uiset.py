@@ -60,7 +60,8 @@ def classify_weight(p: Fraction) -> WeightVerdict:
 class TripleVerdict:
     member: bool
     expansions: tuple[Base4Expansion, Base4Expansion, Base4Expansion]
-    #: for non-members: "mass", "budget" or "capacity at stage n"
+    #: for non-members: "digitSum" (the digit criterion's sum passes 1) or
+    #: "capacity at stage n"; infeasible mass raises MeasureError instead
     reason: str = ""
 
 
@@ -105,7 +106,7 @@ def classify_triple(p_minus: Fraction, p_zero: Fraction,
 
     total = digit_half_weight(ea) + digit_half_weight(eb) + digit_half_weight(ec)
     if total > 1:
-        return TripleVerdict(False, exps, reason="budget")
+        return TripleVerdict(False, exps, reason="digitSum")
 
     # Stage condition; digits at index 0 are the integer parts.
     pre = 1 + max(len(e.preperiod) for e in (ea, eb, ec))

@@ -10,6 +10,8 @@ package because no command runs it:
 - `weight_set_system_alt` is a second contraction system with the same
   covers as `weight_set_system`;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
+- `search_matrix_visiting` is `search_matrix` visiting every stage-cap
+  leaf one at a time, where the package counts them;
 - `replay_trials` steps a rule's state machine once per trial, for the
   kernels' per-trial outputs to match;
 - `frequency` and `tv_distance` compare a simulation report with a target.
@@ -17,17 +19,28 @@ package because no command runs it:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 
+from walkembed import matrices
 from walkembed.classic import RandomizedRule
 from walkembed.kernels import GAMMA, MASK, STREAM, mix64
-from walkembed.matrices import StoppingMatrix
+from walkembed.matrices import (
+    MatrixRow,
+    SearchResult,
+    StoppingMatrix,
+    _arrivals,
+    _head_row,
+    _ruin_masses,
+    _site_choices,
+)
 from walkembed.measures import (
     IntegerMeasure,
     MeasureError,
     PotentialFunction,
+    check_hull,
 )
 from walkembed.rational import Base4Expansion
 from walkembed.rules import (
@@ -122,6 +135,96 @@ def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:
         if state.stopped:
             raise PrefixError(f"rule stops after {i + 1} steps")
     return state.smaller.get(state.position, 0)
+
+
+def search_matrix_visiting(mu: IntegerMeasure, max_stage: int) -> SearchResult:
+    """`search_matrix` enumerating every even choice of the stage cap: each
+    one that leaves budget unspent counts its own node and its child's,
+    and `matrices.NODE_BUDGET` is checked before each choice."""
+    if not mu.is_centered():
+        raise MeasureError(f"measure is not centered (mean {mu.mean()})")
+    if mu.support == [0]:
+        return SearchResult("member", StoppingMatrix(0, {0: MatrixRow((1,))}))
+    budget_nodes = matrices.NODE_BUDGET
+    bound = max(abs(s) for s in mu.support)
+    check_hull(-bound, bound)
+    N = bound - 1
+    d = 2 * math.lcm(*(w.denominator for w in mu.atoms.values()))
+    unit = d * 2 ** (bound % 2)
+    interior = range(-N, N + 1)
+    budgets = [int(mu.weight(i) * d / 2 ** (i % 2)) for i in interior]
+    deficits = int(mu.weight(-bound) * d), int(mu.weight(bound) * d)
+
+    nodes = 0
+    capped = False
+    even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
+    odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
+    even_slots = slice(N % 2, 2 * N + 1, 2)
+    odd_slots = slice((N + 1) % 2, 2 * N + 1, 2)
+    even_interior, odd_interior = interior[even_slots], interior[odd_slots]
+    start = {i: int(i == 0) for i in even_sites}
+
+    def recurse(stage, k_even, rem, lo, hi, path):
+        nonlocal nodes, capped
+        nodes += 1
+        if nodes > budget_nodes or stage > max_stage:
+            return None
+        k_odd = _arrivals(k_even, odd_sites)
+        if bound % 2:
+            lo, hi = lo - unit * k_odd[-bound], hi - unit * k_odd[bound]
+            if lo < 0 or hi < 0:
+                return None
+        odd_caps = [min(k_odd[i], r // d)
+                    for i, r in zip(odd_interior, rem[odd_slots])]
+        odd_floors = None
+        if bound % 2 == 0:
+            odd_floors = [0] * len(odd_caps)
+            odd_floors[0] = max(0, k_odd[-N] - lo // unit)
+            odd_floors[-1] = max(0, k_odd[N] - hi // unit)
+        even_rem = rem[even_slots]
+        taken = [0] * len(rem)
+        for odd_choice in _site_choices(odd_caps, odd_floors):
+            taken[odd_slots] = odd_choice
+            surv_odd = {i: k_odd[i] - a for i, a in zip(odd_interior, odd_choice)}
+            k_new = _arrivals(surv_odd, even_sites) if stage else start
+            lo2, hi2 = lo, hi
+            if bound % 2 == 0:
+                lo2, hi2 = lo - unit * k_new[-bound], hi - unit * k_new[bound]
+            even_caps = [min(k_new[i], r // d)
+                         for i, r in zip(even_interior, even_rem)]
+            for even_choice in _site_choices(even_caps):
+                nodes += 1
+                if nodes > budget_nodes:
+                    return None
+                taken[even_slots] = even_choice
+                rem2 = [r - a * d for r, a in zip(rem, taken)]
+                if stage == max_stage and any(rem2):
+                    nodes += 1
+                    capped = True
+                    continue
+                path2 = path + (tuple(taken),)
+                surv_even = {i: k_new[i] - a
+                             for i, a in zip(even_interior, even_choice)}
+                if not any(rem2):
+                    extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
+                    scale = d * 4**stage
+                    if extra_lo * scale == lo2 and extra_hi * scale == hi2:
+                        rows = zip(interior, zip(*path2))
+                        return StoppingMatrix(N, {i: _head_row(stops)
+                                                  for i, stops in rows if any(stops)})
+                    continue
+                result = recurse(stage + 1, surv_even, [4 * r for r in rem2],
+                                 4 * lo2, 4 * hi2, path2)
+                if result is not None:
+                    return result
+        return None
+
+    found = recurse(0, {}, budgets, *deficits, ())
+    if found is not None:
+        return SearchResult("member", found, nodes=nodes)
+    budget = ("nodeBudget" if nodes > budget_nodes
+              else "maxStage" if capped else None)
+    return SearchResult("unknown", budget=budget, nodes=nodes)
 
 
 def replay_trials(rule, trials: int, seed: int, max_steps: int):

@@ -18,6 +18,10 @@ from walkembed import (
 from walkembed import matrices, rules
 from walkembed.matrices import exact_law_matrix
 
+import reference
+from reference import search_matrix_visiting
+from test_classic import centered_measures
+
 MU_DOUBLING = measure({0: Q(3, 4), -4: Q(1, 8), 4: Q(1, 8)})
 M_DOUBLING = StoppingMatrix(3, {0: MatrixRow((0, 2, 2), "doubling")})
 
@@ -194,6 +198,58 @@ class TestSearch:
 
 def _atoms(weights: dict[int, str]) -> IntegerMeasure:
     return measure({k: Q(w) for k, w in weights.items()})
+
+
+def _search_outcome(search, mu, max_stage):
+    res = search(mu, max_stage)
+    return res.status, res.budget, res.nodes, res.matrix
+
+
+class TestCountedLeaves:
+    """The stage cap counts its leaves where the reference search visits
+    them one at a time: status, budget, node count and matrix all agree,
+    also when NODE_BUDGET runs out inside a counted run."""
+
+    @settings(max_examples=100)
+    @given(centered_measures(), st.integers(1, 6),
+           st.sampled_from([2, 57, 300, 301, 5000, 50_000]))
+    def test_matches_visiting_search(self, mu, max_stage, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrices, "NODE_BUDGET", budget)
+            assert (_search_outcome(search_matrix, mu, max_stage)
+                    == _search_outcome(search_matrix_visiting, mu, max_stage))
+
+    # every stopping point of two searches: {0: 3/4, +-4: 1/8} ends
+    # "unknown" after 401 nodes, and the four-atom target is found at the
+    # stage cap, on its 44th node, by the choice that spends every budget
+    @pytest.mark.parametrize("mu, max_stage, nodes", [
+        (MU_DOUBLING, 3, 401),
+        (measure({-1: Q(89, 128), 0: Q(3, 64), 2: Q(5, 64), 3: Q(23, 128)}),
+         4, 44),
+    ], ids=["3/4", "89/128"])
+    def test_every_budget(self, monkeypatch, mu, max_stage, nodes):
+        assert search_matrix(mu, max_stage).nodes == nodes
+        for budget in range(1, nodes + 2):
+            monkeypatch.setattr(matrices, "NODE_BUDGET", budget)
+            assert (_search_outcome(search_matrix, mu, max_stage)
+                    == _search_outcome(search_matrix_visiting, mu, max_stage)
+                    ), budget
+
+    # a centred target's spent budgets always meet the deficits (optional
+    # stopping fixes both boundary masses), so a failing ruin check is
+    # forced here to run the dead end in both searches
+    @pytest.mark.parametrize("max_stage", [1, 2, 4, 5])
+    def test_dead_end_at_the_cap(self, monkeypatch, max_stage):
+        def never(surv, stage, half_width):
+            return Q(-1), Q(-1)
+
+        monkeypatch.setattr(matrices, "_ruin_masses", never)
+        monkeypatch.setattr(reference, "_ruin_masses", never)
+        for name in ("516", "5atom"):
+            mu = TestSearch.FROZEN[name][0]
+            got = _search_outcome(search_matrix, mu, max_stage)
+            assert got == _search_outcome(search_matrix_visiting, mu, max_stage)
+            assert got[0] == "unknown"
 
 
 class SearchTimeout(Exception):

@@ -13,7 +13,7 @@ from walkembed import (
     parse_rational,
     to_base4,
 )
-from walkembed.rational import DIGIT_BUDGET, BudgetExceeded
+from walkembed.rational import DIGIT_BUDGET, BudgetExceeded, format_ratio
 from reference import to_rational
 
 
@@ -125,6 +125,10 @@ class TestFormats:
     @pytest.mark.parametrize("text", ["0", "1", "1/2", "11/32", "2/9"])
     def test_rational_round_trip(self, text):
         assert format_rational(parse_rational(text)) == text
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_ratio_matches_fraction(self, n, d):
+        assert format_ratio(n, d) == format_rational(Q(n, d))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

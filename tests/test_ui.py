@@ -52,7 +52,7 @@ class TestClassifyWeight:
 class TestClassifyTriple:
     def test_uniform_third_fails_budget(self):
         v = classify_triple(Q(1, 3), Q(1, 3), Q(1, 3))
-        assert not v.member and v.reason == "budget"
+        assert not v.member and v.reason == "digitSum"
 
     def test_symmetric_half(self):
         assert classify_triple(Q(1, 4), Q(1, 2), Q(1, 4)).member is False
@@ -92,9 +92,9 @@ class TestClassifyTriple:
                 assert verify_matrix(res.matrix, mu).valid
             tally["member" if v.member else v.reason.split()[0]] += 1
         # both failure branches run: the digit sum, and a stage's capacity
-        assert tally == {1: {"member": 10, "capacity": 4, "budget": 4},
+        assert tally == {1: {"member": 10, "capacity": 4, "digitSum": 4},
                          2: {"member": 92, "capacity": 46,
-                             "budget": 474}}[h]
+                             "digitSum": 474}}[h]
 
     # periodic digits: 5/24 = 0.0311..., 1/6 = 0.0222... in base 4
     @pytest.mark.parametrize("triple, member, reason", [
