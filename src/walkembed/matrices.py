@@ -8,14 +8,17 @@ everything reaching +-(N+1) absorbed.  The encoded measure puts weight
 2^(i mod 2) * sum_j 4^{-j} a[i][j] at interior sites, plus the absorbed
 boundary mass.
 
-Rows may terminate, eventually double (a_{n+1} = 2 a_n, the
-stop-everything-arriving pattern), or repeat periodically; all three tails
-are verified exactly, with no truncation error.
+The strip is bounded, so every adapted rule on it is uniformly integrable:
+its stopped law has mass one and mean zero.  Those two equations fix both
+boundary masses from the interior weights alone (`boundary_masses`), so a
+check of a matrix only has to confirm a <= k for good.  Rows may terminate,
+eventually double (a_{n+1} = 2 a_n, the stop-everything-arriving pattern),
+or repeat periodically; all three tails are verified exactly, with no
+truncation error.
 
 `CountEngine` is the only code that turns survivors into arrivals.
 Verification and the exact law of a matrix rule run on it, and the search
-uses its arrivals routine; the periodic tail's affine one-period map is
-read off integer engine runs.  One call's engine stages, counted in
+uses its arrivals routine.  One call's engine stages, counted in
 site-stages, stay within `MAX_SITE_STAGES`.
 
 The search runs on integers too: at stage n it holds each interior atom's
@@ -71,7 +74,8 @@ class MatrixRow:
         total = sum((Q(a, 4**n) for n, a in enumerate(self.head)), Q(0))
         m = len(self.head)
         if self.tail == "doubling":
-            total += self.head[-1] * Q(4, 4**m)  # a* * 4^{1-(m-1)} ... = a* 4^{1-m}
+            # sum_{n >= m} a* 2^(n-m+1) 4^-n, with a* = head[-1], is a* 4^(1-m)
+            total += self.head[-1] * Q(4, 4**m)
         elif self.tail == "periodic":
             block = sum(Q(d, 4**j) for j, d in enumerate(self.period))
             total += Q(1, 4**m) * block / (1 - Q(1, 4 ** len(self.period)))
@@ -160,10 +164,7 @@ class StoppingMatrix:
 
 
 #: Work one `verify_matrix` or `count_scan` call may spend, in site-stages:
-#: a `CountEngine` stage costs the strip's 2N + 3 sites, summed over every
-#: engine the call runs.  The periodic tail's elimination on dim unknowns
-#: is charged 3 dim^3 per stage of the period: a Fraction step of period 1
-#: costs about three site updates, and its entries grow with the period.
+#: a `CountEngine` stage costs the strip's 2N + 3 sites.
 MAX_SITE_STAGES = 2_000_000
 #: Stages `verify_matrix` scans a doubling or periodic tail for the regime
 #: that confirms it before it calls the check inconclusive.
@@ -178,10 +179,9 @@ def _over_budget(half_width: int) -> BudgetExceeded:
         f"site-stages on a strip of {2 * half_width + 3} sites")
 
 
-def _affordable_stages(half_width: int, reserved: int = 0) -> int:
-    """Engine stages on a strip of half width N that fit in MAX_SITE_STAGES
-    besides `reserved` site-stages of other work."""
-    return max(0, MAX_SITE_STAGES - reserved) // (2 * half_width + 3)
+def _affordable_stages(half_width: int) -> int:
+    """Engine stages on a strip of half width N that fit in MAX_SITE_STAGES."""
+    return MAX_SITE_STAGES // (2 * half_width + 3)
 
 
 def _arrivals(surv: dict[int, int], sites: list[int]) -> dict[int, int]:
@@ -190,18 +190,18 @@ def _arrivals(surv: dict[int, int], sites: list[int]) -> dict[int, int]:
 
 
 class CountEngine:
-    """Evolves the arrival counts k[i][n] for a given stop-count source.
+    """Evolves the arrival counts k[i][n] of a matrix's stop counts.
 
-    `stops(i, n)` must return the number of paths stopped at interior site i
-    at stage n.  Boundary sites +-(N+1) absorb everything that reaches them;
-    `absorbed[b] / 4**n` is the mass absorbed at b by stage n.
+    Interior site i stops `matrix.entry(i, n)` paths at stage n.  Boundary
+    sites +-(N+1) absorb everything that reaches them; `absorbed[b] / 4**n`
+    is the mass absorbed at b by stage n.
     """
 
-    def __init__(self, half_width: int, stops):
-        self.N = half_width
-        self.stops = stops
+    def __init__(self, matrix: StoppingMatrix):
+        self.matrix = matrix
+        self.N = matrix.half_width
         self.n = 0
-        self.bound = bound = half_width + 1
+        self.bound = bound = self.N + 1
         check_hull(-bound, bound)
         self.even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
         self.odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
@@ -216,17 +216,11 @@ class CountEngine:
             if abs(i) > self.N:
                 surv[i] = 0  # absorbed
             else:
-                a = self.stops(i, stage)
+                a = self.matrix.entry(i, stage)
                 if a > k:
                     raise CountViolation(i, stage, a, k)
                 surv[i] = k - a
         return surv
-
-    def boundary_arrivals(self) -> dict[int, int]:
-        """Paths reaching +-(N+1) at the current stage, counted twice at odd
-        sites, whose paths are one step shorter."""
-        counts = self.k_odd if self.bound % 2 else self.k_even
-        return {b: 2 ** (self.bound % 2) * counts[b] for b in self.absorbed}
 
     def absorbed_mass(self) -> dict[int, Fraction]:
         return {b: Q(num, 4**self.n) for b, num in self.absorbed.items()}
@@ -236,8 +230,10 @@ class CountEngine:
         self.k_odd = _arrivals(self.survivors(self.k_even, self.n), self.odd_sites)
         self.n += 1
         self.k_even = _arrivals(self.survivors(self.k_odd, self.n), self.even_sites)
-        for b, c in self.boundary_arrivals().items():
-            self.absorbed[b] = 4 * self.absorbed[b] + c
+        # paths reaching an odd boundary are one step shorter: count them twice
+        counts = self.k_odd if self.bound % 2 else self.k_even
+        for b in self.absorbed:
+            self.absorbed[b] = 4 * self.absorbed[b] + 2 ** (self.bound % 2) * counts[b]
 
 
 class CountViolation(Exception):
@@ -249,20 +245,20 @@ class CountViolation(Exception):
         self.k = k
 
 
-def _ruin_masses(k_even: dict[int, int], stage: int, half_width: int
-                 ) -> tuple[Fraction, Fraction]:
-    """Mass eventually absorbed at each boundary if no further stopping
-    happens: exact two-sided gambler's-ruin probabilities."""
+def boundary_masses(interior: dict[int, Fraction], half_width: int
+                    ) -> dict[int, Fraction]:
+    """Masses at -(N+1) and N+1 of a rule on the strip of half width N that
+    stops weight interior[i] at each interior site i, given a <= k for good.
+
+    The strip is left almost surely, so the stopped law has mass one, and
+    the stopped walk is bounded, so by optional stopping its mean is zero.
+    With W the interior weight and S = sum i w_i, that puts
+    (1 - W + S/(N+1))/2 at -(N+1) and (1 - W - S/(N+1))/2 at N+1.
+    """
     bound = half_width + 1
-    lo = hi = Q(0)
-    w = Q(1, 4**stage)
-    for i, k in k_even.items():
-        if k == 0 or abs(i) > half_width:
-            continue
-        p_hi = Q(i + bound, 2 * bound)
-        hi += k * w * p_hi
-        lo += k * w * (1 - p_hi)
-    return lo, hi
+    rest = 1 - sum(interior.values(), Q(0))
+    shift = sum((i * w for i, w in interior.items()), Q(0)) / bound
+    return {-bound: (rest + shift) / 2, bound: (rest - shift) / 2}
 
 
 def count_scan(matrix: StoppingMatrix, max_stage: int
@@ -273,24 +269,16 @@ def count_scan(matrix: StoppingMatrix, max_stage: int
     stages when more would pass `MAX_SITE_STAGES`.
 
     Returns the mass absorbed at +-(N+1), the mass still alive and the
-    number of stages run.  Once no stop is left to come, the alive paths
-    only wait to be absorbed: the exact gambler's-ruin probabilities share
-    them out and the alive mass is zero.
+    number of stages run.
     """
     stages = min(max_stage, _affordable_stages(matrix.half_width))
     if matrix.terminates:
         stages = min(stages, matrix.head_length)
-    engine = CountEngine(matrix.half_width, matrix.entry)
+    engine = CountEngine(matrix)
     for _ in range(stages):
         engine.advance()
     alive = engine.survivors(engine.k_even, engine.n)
-    masses = engine.absorbed_mass()
-    if not (matrix.terminates and engine.n >= matrix.head_length):
-        return masses, Q(sum(alive.values()), 4**engine.n), engine.n
-    lo, hi = _ruin_masses(alive, engine.n, matrix.half_width)
-    masses[-engine.bound] += lo
-    masses[engine.bound] += hi
-    return masses, Q(0), engine.n
+    return engine.absorbed_mass(), Q(sum(alive.values()), 4**engine.n), engine.n
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +300,18 @@ class VerifyResult:
 def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
     """Check that `matrix` encodes an adapted rule embedding `mu`.
 
-    Recomputes the arrival counts, checks a[i][n] <= k[i][n] at every stage
-    (tails handled by exact stabilization arguments, see below), and checks
-    the atom identities, including the absorbed boundary atoms.
+    Recomputes the arrival counts and checks a[i][n] <= k[i][n] at every
+    stage, tails included by the exact stabilization arguments below.  Then
+    each interior site's weight must be mu's, and each boundary mass, which
+    `boundary_masses` takes from the interior weights in closed form, must
+    be mu's too.
 
-    Stabilization: terminated rows leave a pure absorption problem solved by
-    the exact ruin formula; doubling tails are confirmed by the whole count
-    vector doubling across one stage (the recursion is linear, so doubling
-    then persists); periodic tails are confirmed by phase-aligned pointwise
-    domination of count vectors (the recursion is monotone in the counts,
-    so domination persists), with boundary tail sums resolved by the affine
-    one-period map and an exact geometric matrix series.  That map is read
-    off integer runs of the count engine: one period from the dominating
-    counts and one from each unit increase of them.
+    Stabilization: a terminating matrix is scanned through its heads, after
+    which nothing more is stopped; doubling tails are confirmed by the whole
+    count vector doubling across one stage (the recursion is linear, so
+    doubling then persists); periodic tails are confirmed by phase-aligned
+    pointwise domination of count vectors (the recursion is monotone in the
+    counts, so domination persists).
 
     Inconclusive when the check would pass `MAX_SITE_STAGES`, or a strip
     of `measures.MAX_HULL_SITES` sites, or finds no stabilization within
@@ -343,29 +330,26 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
 
     try:
         if mode == "zero":
-            masses, _, n = count_scan(matrix, matrix.head_length)
-            if n < matrix.head_length:
+            if count_scan(matrix, matrix.head_length)[2] < matrix.head_length:
                 raise _over_budget(N)
-        elif mode == "doubling":
-            masses = _doubling_masses(matrix)
-        else:
-            masses = _periodic_masses(matrix)
+        elif not (_doubles if mode == "doubling" else _dominates)(matrix):
+            return VerifyResult("inconclusive", detail={
+                "doubling": "no doubling regime found",
+                "periodic": "no periodic domination found"}[mode])
     except CountViolation as v:
         return VerifyResult("violation", site=v.site, stage=v.stage,
                             detail=str(v))
     except BudgetExceeded as exc:
         return VerifyResult("inconclusive", detail=str(exc))
-    if masses is None:
-        return VerifyResult("inconclusive", detail={
-            "doubling": "no doubling regime found",
-            "periodic": "no periodic domination found"}[mode])
 
     # the counts scan passed, so a <= k throughout; now the atom identities
+    weights = {i: matrix.site_weight(i) for i in matrix.rows}
     for i in range(-N, N + 1):
-        got = matrix.site_weight(i)
+        got = weights.get(i, Q(0))
         if got != mu.weight(i):
             return VerifyResult("violation", site=i,
                                 detail=f"encoded weight {got} != target {mu.weight(i)}")
+    masses = boundary_masses(weights, N)
     for b in (-bound, bound):
         if masses[b] != mu.weight(b):
             return VerifyResult("violation", site=b,
@@ -378,131 +362,66 @@ def exact_law_matrix(matrix: StoppingMatrix, max_stage: int
                      ) -> tuple[dict[int, Fraction], Fraction, int]:
     """Stopped law of a matrix rule over `count_scan`'s stages, as (law,
     residual, stages): each interior site gets what its row stops in those
-    stages, each boundary site its absorbed mass, and the residual is the
-    mass still alive."""
+    stages.  Once a terminating matrix has run its whole head, the boundary
+    masses are `boundary_masses` of those interior weights and the residual
+    is zero; otherwise each boundary site gets its absorbed mass and the
+    residual is the mass still alive."""
     masses, residual, n = count_scan(matrix, max_stage)
-    law = {b: m for b, m in masses.items() if m}
+    interior = {}
     for i, row in matrix.rows.items():
         # odd sites are first reached at stage 1
         num = sum(row.entry(m) * 4 ** (n - m) for m in range(i % 2, n + 1))
         if num:
-            law[i] = Q(2 ** (i % 2) * num, 4**n)
-    return law, residual, n
+            interior[i] = Q(2 ** (i % 2) * num, 4**n)
+    if matrix.terminates and n >= matrix.head_length:
+        masses, residual = boundary_masses(interior, matrix.half_width), Q(0)
+    return {**{b: m for b, m in masses.items() if m}, **interior}, residual, n
 
 
-def _doubling_masses(matrix: StoppingMatrix) -> dict[int, Fraction] | None:
-    """Boundary masses of a doubling-tail matrix, or None when the counts
-    do not start doubling within `MAX_SCAN` stages."""
+def _doubles(matrix: StoppingMatrix) -> bool:
+    """Whether the counts start doubling within `MAX_SCAN` stages: the
+    whole count vector doubles across one stage past the heads, and then
+    so do the counts and the rows at every later stage."""
     scan = min(MAX_SCAN, _affordable_stages(matrix.half_width))
-    engine = CountEngine(matrix.half_width, matrix.entry)
+    engine = CountEngine(matrix)
     prev = None
     for _ in range(scan):
         engine.advance()
         cur = (engine.k_odd, engine.k_even)
         if prev is not None and _is_double(prev, cur):
-            # counts (and rows) now double every stage: the remaining
-            # boundary tail equals the last stage mass
-            last = engine.boundary_arrivals()
-            return {b: Q(num + last[b], 4**engine.n)
-                    for b, num in engine.absorbed.items()}
+            return True
         prev = cur if engine.n > matrix.head_length else None
     if scan < MAX_SCAN:
         raise _over_budget(matrix.half_width)
-    return None
+    return False
 
 
 def _is_double(prev, cur) -> bool:
     return all(cur[p][i] == 2 * prev[p][i] for p in (0, 1) for i in cur[p])
 
 
-def _periodic_masses(matrix: StoppingMatrix) -> dict[int, Fraction] | None:
-    """Boundary masses of a periodic-tail matrix, or None when no
-    phase-aligned domination shows up within `MAX_SCAN` stages.
-
-    From the dominating stage on, the recursion is affine in the interior
-    even counts k: one period maps k to A k + v and absorbs t.k + s at each
-    boundary.  Dominating counts and anything above them raise no
-    `CountViolation`, so integer runs of one period from k0 and from each
-    k0 + e_j read off column j of A as f(k0 + e_j) - f(k0), and likewise t.
-    The scan stops at `MAX_SITE_STAGES`, so it finds any count violation
-    within the budget; the dim + 1 one-period runs and the elimination
-    must fit in what the scan leaves.
-    """
-    N = matrix.half_width
+def _dominates(matrix: StoppingMatrix) -> bool:
+    """Whether phase-aligned domination shows up within `MAX_SCAN` stages:
+    past the heads, the even counts at the start of one period are at least
+    those at the start of the period before, and by monotonicity so is
+    every later period's.  The scan stops at `MAX_SITE_STAGES`, so it finds
+    any count violation within the budget."""
     head_len = matrix.head_length
     period = math.lcm(*(len(r.period) for r in matrix.rows.values()
                         if r.tail == "periodic"))
-
-    # advance into the aligned periodic regime, hunting for domination
-    engine = CountEngine(N, matrix.entry)
-    scan = min(MAX_SCAN, _affordable_stages(N))
-    snapshots: dict[int, dict[int, int]] = {}
+    engine = CountEngine(matrix)
+    scan = min(MAX_SCAN, _affordable_stages(matrix.half_width))
+    prior = None
     for _ in range(scan):
         engine.advance()
-        cycle, phase = divmod(engine.n - head_len, period)
-        if cycle >= 0 and phase == 0:
-            prior = snapshots.get(cycle - 1)
+        if engine.n >= head_len and (engine.n - head_len) % period == 0:
             if prior is not None and all(engine.k_even[i] >= k
                                          for i, k in prior.items()):
-                break
-            snapshots[cycle] = engine.k_even
-    else:
-        if scan < MAX_SCAN:
-            raise _over_budget(N)
-        return None
-
-    start, k0 = engine.n, engine.k_even
-    interior = [i for i in engine.even_sites if abs(i) <= N]
-    dim = len(interior)
-    if _affordable_stages(N, 3 * dim**3 * period) < start + (dim + 1) * period:
-        raise _over_budget(N)
-
-    def one_period(k: dict[int, int]) -> tuple[list[int], dict[int, int]]:
-        run = CountEngine(N, matrix.entry)
-        run.n, run.k_even = start, k
-        for _ in range(period):
-            run.advance()
-        return [run.k_even[i] for i in interior], run.absorbed
-
-    base, base_absorbed = one_period(k0)
-    cols = [one_period({**k0, j: k0[j] + 1}) for j in interior]
-    A = [[cols[c][0][row] - base[row] for c in range(dim)] for row in range(dim)]
-    v = [base[row] - sum(A[row][c] * k0[j] for c, j in enumerate(interior))
-         for row in range(dim)]
-    r = Q(1, 4**period)
-
-    # x = (I - rA)^{-1} (k0 + r/(1-r) v)
-    rhs = [k0[i] + r / (1 - r) * v[row] for row, i in enumerate(interior)]
-    mat = [[(Q(1) if i == j else Q(0)) - r * A[i][j] for j in range(dim)]
-           for i in range(dim)]
-    x = _solve(mat, rhs)
-
-    # absorbed counts are in units of 4^-(start + period)
-    masses = engine.absorbed_mass()
-    for b, num in base_absorbed.items():
-        t = [absorbed[b] - num for _, absorbed in cols]
-        s = num - sum(tj * k0[j] for tj, j in zip(t, interior))
-        tail = sum(tj * xj for tj, xj in zip(t, x)) + s / (1 - r)
-        masses[b] += tail / 4 ** (start + period)
-    return masses
-
-
-def _solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination with partial pivoting on Fractions."""
-    n = len(mat)
-    m = [row[:] + [b] for row, b in zip(mat, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular period map (spectral radius 4^L?)")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [inv * x for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+                return True
+            prior = engine.k_even
+    if scan < MAX_SCAN:
+        raise _over_budget(matrix.half_width)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +481,10 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     last two in units of 1/(d 4^n) with d twice the lcm of mu's
     denominators.  Stopping a paths spends a*d; a path reaching an even
     boundary spends d, and 2d at an odd one.  A negative deficit is a dead
-    end, and the next stage multiplies budgets and deficits by 4.
+    end, and the next stage multiplies budgets and deficits by 4.  A choice
+    that spends every budget is a member: its interior weights are mu's, so
+    `boundary_masses` makes its boundary masses mu's too, and the deficits
+    are met without a check.
 
     Nodes are the even-phase choices plus one per call; odd-phase choices
     are not counted.  Two skips leave every count and result as it was.
@@ -572,9 +494,10 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     At the stage cap, a choice that leaves budget unspent is a leaf worth
     two nodes, its own and its child's past the cap.  Only the greedy
     first choice can spend every budget (a_j <= r_j // d at each site), so
-    the cap stage checks that one choice and counts the other leaves,
-    prod(cap_j + 1) of them, without visiting them; node counts, and
-    where `NODE_BUDGET` stops, are the same as visiting each leaf.
+    the cap stage returns that choice when it does and otherwise counts
+    the leaves, prod(cap_j + 1) of them, without visiting them; node
+    counts, and where `NODE_BUDGET` stops, are the same as visiting each
+    leaf.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
@@ -599,14 +522,8 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     even_interior, odd_interior = interior[even_slots], interior[odd_slots]
     start = {i: int(i == 0) for i in even_sites}
 
-    def solved(stage, k_new, even_choice, lo, hi, path):
-        """The matrix of `path`, whose last stage spends every budget, when
-        the survivors' ruin masses meet both deficits; None at a dead end."""
-        surv_even = {i: k_new[i] - a for i, a in zip(even_interior, even_choice)}
-        extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
-        scale = d * 4**stage
-        if extra_lo * scale != lo or extra_hi * scale != hi:
-            return None
+    def solved(path):
+        """The matrix of `path`, whose last stage spends every budget."""
         rows = zip(interior, zip(*path))  # each site's stops by stage
         return StoppingMatrix(N, {i: _head_row(stops)
                                   for i, stops in rows if any(stops)})
@@ -647,24 +564,20 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
             even_caps = [min(k_new[i], r // d)
                          for i, r in zip(even_interior, even_rem)]
             if stage == max_stage:  # count the leaves, as the docstring says
-                leaves = math.prod(c + 1 for c in even_caps)
                 taken[even_slots] = even_caps
                 if not any(r - a * d for r, a in zip(rem, taken)):
                     nodes += 1
                     if nodes > NODE_BUDGET:
                         return None
-                    found = solved(stage, k_new, even_caps, lo2, hi2,
-                                   path + (tuple(taken),))
-                    if found is not None:
-                        return found
-                    leaves -= 1
+                    return solved(path + (tuple(taken),))
+                leaves = math.prod(c + 1 for c in even_caps)
                 # leaf j of the run would pass the budget at nodes + 2j + 1
                 stop = (NODE_BUDGET - nodes + 1) // 2
                 if stop < leaves:
                     nodes += 2 * stop + 1
                     return None
                 nodes += 2 * leaves
-                capped = capped or leaves > 0
+                capped = True
                 continue
             for even_choice in _site_choices(even_caps):
                 nodes += 1
@@ -674,10 +587,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
                 rem2 = [r - a * d for r, a in zip(rem, taken)]
                 path2 = path + (tuple(taken),)
                 if not any(rem2):
-                    found = solved(stage, k_new, even_choice, lo2, hi2, path2)
-                    if found is not None:
-                        return found
-                    continue  # budgets spent but boundary wrong: dead end
+                    return solved(path2)
 
                 surv_even = {i: k_new[i] - a
                              for i, a in zip(even_interior, even_choice)}

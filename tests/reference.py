@@ -10,8 +10,12 @@ package because no command runs it:
 - `weight_set_system_alt` is a second contraction system with the same
   covers as `weight_set_system`;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
+- `ruin_masses` shares a strip's survivors out to its ends by exact
+  gambler's-ruin probabilities, where the package uses the closed form
+  `boundary_masses`;
 - `search_matrix_visiting` is `search_matrix` visiting every stage-cap
-  leaf one at a time, where the package counts them;
+  leaf one at a time, where the package counts them, and checking each
+  spent choice's ruin masses, where the package needs no check;
 - `replay_trials` steps a rule's state machine once per trial, for the
   kernels' per-trial outputs to match;
 - `frequency` and `tv_distance` compare a simulation report with a target.
@@ -33,7 +37,6 @@ from walkembed.matrices import (
     StoppingMatrix,
     _arrivals,
     _head_row,
-    _ruin_masses,
     _site_choices,
 )
 from walkembed.measures import (
@@ -137,6 +140,23 @@ def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:
     return state.smaller.get(state.position, 0)
 
 
+def ruin_masses(k_even: dict[int, int], stage: int, half_width: int
+                ) -> tuple[Q, Q]:
+    """Mass eventually absorbed at each end of the strip when the even
+    survivors `k_even` of `stage` are never stopped again: exact two-sided
+    gambler's-ruin probabilities."""
+    bound = half_width + 1
+    lo = hi = Q(0)
+    w = Q(1, 4**stage)
+    for i, k in k_even.items():
+        if k == 0 or abs(i) > half_width:
+            continue
+        p_hi = Q(i + bound, 2 * bound)
+        hi += k * w * p_hi
+        lo += k * w * (1 - p_hi)
+    return lo, hi
+
+
 def search_matrix_visiting(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     """`search_matrix` enumerating every even choice of the stage cap: each
     one that leaves budget unspent counts its own node and its child's,
@@ -206,7 +226,7 @@ def search_matrix_visiting(mu: IntegerMeasure, max_stage: int) -> SearchResult:
                 surv_even = {i: k_new[i] - a
                              for i, a in zip(even_interior, even_choice)}
                 if not any(rem2):
-                    extra_lo, extra_hi = _ruin_masses(surv_even, stage, N)
+                    extra_lo, extra_hi = ruin_masses(surv_even, stage, N)
                     scale = d * 4**stage
                     if extra_lo * scale == lo2 and extra_hi * scale == hi2:
                         rows = zip(interior, zip(*path2))
