@@ -133,6 +133,8 @@ class ChwResult:
 # numerators over one positive denominator, reduced by the gcd of all of
 # them: the form is canonical, so equal potentials are equal tuples.
 State = tuple[tuple[int, ...], int]
+# A chord over hull indices a < b; the search's paths are tuples of them.
+Chord = tuple[int, int]
 
 
 def _to_state(values) -> State:
@@ -187,9 +189,10 @@ def _first_ends(nums: tuple[int, ...]) -> list[int]:
 
 
 def _tangent_tail(state: State, target: State,
-                  lo: int) -> list[ChipStep] | None:
+                  limit: int) -> tuple[Chord, ...] | None:
     """Try to finish an embedding by chords tangent to the target, left to
-    right; returns the chip list on success, None if stuck.
+    right; returns the chords on success, None if stuck or if more than
+    `limit` chords would be needed.
 
     Let m be the first hull index where the state and the target differ.
     The tangent chord starts at m - 1 and matches the target at m, so it
@@ -198,7 +201,7 @@ def _tangent_tail(state: State, target: State,
     concave and positive at m, so once it falls below zero no b exists.
     The chord is L itself, which no concave target rises above, so it is
     never dead and the state then agrees with the target through m."""
-    chips: list[ChipStep] = []
+    chords: list[Chord] = []
     tnums, td = target
     n = len(tnums)
     m = 0
@@ -207,9 +210,11 @@ def _tangent_tail(state: State, target: State,
         m = next((i for i in range(m, n) if nums[i] * td != tnums[i] * d),
                  None)
         if m is None:
-            return chips
+            return tuple(chords)
         if m == 0:
             return None  # leftmost hull value should already match
+        if len(chords) == limit:
+            return None
         # L(k) = tnums[m-1] + (k - m + 1)·rise over td, against nums[k] / d
         base, rise = tnums[m - 1], tnums[m] - tnums[m - 1]
         for b in range(m + 1, n):
@@ -221,7 +226,7 @@ def _tangent_tail(state: State, target: State,
         if gap:
             return None  # the state crossed L between integers
         state = _chord(state, target, m - 1, b)
-        chips.append(ChipStep(m - 1 + lo, b + lo))
+        chords.append((m - 1, b))
         m += 1
 
 
@@ -241,13 +246,39 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     independently with `replay_chips`, which runs `chip_apply` on
     `Fraction`s.
 
-    Chords run in (a, b) order and skip what concavity already decides.
-    Every state is concave and linear between its kinks, so a chord from
-    a changes it only when b passes the first kink right of a
-    (`_first_ends`), and the b below that are never tried.  For fixed a
-    the chord falls as b grows, so the first dead chord from a ends the
-    inner loop: every wider one is dead too.  Neither skip changes a
-    visited state, its order, a witness or a count.
+    Chords run in (a, b) order over hull indices and skip every chord
+    whose outcome is already known:
+
+    * Kinks.  Every state is concave and linear between its kinks, so a
+      chord from a changes it only when b passes the first kink right of
+      a (`_first_ends`); the b below that are never tried.
+    * Dead chords.  For fixed a the chord falls as b grows, so the first
+      dead chord from a ends the inner loop: every wider one is dead too.
+    * Commuting chords.  Let (a1, b1) be the last chord of the path that
+      first reached state P from its parent V.  A chord (a, b) with
+      a < a1 and b <= a1 shares at most an end with it, and P agrees with
+      V at a, b, a1 and b1, so P·(a, b) = (V·(a, b))·(a1, b1).  V tried
+      (a, b) before (a1, b1), so its child V·(a, b) was visited before P,
+      and that state, expanded before P, already reached the child.
+    * Containing chords.  A chord (a, b) with a <= a1 and b >= b1 lies on
+      or below V's own chord over [a1, b1], as V is concave, so it cuts P
+      exactly as it cuts V: P·(a, b) = V·(a, b), a child of V that is
+      already visited.
+
+    So for a <= a1 only b in [max(first, a1 + 1), b1) is tried.  A
+    skipped chord's child is always in the visited set already, where
+    the plain loop would have passed over it, and a skipped chord that
+    would be dead leaves every wider chord from a dead, so the next one
+    tried ends the loop as before.  No skip changes a visited state, its
+    breadth-first position, its first-discovery path, a witness or a
+    count.
+
+    Paths are kept as hull index pairs; `ChipStep`s are built only for
+    the witness returned.  A tangent completion is only worth noting when
+    it is shorter than the best in hand, so it gives up once it would
+    need more than len(best) - depth - 1 chords, and is not tried when
+    that bound is not positive.  The last depth's children are not kept
+    as a frontier, since nothing expands them.
 
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
@@ -270,53 +301,57 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     if start == target:
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
 
+    def steps(path: tuple[Chord, ...]) -> tuple[ChipStep, ...]:
+        return tuple(ChipStep(a + lo, b + lo) for a, b in path)
+
     # tangent completions give valid but possibly non-minimal witnesses;
-    # keep the best one for when plain BFS stops short of the target.
+    # keep the shortest for when plain BFS stops short of the target.
     # A completion of length L is a path of the BFS's own chords, so the
-    # BFS meets the target by depth L and returns first.
-    best: tuple[ChipStep, ...] | None = None
-
-    def note(candidate: tuple[ChipStep, ...]) -> None:
-        nonlocal best
-        if best is None or len(candidate) < len(best):
-            best = candidate
-
-    tail = _tangent_tail(start, target, lo)
-    if tail is not None:
-        note(tuple(tail))
+    # BFS meets the target by depth L and returns first.  A completion
+    # has at most n - 1 chords, so a limit of n bounds nothing.
+    best = _tangent_tail(start, target, n)
 
     seen = {start}
-    frontier: dict[State, tuple[ChipStep, ...]] = {start: ()}
+    frontier: dict[State, tuple[Chord, ...]] = {start: ()}
     for depth in range(1, max_depth + 1):
-        nxt: dict[State, tuple[ChipStep, ...]] = {}
+        nxt: dict[State, tuple[Chord, ...]] = {}
+        keep = depth < max_depth
         for state, path in frontier.items():
+            # the start has no last chord: a1 = -1 skips nothing
+            a1, b1 = path[-1] if path else (-1, n)
             for a, first in enumerate(_first_ends(state[0])):
-                for b in range(first, n):
+                end = n
+                if a <= a1:  # commuting and containing skips
+                    first, end = max(first, a1 + 1), b1
+                for b in range(first, end):
                     new = _chord(state, target, a, b)
                     if new is None:
                         break  # dead, and so is every wider chord from a
                     if new in seen:
                         continue
                     seen.add(new)
-                    new_path = path + (ChipStep(a + lo, b + lo),)
+                    new_path = path + ((a, b),)
                     if new == target:
-                        return ChwResult(ChwStatus.MEMBER, new_path, depth,
-                                         len(seen))
-                    tail = _tangent_tail(new, target, lo)
-                    if tail is not None:
-                        note(new_path + tuple(tail))
-                    nxt[new] = new_path
+                        return ChwResult(ChwStatus.MEMBER, steps(new_path),
+                                         depth, len(seen))
+                    limit = n if best is None else len(best) - depth - 1
+                    if limit > 0:
+                        tail = _tangent_tail(new, target, limit)
+                        if tail is not None:
+                            best = new_path + tail
+                    if keep:
+                        nxt[new] = new_path
                     if len(seen) > MAX_STATES:
                         if best is not None:
-                            return ChwResult(ChwStatus.MEMBER, best, depth,
-                                             len(seen))
+                            return ChwResult(ChwStatus.MEMBER, steps(best),
+                                             depth, len(seen))
                         return ChwResult(ChwStatus.UNKNOWN, (), depth,
                                          len(seen))
         frontier = nxt
         if not frontier:
             break
     if best is not None:
-        return ChwResult(ChwStatus.MEMBER, best, max_depth, len(seen))
+        return ChwResult(ChwStatus.MEMBER, steps(best), max_depth, len(seen))
     return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
                      len(seen))
 

@@ -299,10 +299,11 @@ def reference_chw_search(mu, max_depth, max_states):
 
 
 class TestSearchEquivalence:
-    # the kink skip, the dead-chord break and the scanned tangent change
-    # no verdict, witness or count of the plain search
+    # the kink, commuting and containing skips, the dead-chord break and
+    # the scanned, bounded tangent change no verdict, witness or count of
+    # the plain search
     @settings(max_examples=150)
-    @given(centered_measures(), st.integers(1, 4),
+    @given(centered_measures(), st.integers(1, 5),
            st.sampled_from([1, 5, 40, 300]))
     def test_matches_reference(self, mu, depth, max_states):
         # hypothesis reruns the body, so the budget is set per example
@@ -316,6 +317,30 @@ class TestSearchEquivalence:
     def test_named_targets_match_reference(self, monkeypatch, mu):
         monkeypatch.setattr(classic, "MAX_STATES", 2000)
         assert chw_search(mu, 3) == reference_chw_search(mu, 3, 2000)
+
+    # budgets around the five-atom search's depth-3 total of 1327 states:
+    # a state found in another order would change the cut
+    @pytest.mark.parametrize("max_states", [1, 2, 50, 1327, 1328, 5000])
+    def test_five_atom_budgets_match_reference(self, monkeypatch, max_states):
+        monkeypatch.setattr(classic, "MAX_STATES", max_states)
+        assert (chw_search(FIVE_ATOM, 4)
+                == reference_chw_search(FIVE_ATOM, 4, max_states))
+
+    # the plain kink-skipping search makes 3967 and 33228 chord calls
+    @pytest.mark.parametrize("depth, bound", [(3, 2750), (4, 20_000)])
+    def test_skips_save_chord_calls(self, monkeypatch, depth, bound):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _chord(*args)
+
+        monkeypatch.setattr(classic, "_chord", counted)
+        got = chw_search(FIVE_ATOM, depth)
+        assert calls <= bound
+        assert got == reference_chw_search(FIVE_ATOM, depth,
+                                           classic.MAX_STATES)
 
 
 class TestHall:
