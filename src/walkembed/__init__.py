@@ -49,15 +49,12 @@ from .rational import (
     to_base4,
 )
 from .rules import (
-    Decision,
     ExitCompositionRule,
     MaxThresholdRule,
     MinimalRule,
     PathCountMatrixRule,
     PrefixError,
     RandomizedPairRule,
-    WalkPath,
-    decide,
     rule_from_json,
     rule_to_json,
 )

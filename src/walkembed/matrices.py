@@ -13,8 +13,8 @@ its stopped law has mass one and mean zero.  Those two equations fix both
 boundary masses from the interior weights alone (`boundary_masses`), so a
 check of a matrix only has to confirm a <= k for good.  Rows may terminate,
 eventually double (a_{n+1} = 2 a_n, the stop-everything-arriving pattern),
-or repeat periodically; all three tails are verified exactly, with no
-truncation error.
+or repeat periodically, in any mix; one settle test on the counts
+(`_settles`) confirms every kind exactly, with no truncation error.
 
 `CountEngine` is the only code that turns survivors into arrivals.
 Verification and the exact law of a matrix rule run on it, and the search
@@ -30,6 +30,7 @@ a*d and a new stage multiplies every remainder by 4.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -166,8 +167,9 @@ class StoppingMatrix:
 #: Work one `verify_matrix` or `count_scan` call may spend, in site-stages:
 #: a `CountEngine` stage costs the strip's 2N + 3 sites.
 MAX_SITE_STAGES = 2_000_000
-#: Stages `verify_matrix` scans a doubling or periodic tail for the regime
-#: that confirms it before it calls the check inconclusive.
+#: Stages `verify_matrix` scans a matrix with doubling or periodic tails for
+#: the stage at which its counts settle before it calls the check
+#: inconclusive.
 MAX_SCAN = 512
 
 
@@ -281,6 +283,38 @@ def count_scan(matrix: StoppingMatrix, max_stage: int
     return engine.absorbed_mass(), Q(sum(alive.values()), 4**engine.n), engine.n
 
 
+def _settles(matrix: StoppingMatrix) -> bool:
+    """Whether the counts of `matrix` settle within `MAX_SCAN` stages, so
+    that a <= k holds at every stage; a violation on the way is raised.
+
+    Let p be the lcm of the periodic rows' periods (1 if there are none)
+    and c = 2^p if a row doubles, 1 otherwise.  Past the heads every row,
+    zero, doubling or periodic, has a(i, m + p) <= c a(i, m).  The
+    recursion is linear and monotone in the counts, so once the even
+    counts at a stage n >= head_length + p are at least c times those at
+    n - p, the survivors of every later stage are at least c times those p
+    stages earlier, and never negative.  A matrix without tails stops
+    nothing past its heads: it settles there, with no `MAX_SCAN` cap.
+    """
+    tails = [r for r in matrix.rows.values() if r.tail != "zero"]
+    period = math.lcm(*(len(r.period) for r in tails if r.tail == "periodic"))
+    growth = 2**period if any(r.tail == "doubling" for r in tails) else 1
+    settle = matrix.head_length + (period if tails else 0)
+    affordable = _affordable_stages(matrix.half_width)
+    engine = CountEngine(matrix)
+    counts = deque(maxlen=period + 1)  # the even counts of stages n - p .. n
+    while True:
+        counts.append(engine.k_even)
+        if engine.n >= settle and (not tails or all(
+                k >= growth * counts[0][i] for i, k in engine.k_even.items())):
+            return True
+        if tails and engine.n == MAX_SCAN:
+            return False
+        if engine.n == affordable:
+            raise _over_budget(matrix.half_width)
+        engine.advance()
+
+
 # ---------------------------------------------------------------------------
 # Verification and exact laws
 
@@ -301,20 +335,15 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
     """Check that `matrix` encodes an adapted rule embedding `mu`.
 
     Recomputes the arrival counts and checks a[i][n] <= k[i][n] at every
-    stage, tails included by the exact stabilization arguments below.  Then
+    stage until they settle (`_settles`): past that stage every count is
+    at least c times the count p stages earlier, and a <= k holds for good.
+    Tails of every kind, and any mix of them, pass the same test.  Then
     each interior site's weight must be mu's, and each boundary mass, which
     `boundary_masses` takes from the interior weights in closed form, must
     be mu's too.
 
-    Stabilization: a terminating matrix is scanned through its heads, after
-    which nothing more is stopped; doubling tails are confirmed by the whole
-    count vector doubling across one stage (the recursion is linear, so
-    doubling then persists); periodic tails are confirmed by phase-aligned
-    pointwise domination of count vectors (the recursion is monotone in the
-    counts, so domination persists).
-
     Inconclusive when the check would pass `MAX_SITE_STAGES`, or a strip
-    of `measures.MAX_HULL_SITES` sites, or finds no stabilization within
+    of `measures.MAX_HULL_SITES` sites, or the counts do not settle within
     `MAX_SCAN` stages.
     """
     N = matrix.half_width
@@ -323,19 +352,10 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
         if abs(site) > bound:
             raise MeasureError(f"support site {site} outside [-{bound}, {bound}]")
 
-    tails = {r.tail for r in matrix.rows.values()} - {"zero"}
-    if len(tails) > 1:
-        return VerifyResult("inconclusive", detail="mixed doubling and periodic tails")
-    mode = tails.pop() if tails else "zero"
-
     try:
-        if mode == "zero":
-            if count_scan(matrix, matrix.head_length)[2] < matrix.head_length:
-                raise _over_budget(N)
-        elif not (_doubles if mode == "doubling" else _dominates)(matrix):
-            return VerifyResult("inconclusive", detail={
-                "doubling": "no doubling regime found",
-                "periodic": "no periodic domination found"}[mode])
+        if not _settles(matrix):
+            return VerifyResult("inconclusive", detail="counts do not settle "
+                                f"within MAX_SCAN = {MAX_SCAN} stages")
     except CountViolation as v:
         return VerifyResult("violation", site=v.site, stage=v.stage,
                             detail=str(v))
@@ -376,52 +396,6 @@ def exact_law_matrix(matrix: StoppingMatrix, max_stage: int
     if matrix.terminates and n >= matrix.head_length:
         masses, residual = boundary_masses(interior, matrix.half_width), Q(0)
     return {**{b: m for b, m in masses.items() if m}, **interior}, residual, n
-
-
-def _doubles(matrix: StoppingMatrix) -> bool:
-    """Whether the counts start doubling within `MAX_SCAN` stages: the
-    whole count vector doubles across one stage past the heads, and then
-    so do the counts and the rows at every later stage."""
-    scan = min(MAX_SCAN, _affordable_stages(matrix.half_width))
-    engine = CountEngine(matrix)
-    prev = None
-    for _ in range(scan):
-        engine.advance()
-        cur = (engine.k_odd, engine.k_even)
-        if prev is not None and _is_double(prev, cur):
-            return True
-        prev = cur if engine.n > matrix.head_length else None
-    if scan < MAX_SCAN:
-        raise _over_budget(matrix.half_width)
-    return False
-
-
-def _is_double(prev, cur) -> bool:
-    return all(cur[p][i] == 2 * prev[p][i] for p in (0, 1) for i in cur[p])
-
-
-def _dominates(matrix: StoppingMatrix) -> bool:
-    """Whether phase-aligned domination shows up within `MAX_SCAN` stages:
-    past the heads, the even counts at the start of one period are at least
-    those at the start of the period before, and by monotonicity so is
-    every later period's.  The scan stops at `MAX_SITE_STAGES`, so it finds
-    any count violation within the budget."""
-    head_len = matrix.head_length
-    period = math.lcm(*(len(r.period) for r in matrix.rows.values()
-                        if r.tail == "periodic"))
-    engine = CountEngine(matrix)
-    scan = min(MAX_SCAN, _affordable_stages(matrix.half_width))
-    prior = None
-    for _ in range(scan):
-        engine.advance()
-        if engine.n >= head_len and (engine.n - head_len) % period == 0:
-            if prior is not None and all(engine.k_even[i] >= k
-                                         for i, k in prior.items()):
-                return True
-            prior = engine.k_even
-    if scan < MAX_SCAN:
-        raise _over_budget(matrix.half_width)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Every rule exposes a small state machine: `new_state()` returns a fresh
 state with `stopped`, `position`, and `step(eps)` for eps in {-1, +1}.  A
 state never looks ahead: whether it has stopped depends only on the
-increments seen so far, which is what makes the rules adapted.  `decide`
-replays a recorded path against a rule and reports where it stops.
+increments seen so far, which is what makes the rules adapted.
 
 Rule kinds
 ----------
@@ -32,15 +31,6 @@ from .rational import Q, format_rational, parse_int, parse_rational
 
 class PrefixError(ValueError):
     """A recorded path disagrees with a rule (stops early or runs past it)."""
-
-
-@dataclass
-class WalkPath:
-    increments: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e not in (-1, 1) for e in self.increments):
-            raise ValueError("increments must be -1 or +1")
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +142,12 @@ class MaxThresholdRule:
 
 
 class MatrixRuleState:
-    __slots__ = ("matrix", "position", "t", "stopped", "smaller", "exited")
+    __slots__ = ("matrix", "position", "t", "stopped", "smaller")
 
     def __init__(self, matrix: StoppingMatrix):
         self.matrix = matrix
         self.position = 0
         self.t = 0
-        self.exited = False
         self.smaller = {0: 0}
         self.stopped = self._stop_check(0, 0)
         self.smaller = self._survive(self.smaller, 0)
@@ -166,7 +155,6 @@ class MatrixRuleState:
     def _stop_check(self, pos: int, stage: int) -> bool:
         bound = self.matrix.half_width + 1
         if abs(pos) >= bound:
-            self.exited = True
             return True
         return self.smaller[pos] < self.matrix.entry(pos, stage)
 
@@ -322,31 +310,7 @@ class MinimalRule:
 
 
 # ---------------------------------------------------------------------------
-# decide / (de)serialization
-
-
-@dataclass(frozen=True)
-class Decision:
-    stopped: bool
-    stop_time: int | None
-    stop_site: int | None
-
-
-def decide(rule, path: WalkPath) -> Decision:
-    """Replay `path` against `rule`.
-
-    Returns the stop time and site if the rule stops at or before the end of
-    the path, else a non-stopped decision.  The replay itself raises nothing
-    on a long path: increments after the stop are simply not consumed.
-    """
-    state = rule.new_state()
-    if state.stopped:
-        return Decision(True, 0, state.position)
-    for t, eps in enumerate(path.increments, start=1):
-        state.step(eps)
-        if state.stopped:
-            return Decision(True, t, state.position)
-    return Decision(False, None, None)
+# (de)serialization
 
 
 def rule_to_json(rule) -> str:

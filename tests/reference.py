@@ -9,6 +9,8 @@ package because no command runs it:
   endpoints, next to `ifs_approximate`'s integer numerators;
 - `weight_set_system_alt` is a second contraction system with the same
   covers as `weight_set_system`;
+- `decide` replays a recorded `WalkPath` against a rule's state machine
+  and reports where it stops, as a `Decision`;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
 - `ruin_masses` shares a strip's survivors out to its ends by exact
   gambler's-ruin probabilities, where the package uses the closed form
@@ -24,6 +26,7 @@ package because no command runs it:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
@@ -46,12 +49,7 @@ from walkembed.measures import (
     check_hull,
 )
 from walkembed.rational import Base4Expansion
-from walkembed.rules import (
-    MatrixRuleState,
-    PrefixError,
-    RandomizedPairRule,
-    WalkPath,
-)
+from walkembed.rules import MatrixRuleState, PrefixError, RandomizedPairRule
 from walkembed.sim import SimReport, sample_pairs
 from walkembed.uiset import IfsSystem, IntervalUnion
 
@@ -123,6 +121,39 @@ def weight_set_system_alt() -> IfsSystem:
         offsets=tuple(Q(k, 64) for k in (0, 2, 4, 6, 8, 16)),
         condensation=IntervalUnion([(Q(1), Q(1))]),
     )
+
+
+@dataclass
+class WalkPath:
+    increments: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(e not in (-1, 1) for e in self.increments):
+            raise ValueError("increments must be -1 or +1")
+
+
+@dataclass(frozen=True)
+class Decision:
+    stopped: bool
+    stop_time: int | None
+    stop_site: int | None
+
+
+def decide(rule, path: WalkPath) -> Decision:
+    """Replay `path` against `rule`.
+
+    Returns the stop time and site if the rule stops at or before the end of
+    the path, else a non-stopped decision.  The replay itself raises nothing
+    on a long path: increments after the stop are simply not consumed.
+    """
+    state = rule.new_state()
+    if state.stopped:
+        return Decision(True, 0, state.position)
+    for t, eps in enumerate(path.increments, start=1):
+        state.step(eps)
+        if state.stopped:
+            return Decision(True, t, state.position)
+    return Decision(False, None, None)
 
 
 def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:

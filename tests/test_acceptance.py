@@ -21,13 +21,11 @@ from walkembed import (
     MinimalRule,
     PathCountMatrixRule,
     StoppingMatrix,
-    WalkPath,
     achievable_weights,
     azema_yor_check,
     chw_search,
     classify_triple,
     classify_weight,
-    decide,
     exact_law,
     hall_rule,
     ifs_approximate,
@@ -39,7 +37,14 @@ from walkembed import (
     verify_matrix,
     weight_set_system,
 )
-from reference import contains, frequency, measure_from_potential, tv_distance
+from reference import (
+    WalkPath,
+    contains,
+    decide,
+    frequency,
+    measure_from_potential,
+    tv_distance,
+)
 
 TRIALS = 100_000
 

@@ -361,18 +361,18 @@ def plain_scan(matrix, stages):
 
 @st.composite
 def tailed_matrices(draw):
-    """A matrix with periodic or doubling rows (others terminate) on a strip
-    of half width N <= 3, often with stops at several sites, and a target
-    with the atoms its interior rows encode.  Mass one and mean zero fix
-    the boundary atoms, which are sometimes shifted to give a wrong one."""
+    """A matrix with a periodic or doubling row on a strip of half width
+    N <= 3, often with stops at several sites, whose other rows mix zero,
+    doubling and periodic tails, and a target with the atoms its interior
+    rows encode.  Mass one and mean zero fix the boundary atoms, which are
+    sometimes shifted to give a wrong one."""
     N = draw(st.integers(0, 3))
-    tail = draw(st.sampled_from(["periodic", "doubling"]))
     digits = st.integers(0, 3)
     sites = draw(st.lists(st.integers(-N, N), min_size=1, max_size=2 * N + 1,
                           unique=True))
     rows = {}
     for n, site in enumerate(sites):
-        kind = tail if n == 0 else draw(st.sampled_from([tail, "zero"]))
+        kind = draw(st.sampled_from(["periodic", "doubling"] + ["zero"] * (n > 0)))
         head = tuple(draw(st.lists(digits, min_size=kind == "doubling",
                                    max_size=3)))
         period = tuple(draw(st.lists(digits, min_size=1, max_size=2))
@@ -405,6 +405,42 @@ class TestVerifyTails:
             absorbed, alive = plain_scan(matrix, stages)
             for b, mass in absorbed.items():
                 assert 0 <= mu.weight(b) - mass <= alive, (b, stages)
+
+    @pytest.mark.parametrize("rows, atoms", [
+        # a doubling row next to a zero row
+        ([{"site": -2, "head": [0, 1], "tail": "doubling"},
+          {"site": 2, "head": [0, 1]}],
+         {-3: Q(1, 24), -2: Q(1, 2), 2: Q(1, 4), 3: Q(5, 24)}),
+        # a doubling row next to a periodic row
+        ([{"site": -2, "head": [0, 1], "tail": "doubling"},
+          {"site": 2, "head": [0], "tail": "periodic", "period": [1]}],
+         {-3: Q(1, 36), -2: Q(1, 2), 2: Q(1, 3), 3: Q(5, 36)}),
+    ], ids=["doubling-zero", "doubling-periodic"])
+    def test_mixed_tails_settle(self, rows, atoms):
+        # the counts settle once they grow by 2 a stage, whatever the other
+        # rows' tails; a step-by-step scan of 200 stages finds every stop
+        # within its arrivals and the boundary masses ahead of the absorbed
+        matrix = StoppingMatrix.from_json_dict({"N": 2, "rows": rows})
+        mu = IntegerMeasure(atoms)
+        assert verify_matrix(matrix, mu).valid
+        absorbed, alive = plain_scan(matrix, 200)
+        for b, mass in absorbed.items():
+            assert 0 <= mu.weight(b) - mass <= alive, b
+
+    @pytest.mark.parametrize("row, site, stage", [
+        (MatrixRow((0, 0, 1), "doubling"), 0, 6),
+        (MatrixRow((0,), "periodic", (1, 2)), 1, 2),
+        (MatrixRow((), "periodic", (0, 2)), 0, 3),
+    ], ids=["doubling", "periodic-head", "periodic-lag"])
+    def test_violation_past_heads_is_found(self, row, site, stage):
+        # the counts grow past the heads, but by less than the settle test
+        # asks (c = 2^p, over a lag of p stages from head_length + p on),
+        # and a stop outgrows its arrivals a few stages later
+        matrix = StoppingMatrix(1, {site: row})
+        res = verify_matrix(matrix, measure({-2: Q(1, 2), 2: Q(1, 2)}))
+        assert (res.status, res.site, res.stage) == ("violation", site, stage)
+        with pytest.raises(AssertionError, match=rf"\({site}, {stage}\)"):
+            plain_scan(matrix, stage)
 
     def test_multi_site_periodic_valid(self):
         # period 2 on a strip with two interior even sites (dim 2): stops
@@ -526,7 +562,9 @@ class TestWorkBudget:
         self.assert_past_budget(verify_matrix(long_head, measure({0: 1})), 63)
 
     def test_doubling_regime_past_budget(self):
-        wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
+        # the doubling tail starts after a 31-stage head, past the 20 stages
+        # that fit on the 63 sites of N = 30
+        wide = StoppingMatrix(30, {0: MatrixRow((0,) * 30 + (1,), "doubling")})
         self.assert_past_budget(verify_matrix(wide, measure({0: 1})), 63)
 
     def test_periodic_scan_past_budget(self):
@@ -543,13 +581,22 @@ class TestWorkBudget:
         mu = measure({0: Q(1, 6), -10: Q(5, 12), 10: Q(5, 12)})
         assert verify_matrix(wide, mu).valid
 
+    def test_zero_tails_scan_past_max_scan(self, monkeypatch):
+        # a matrix without tails settles at the end of its heads, however
+        # long: MAX_SCAN caps only the scan of a tail
+        monkeypatch.setattr(matrices, "MAX_SCAN", 10)
+        late = StoppingMatrix(2, {0: MatrixRow((0,) * 20 + (1,))})
+        atoms = {0: late.site_weight(0), **_closed_form(late)}
+        assert verify_matrix(late, measure(atoms)).valid
+
     def test_scan_limit_keeps_its_detail(self, monkeypatch):
-        # a doubling scan that stops at MAX_SCAN, not at the budget
+        # a settle scan that stops at MAX_SCAN, not at the budget: the
+        # doubling tail starts after a 101-stage head
         monkeypatch.setattr(matrices, "MAX_SCAN", 100)
-        never = StoppingMatrix(2, {0: MatrixRow((0,), "doubling")})
-        res = verify_matrix(never, measure({0: 1}))
-        assert (res.status, res.detail) == ("inconclusive",
-                                            "no doubling regime found")
+        late = StoppingMatrix(2, {0: MatrixRow((0,) * 100 + (1,), "doubling")})
+        res = verify_matrix(late, measure({0: 1}))
+        assert (res.status, res.detail) == (
+            "inconclusive", "counts do not settle within MAX_SCAN = 100 stages")
 
     @pytest.mark.parametrize("bad", [
         StoppingMatrix(30, {0: MatrixRow((0, 3) + (0,) * 30)}),

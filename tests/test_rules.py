@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from walkembed import (
     ChipStep,
-    Decision,
     ExitCompositionRule,
     MatrixRow,
     MaxThresholdRule,
@@ -18,15 +17,13 @@ from walkembed import (
     PrefixError,
     RandomizedPairRule,
     StoppingMatrix,
-    WalkPath,
-    decide,
     hall_rule,
     measure,
     minimal_certificate,
     rule_from_json,
     rule_to_json,
 )
-from reference import alive_class_rank
+from reference import Decision, WalkPath, alive_class_rank, decide
 
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})

@@ -22,8 +22,6 @@ from walkembed import (
     RandomizedPairRule,
     RandomizedRule,
     StoppingMatrix,
-    WalkPath,
-    decide,
     exact_law,
     hall_rule,
     kernels,
@@ -36,7 +34,7 @@ from walkembed import (
 from walkembed import sim
 from walkembed.matrices import CountViolation, count_scan
 from walkembed.rational import BudgetExceeded
-from reference import frequency, replay_trials, tv_distance
+from reference import WalkPath, decide, frequency, replay_trials, tv_distance
 
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
