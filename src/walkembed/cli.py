@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"stage cap (default {DEFAULT_MAX_STAGE}); at most "
                         f"{MAX_STAGE} stages run, fewer once a rule's DP "
                         f"passes {MAX_KEY_STEPS} key-steps; the residual "
-                        f"covers the rest")
+                        f"covers the rest.  Pair and matrix rules are exact "
+                        f"whatever the cap")
     x.set_defaults(fn=cmd_exact_law)
 
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")

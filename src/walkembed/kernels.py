@@ -613,9 +613,10 @@ def run_matrix(seed, trials, matrix, max_steps):
     bound = matrix.half_width + 1
     head_steps = min(2 * matrix.head_length - 2, max_steps)
     w = min(matrix.half_width, head_steps)
-    # `count_scan` bounds every count the head reads by its arrivals, below
-    # 2^60, but not a(j, 0) at odd j, which no walk reads; any count of
-    # 2^62 or more would stop and clear the same trials as 2^62
+    # `simulate`'s check (`exact_law_matrix`) bounds every count the head
+    # reads by its arrivals, below 2^60, and rejects a(j, 0) at odd j, which
+    # no walk reads; a direct call may still pass one.  Any count of 2^62 or
+    # more would stop and clear the same trials as 2^62
     cap = 1 << 62
     table = np.asarray([[min(matrix.entry(j, n), cap) for j in range(-w, w + 1)]
                         for n in range(matrix.head_length)], dtype=np.int64)

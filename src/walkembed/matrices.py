@@ -13,13 +13,16 @@ its stopped law has mass one and mean zero.  Those two equations fix both
 boundary masses from the interior weights alone (`boundary_masses`), so a
 check of a matrix only has to confirm a <= k for good.  Rows may terminate,
 eventually double (a_{n+1} = 2 a_n, the stop-everything-arriving pattern),
-or repeat periodically, in any mix; one settle test on the counts
-(`_settles`) confirms every kind exactly, with no truncation error.
+or repeat periodically, in any mix; one settle scan on the counts
+(`settle_stage`) confirms every kind exactly.  Past it the stopped law is
+closed form, with no truncation: each row's weight inside, and the
+boundary masses at the ends.  `verify`, `exact-law` and `simulate` all run
+that one scan and that one law.
 
-`CountEngine` is the only code that turns survivors into arrivals.
-Verification and the exact law of a matrix rule run on it, and the search
-uses its arrivals routine.  One call's engine stages, counted in
-site-stages, stay within `MAX_SITE_STAGES`.
+`CountEngine` is the only code that turns survivors into arrivals.  The
+settle scan runs on it, and the search uses its arrivals routine.  One
+scan's engine stages, counted in site-stages, stay within
+`MAX_SITE_STAGES`.
 
 The search runs on integers too: at stage n it holds each interior atom's
 unspent budget and each boundary atom's deficit in units of 1/(d 4^n), with
@@ -71,20 +74,28 @@ class MatrixRow:
         return self.period[(n - len(self.head)) % len(self.period)]
 
     def quarter_sum(self) -> Fraction:
-        """Exact sum_n 4^{-n} a_n, tails in closed form."""
-        total = sum((Q(a, 4**n) for n, a in enumerate(self.head)), Q(0))
+        """Exact sum_n 4^{-n} a_n, tails in closed form: one integer over
+        4^m, m = len(head), and over 4^m (4^p - 1) with a period of p."""
         m = len(self.head)
+        num = sum(a * 4 ** (m - n) for n, a in enumerate(self.head))
         if self.tail == "doubling":
             # sum_{n >= m} a* 2^(n-m+1) 4^-n, with a* = head[-1], is a* 4^(1-m)
-            total += self.head[-1] * Q(4, 4**m)
+            num += 4 * self.head[-1]
         elif self.tail == "periodic":
-            block = sum(Q(d, 4**j) for j, d in enumerate(self.period))
-            total += Q(1, 4**m) * block / (1 - Q(1, 4 ** len(self.period)))
-        return total
+            p = len(self.period)
+            block = sum(d * 4 ** (p - j) for j, d in enumerate(self.period))
+            return Q(num * (4**p - 1) + block, 4**m * (4**p - 1))
+        return Q(num, 4**m)
 
     @property
     def is_zero(self) -> bool:
         return self.tail == "zero" and not any(self.head)
+
+    @property
+    def tail_stops(self) -> bool:
+        """Whether the tail stops any path: a doubling tail after a nonzero
+        last head entry, or a period with a nonzero digit."""
+        return self.head[-1] > 0 if self.tail == "doubling" else any(self.period)
 
 
 ZERO_ROW = MatrixRow()
@@ -164,26 +175,12 @@ class StoppingMatrix:
 # The two-phase arrival-count recursion
 
 
-#: Work one `verify_matrix` or `count_scan` call may spend, in site-stages:
-#: a `CountEngine` stage costs the strip's 2N + 3 sites.
+#: Work one settle scan may spend, in site-stages: a `CountEngine` stage
+#: costs the strip's 2N + 3 sites.
 MAX_SITE_STAGES = 2_000_000
-#: Stages `verify_matrix` scans a matrix with doubling or periodic tails for
-#: the stage at which its counts settle before it calls the check
-#: inconclusive.
+#: Stages the settle scan of a matrix whose tails stop paths may run before
+#: the counts must have settled.
 MAX_SCAN = 512
-
-
-def _over_budget(half_width: int) -> BudgetExceeded:
-    """A matrix check that would spend more than MAX_SITE_STAGES."""
-    return BudgetExceeded(
-        "MAX_SITE_STAGES",
-        f"past the work budget MAX_SITE_STAGES = {MAX_SITE_STAGES} "
-        f"site-stages on a strip of {2 * half_width + 3} sites")
-
-
-def _affordable_stages(half_width: int) -> int:
-    """Engine stages on a strip of half width N that fit in MAX_SITE_STAGES."""
-    return MAX_SITE_STAGES // (2 * half_width + 3)
 
 
 def _arrivals(surv: dict[int, int], sites: list[int]) -> dict[int, int]:
@@ -195,21 +192,19 @@ class CountEngine:
     """Evolves the arrival counts k[i][n] of a matrix's stop counts.
 
     Interior site i stops `matrix.entry(i, n)` paths at stage n.  Boundary
-    sites +-(N+1) absorb everything that reaches them; `absorbed[b] / 4**n`
-    is the mass absorbed at b by stage n.
+    sites +-(N+1) absorb everything that reaches them.
     """
 
     def __init__(self, matrix: StoppingMatrix):
         self.matrix = matrix
         self.N = matrix.half_width
         self.n = 0
-        self.bound = bound = self.N + 1
+        bound = self.N + 1
         check_hull(-bound, bound)
         self.even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
         self.odd_sites = [i for i in range(-bound, bound + 1) if i % 2 != 0]
         self.k_even = {i: (1 if i == 0 else 0) for i in self.even_sites}
         self.k_odd = {i: 0 for i in self.odd_sites}
-        self.absorbed = {-bound: 0, bound: 0}
 
     def survivors(self, counts: dict[int, int], stage: int) -> dict[int, int]:
         """`counts` less the stops of `stage`; nothing survives a boundary."""
@@ -224,18 +219,11 @@ class CountEngine:
                 surv[i] = k - a
         return surv
 
-    def absorbed_mass(self) -> dict[int, Fraction]:
-        return {b: Q(num, 4**self.n) for b, num in self.absorbed.items()}
-
     def advance(self) -> None:
         """Run one full stage: odd arrivals, then even arrivals."""
         self.k_odd = _arrivals(self.survivors(self.k_even, self.n), self.odd_sites)
         self.n += 1
         self.k_even = _arrivals(self.survivors(self.k_odd, self.n), self.even_sites)
-        # paths reaching an odd boundary are one step shorter: count them twice
-        counts = self.k_odd if self.bound % 2 else self.k_even
-        for b in self.absorbed:
-            self.absorbed[b] = 4 * self.absorbed[b] + 2 ** (self.bound % 2) * counts[b]
 
 
 class CountViolation(Exception):
@@ -263,56 +251,52 @@ def boundary_masses(interior: dict[int, Fraction], half_width: int
     return {-bound: (rest + shift) / 2, bound: (rest - shift) / 2}
 
 
-def count_scan(matrix: StoppingMatrix, max_stage: int
-               ) -> tuple[dict[int, Fraction], Fraction, int]:
-    """Run the count recursion of `matrix` for `max_stage` stages, or only
-    through its heads when every row terminates, checking a <= k at every
-    stage scanned, the last stage's even sites included.  It runs fewer
-    stages when more would pass `MAX_SITE_STAGES`.
+def settle_stage(matrix: StoppingMatrix) -> int:
+    """The stage at which the counts of `matrix` settle, so that a <= k
+    holds at every stage; a violation on the way raises `CountViolation`.
 
-    Returns the mass absorbed at +-(N+1), the mass still alive and the
-    number of stages run.
+    Let p be the lcm of the periods of the periodic rows whose tails stop
+    paths (1 if there are none) and c = 2^p if a doubling tail stops paths,
+    1 otherwise.  Past the heads every row has a(i, m + p) <= c a(i, m): a
+    tail that stops nothing, a zero row's included, has a = 0 there.  The
+    recursion is linear and monotone in the counts, so once the even counts
+    at a stage n >= head_length + p are at least c times those at n - p,
+    the survivors of every later stage are at least c times those p stages
+    earlier, and never negative.  Without a tail that stops paths the
+    counts settle at the end of the heads, with no `MAX_SCAN` cap.
+
+    Raises `BudgetExceeded` when a tailed scan passes `MAX_SCAN` stages,
+    or any scan passes `MAX_SITE_STAGES`.
     """
-    stages = min(max_stage, _affordable_stages(matrix.half_width))
-    if matrix.terminates:
-        stages = min(stages, matrix.head_length)
-    engine = CountEngine(matrix)
-    for _ in range(stages):
-        engine.advance()
-    alive = engine.survivors(engine.k_even, engine.n)
-    return engine.absorbed_mass(), Q(sum(alive.values()), 4**engine.n), engine.n
-
-
-def _settles(matrix: StoppingMatrix) -> bool:
-    """Whether the counts of `matrix` settle within `MAX_SCAN` stages, so
-    that a <= k holds at every stage; a violation on the way is raised.
-
-    Let p be the lcm of the periodic rows' periods (1 if there are none)
-    and c = 2^p if a row doubles, 1 otherwise.  Past the heads every row,
-    zero, doubling or periodic, has a(i, m + p) <= c a(i, m).  The
-    recursion is linear and monotone in the counts, so once the even
-    counts at a stage n >= head_length + p are at least c times those at
-    n - p, the survivors of every later stage are at least c times those p
-    stages earlier, and never negative.  A matrix without tails stops
-    nothing past its heads: it settles there, with no `MAX_SCAN` cap.
-    """
-    tails = [r for r in matrix.rows.values() if r.tail != "zero"]
+    tails = [r for r in matrix.rows.values() if r.tail_stops]
     period = math.lcm(*(len(r.period) for r in tails if r.tail == "periodic"))
     growth = 2**period if any(r.tail == "doubling" for r in tails) else 1
     settle = matrix.head_length + (period if tails else 0)
-    affordable = _affordable_stages(matrix.half_width)
+    sites = 2 * matrix.half_width + 3
     engine = CountEngine(matrix)
     counts = deque(maxlen=period + 1)  # the even counts of stages n - p .. n
     while True:
         counts.append(engine.k_even)
         if engine.n >= settle and (not tails or all(
                 k >= growth * counts[0][i] for i, k in engine.k_even.items())):
-            return True
+            return engine.n
         if tails and engine.n == MAX_SCAN:
-            return False
-        if engine.n == affordable:
-            raise _over_budget(matrix.half_width)
+            raise BudgetExceeded("MAX_SCAN", "counts do not settle within "
+                                 f"MAX_SCAN = {MAX_SCAN} stages")
+        if engine.n == MAX_SITE_STAGES // sites:
+            raise BudgetExceeded("MAX_SITE_STAGES", "past the work budget "
+                                 f"MAX_SITE_STAGES = {MAX_SITE_STAGES} "
+                                 f"site-stages on a strip of {sites} sites")
         engine.advance()
+
+
+def _settled_law(matrix: StoppingMatrix) -> tuple[dict[int, Fraction], int]:
+    """The stopped law of `matrix` once `settle_stage` confirms a <= k for
+    good, with that stage: each row's weight, and the boundary masses."""
+    stages = settle_stage(matrix)
+    interior = {i: matrix.site_weight(i) for i in matrix.rows}
+    law = {**boundary_masses(interior, matrix.half_width), **interior}
+    return {i: w for i, w in law.items() if w}, stages
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +319,13 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
     """Check that `matrix` encodes an adapted rule embedding `mu`.
 
     Recomputes the arrival counts and checks a[i][n] <= k[i][n] at every
-    stage until they settle (`_settles`): past that stage every count is
-    at least c times the count p stages earlier, and a <= k holds for good.
-    Tails of every kind, and any mix of them, pass the same test.  Then
-    each interior site's weight must be mu's, and each boundary mass, which
-    `boundary_masses` takes from the interior weights in closed form, must
-    be mu's too.
+    stage until they settle (`settle_stage`): past that stage every count
+    is at least c times the count p stages earlier, and a <= k holds for
+    good.  Tails of every kind, and any mix of them, pass the same test.
+    Then each interior site's weight must be mu's, and each boundary mass,
+    which `boundary_masses` takes from the interior weights in closed form,
+    must be mu's too.  A stop at an odd site at stage 0, which no walk
+    reaches, shows as that site's weight.
 
     Inconclusive when the check would pass `MAX_SITE_STAGES`, or a strip
     of `measures.MAX_HULL_SITES` sites, or the counts do not settle within
@@ -353,49 +338,37 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
             raise MeasureError(f"support site {site} outside [-{bound}, {bound}]")
 
     try:
-        if not _settles(matrix):
-            return VerifyResult("inconclusive", detail="counts do not settle "
-                                f"within MAX_SCAN = {MAX_SCAN} stages")
+        law, _ = _settled_law(matrix)
     except CountViolation as v:
         return VerifyResult("violation", site=v.site, stage=v.stage,
                             detail=str(v))
     except BudgetExceeded as exc:
         return VerifyResult("inconclusive", detail=str(exc))
 
-    # the counts scan passed, so a <= k throughout; now the atom identities
-    weights = {i: matrix.site_weight(i) for i in matrix.rows}
-    for i in range(-N, N + 1):
-        got = weights.get(i, Q(0))
+    # the counts scan passed, so a <= k throughout; now the atom identities,
+    # interior sites first, then the ends
+    for i in [*range(-N, N + 1), -bound, bound]:
+        got = law.get(i, Q(0))
         if got != mu.weight(i):
+            what = "encoded weight" if abs(i) <= N else "boundary mass"
             return VerifyResult("violation", site=i,
-                                detail=f"encoded weight {got} != target {mu.weight(i)}")
-    masses = boundary_masses(weights, N)
-    for b in (-bound, bound):
-        if masses[b] != mu.weight(b):
-            return VerifyResult("violation", site=b,
-                                detail=f"boundary mass {masses[b]} "
-                                       f"!= target {mu.weight(b)}")
+                                detail=f"{what} {got} != target {mu.weight(i)}")
     return VerifyResult("valid")
 
 
-def exact_law_matrix(matrix: StoppingMatrix, max_stage: int
+def exact_law_matrix(matrix: StoppingMatrix
                      ) -> tuple[dict[int, Fraction], Fraction, int]:
-    """Stopped law of a matrix rule over `count_scan`'s stages, as (law,
-    residual, stages): each interior site gets what its row stops in those
-    stages.  Once a terminating matrix has run its whole head, the boundary
-    masses are `boundary_masses` of those interior weights and the residual
-    is zero; otherwise each boundary site gets its absorbed mass and the
-    residual is the mass still alive."""
-    masses, residual, n = count_scan(matrix, max_stage)
-    interior = {}
-    for i, row in matrix.rows.items():
-        # odd sites are first reached at stage 1
-        num = sum(row.entry(m) * 4 ** (n - m) for m in range(i % 2, n + 1))
-        if num:
-            interior[i] = Q(2 ** (i % 2) * num, 4**n)
-    if matrix.terminates and n >= matrix.head_length:
-        masses, residual = boundary_masses(interior, matrix.half_width), Q(0)
-    return {**{b: m for b, m in masses.items() if m}, **interior}, residual, n
+    """Stopped law of a matrix rule as (law, residual, stages): once
+    `settle_stage` confirms a <= k for good, each interior site gets its
+    row's weight and the ends get `boundary_masses`, with residual zero
+    and the stages the scan ran.  A stop at an odd site at stage 0 exceeds
+    its arrivals, none, and raises `CountViolation` before the scan."""
+    for i in sorted(matrix.rows):
+        a = matrix.entry(i, 0)
+        if i % 2 and a:
+            raise CountViolation(i, 0, a, 0)
+    law, stages = _settled_law(matrix)
+    return law, Q(0), stages
 
 
 # ---------------------------------------------------------------------------

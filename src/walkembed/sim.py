@@ -11,11 +11,13 @@ within `MAX_SITE_STEPS`.  A pair rule is the one-pair law of a
 randomized rule, so both share one branch: `sample_pairs` draws every
 trial's pair.  `exact_law` computes the stopped law of a rule
 exactly, with a certified residual: the rational mass not yet stopped at the
-stage cap.  For exit-composition and max-threshold rules it runs a dynamic
-program over integer path counts per merged rule state; the rule's state
-machine is the transition function, stepped once per distinct state and
-direction and memoized, and the only division happens at the end.  A
-minimal rule has its own integer solver with the same result: its
+stage cap.  A matrix rule's law is closed form once its counts settle
+(`matrices.exact_law_matrix`), and `simulate` runs that same check before
+it trusts the counts.  For exit-composition and max-threshold rules it
+runs a dynamic program over integer path counts per merged rule state; the
+rule's state machine is the transition function, stepped once per distinct
+state and direction and memoized, and the only division happens at the
+end.  A minimal rule has its own integer solver with the same result: its
 selection words are integers tested against integer cut points, and after
 selection each (target, side) lane of first-passage counts is one packed
 integer that a whole step advances with one shift and one add.
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from . import kernels
 from .classic import MinimalCertificate, RandomizedRule
-from .matrices import count_scan, exact_law_matrix
+from .matrices import exact_law_matrix
 from .rational import BudgetExceeded, Q, format_rational
 from .rules import (
     ExitCompositionRule,
@@ -47,7 +49,7 @@ from .rules import (
 )
 
 
-DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law` and of the matrix count scan
+DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law`; matrix rules need none
 MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
 # work cap of the keyed DP (exit-composition, max-threshold and minimal
 # rules): total key-steps, one merged state advanced by one step, checked
@@ -152,7 +154,7 @@ def simulate(rule, trials: int, seed: int,
     elif isinstance(rule, PathCountMatrixRule):
         # the rank profile assumes a <= k: reject what `exact_law` rejects
         matrix = rule.matrix
-        count_scan(matrix, DEFAULT_MAX_STAGE)
+        exact_law_matrix(matrix)
         if matrix.terminates and matrix.head_length <= kernels.MAX_MATRIX_HEAD:
             out = kernels.run_matrix(seed, trials, matrix, max_steps)
         else:
@@ -245,7 +247,9 @@ def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
 
     The returned residual is the exact probability mass not yet stopped,
     and `stages` the stages that ran; rules that terminate within the
-    horizon report residual zero.
+    horizon report residual zero.  Pair rules and matrix rules ignore the
+    cap: their laws are closed form, with residual zero, and a matrix
+    rule's `stages` are those of its settle scan (`exact_law_matrix`).
     """
     if max_stage < 0:
         raise ValueError(f"max_stage must be at least 0, got {max_stage}")
@@ -257,7 +261,7 @@ def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
 
         return ExactLaw(dict(hall_stopped_law(rule).atoms), Q(0), 0)
     if isinstance(rule, PathCountMatrixRule):
-        return ExactLaw(*exact_law_matrix(rule.matrix, max_stage))
+        return ExactLaw(*exact_law_matrix(rule.matrix))
     if isinstance(rule, ExitCompositionRule):
         return _exact_law_generic(rule, max_steps, _chip_state_key)
     if isinstance(rule, MaxThresholdRule):

@@ -269,14 +269,75 @@ class TestVerifyAndLaws:
         # past the cap the residual covers the rest; every denominator
         # stays within Python's integer-to-string digit limit
         r = tmp_path / "rule.json"
-        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
-            "N": 1, "rows": [{"site": 0, "head": [0, 0], "tail": "periodic",
-                              "period": [2]}]}}))
+        r.write_text('{"kind": "exitComposition", "payload": [[-5, 5]]}')
         code, out = run(capsys, ["exact-law", str(r), "--max-stage", "8000"])
         assert code == 0
         assert out["stages"] == 2048
         total = sum(map(Fraction, out["law"].values())) + Fraction(out["residual"])
         assert total == 1
+        assert 0 < Fraction(out["residual"]) < Fraction(1, 10**89)
+
+    # a matrix rule's law is closed form once its counts settle: exact,
+    # with the stages of the settle scan, whatever the cap
+    @pytest.mark.parametrize("max_stage", ["0", "64", "8000"])
+    def test_exact_law_periodic_witness(self, capsys, tmp_path, max_stage):
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 1, "rows": [{"site": 0, "head": [0, 0], "tail": "periodic",
+                              "period": [2]}]}}))
+        code, out = run(capsys, ["exact-law", str(r), "--max-stage", max_stage])
+        assert (code, out) == (0, {"law": {"-2": "5/12", "0": "1/6",
+                                           "2": "5/12"},
+                                   "residual": "0", "stages": 3})
+
+    def test_tails_that_stop_nothing_settle(self, capsys, tmp_path):
+        # a doubling tail after a 0 and an all-zero period stop nothing,
+        # so they ask no growth of the counts
+        payload = {"N": 1, "rows": [
+            {"site": 0, "head": [0], "tail": "doubling"},
+            {"site": 1, "head": [0], "tail": "periodic", "period": [1, 1]}]}
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(payload))
+        mu = tmp_path / "mu.json"
+        mu.write_text('{"atoms": {"-2": "1/3", "1": "2/3"}}')
+        code, out = run(capsys, ["verify", str(m), str(mu)])
+        assert (code, out["status"]) == (0, "valid")
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": payload}))
+        code, out = run(capsys, ["exact-law", str(r)])
+        assert (code, out["law"], out["residual"]) == (
+            0, {"-2": "1/3", "1": "2/3"}, "0")
+
+    def test_odd_site_stage_zero_stop(self, capsys, tmp_path):
+        # no walk reaches site 1 at stage 0: `exact-law` and `simulate`
+        # reject the stop there, and `verify` reports the site's weight
+        payload = {"N": 1, "rows": [{"site": 1, "head": [1, 1]}]}
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": payload}))
+        for argv in (["exact-law", str(r)], ["simulate", str(r), "--trials", "10"]):
+            assert main(argv) == 2
+            assert ("a[1][0] = 1 exceeds arrival count 0"
+                    in capsys.readouterr().err)
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(payload))
+        mu = tmp_path / "mu.json"
+        mu.write_text('{"atoms": {"-2": "3/8", "1": "1/2", "2": "1/8"}}')
+        code, out = run(capsys, ["verify", str(m), str(mu)])
+        assert (code, out) == (2, {"status": "violation", "site": 1,
+                                   "stage": None,
+                                   "detail": "encoded weight 5/2 != target 1/2"})
+
+    def test_exact_law_unsettled_tail_exits_3(self, capsys, tmp_path):
+        # the doubling tail starts after a 601-stage head, past MAX_SCAN
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 2, "rows": [{"site": 0, "head": [0] * 600 + [1],
+                              "tail": "doubling"}]}}))
+        for argv in (["exact-law", str(r)], ["simulate", str(r), "--trials", "10"]):
+            code, out = run(capsys, argv)
+            assert (code, out) == (3, {
+                "budget": "MAX_SCAN",
+                "reason": "counts do not settle within MAX_SCAN = 512 stages"})
 
     def test_exact_law_key_step_cap(self, capsys, tmp_path, mu_516):
         # a minimal rule's DP keys carry the walk position; the key-step

@@ -17,6 +17,7 @@ from walkembed import (
 )
 from walkembed import matrices, rules
 from walkembed.matrices import exact_law_matrix
+from walkembed.rational import BudgetExceeded
 
 import reference
 from reference import search_matrix_visiting
@@ -332,10 +333,11 @@ class TestSearchBudgets:
 
 
 def plain_scan(matrix, stages):
-    """Boundary masses and alive mass after `stages` stages, stepping the
-    walk one step at a time over integer path counts: at step t the paths
-    at each site lose the site's stops, boundary paths are absorbed, and
-    the rest move one step either way.  Independent of `CountEngine`."""
+    """Boundary masses, alive mass and the surviving paths at each interior
+    site after `stages` stages, stepping the walk one step at a time over
+    integer path counts: at step t the paths at each site lose the site's
+    stops, boundary paths are absorbed, and the rest move one step either
+    way.  Independent of `CountEngine`."""
     N = matrix.half_width
     bound = N + 1
     counts = {0: 1}
@@ -349,14 +351,15 @@ def plain_scan(matrix, stages):
                 continue
             k -= matrix.entry(i, stage)
             assert k >= 0, (i, stage)
-            if t < 2 * stages:
-                for j in (i - 1, i + 1):
-                    nxt[j] = nxt.get(j, 0) + k
+            nxt[i] = k
         if t < 2 * stages:
-            counts = nxt
-    alive = sum(k for i, k in counts.items() if abs(i) <= N)
+            counts = {}
+            for i, k in nxt.items():
+                for j in (i - 1, i + 1):
+                    counts[j] = counts.get(j, 0) + k
     w = Q(1, 4**stages)
-    return {b: n * w for b, n in absorbed.items()}, alive * w
+    return ({b: n * w for b, n in absorbed.items()},
+            sum(nxt.values()) * w, nxt)
 
 
 @st.composite
@@ -402,7 +405,7 @@ class TestVerifyTails:
         if not verify_matrix(matrix, mu).valid:
             return
         for stages in (1, 8, 40):
-            absorbed, alive = plain_scan(matrix, stages)
+            absorbed, alive, _ = plain_scan(matrix, stages)
             for b, mass in absorbed.items():
                 assert 0 <= mu.weight(b) - mass <= alive, (b, stages)
 
@@ -423,7 +426,7 @@ class TestVerifyTails:
         matrix = StoppingMatrix.from_json_dict({"N": 2, "rows": rows})
         mu = IntegerMeasure(atoms)
         assert verify_matrix(matrix, mu).valid
-        absorbed, alive = plain_scan(matrix, 200)
+        absorbed, alive, _ = plain_scan(matrix, 200)
         for b, mass in absorbed.items():
             assert 0 <= mu.weight(b) - mass <= alive, b
 
@@ -483,12 +486,10 @@ def _closed_form(matrix):
 def _ruin_total(matrix):
     """Boundary masses of a zero-tail matrix: what its heads absorb, plus
     the ruin masses of the paths still alive after them."""
-    engine = matrices.CountEngine(matrix)
-    for _ in range(matrix.head_length):
-        engine.advance()
-    alive = engine.survivors(engine.k_even, engine.n)
-    extra = reference.ruin_masses(alive, engine.n, matrix.half_width)
-    return {b: m + x for (b, m), x in zip(engine.absorbed_mass().items(), extra)}
+    stages = matrix.head_length
+    absorbed, _, alive = plain_scan(matrix, stages)
+    extra = reference.ruin_masses(alive, stages, matrix.half_width)
+    return {b: m + x for (b, m), x in zip(absorbed.items(), extra)}
 
 
 class TestBoundaryMasses:
@@ -512,11 +513,30 @@ class TestBoundaryMasses:
         want = {b: mu.weight(b) for b in (-bound, bound)}
         assert _closed_form(res.matrix) == _ruin_total(res.matrix) == want
 
+    @settings(max_examples=200)
+    @given(case=st.one_of(tailed_matrices(),
+                          feasible_heads().map(lambda m: (m, None))))
+    def test_exact_law_is_the_verified_law(self, case):
+        # every matrix that `verify` accepts has that measure as its exact
+        # law, residual 0, and a step-by-step scan brackets each end
+        matrix, _ = case
+        atoms = {i: matrix.site_weight(i) for i in matrix.rows}
+        atoms.update(_closed_form(matrix))
+        if any(w < 0 for w in atoms.values()):
+            return
+        mu = IntegerMeasure({i: w for i, w in atoms.items() if w})
+        if not verify_matrix(matrix, mu).valid:
+            return
+        law, residual, stages = exact_law_matrix(matrix)
+        assert (law, residual) == (mu.atoms, 0)
+        assert stages == matrices.settle_stage(matrix)
+        self.assert_brackets(matrix)
+
     @staticmethod
     def assert_brackets(matrix):
         masses = _closed_form(matrix)
         for stages in (1, 8, 40):
-            absorbed, alive = plain_scan(matrix, stages)
+            absorbed, alive, _ = plain_scan(matrix, stages)
             for b, mass in absorbed.items():
                 assert mass <= masses[b] <= mass + alive, (b, stages)
 
@@ -542,8 +562,8 @@ class TestBoundaryMasses:
 
 class TestWorkBudget:
     """Past MAX_SITE_STAGES, `verify_matrix` is inconclusive and names the
-    budget, and `exact_law_matrix` runs fewer stages, leaving the rest in
-    the residual.  The budget is lowered so that each case is quick."""
+    budget, and `exact_law_matrix` raises it.  The budget is lowered so
+    that each case is quick."""
 
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
@@ -608,10 +628,11 @@ class TestWorkBudget:
         assert (res.status, res.site, res.stage) == ("violation", 0, 1)
 
     def test_exact_law_stops_early(self):
+        # a doubling tail after a 0 stops nothing: the counts settle after
+        # one stage, well within the 22 that fit on the 63 sites of N = 30
         wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
-        law, residual, stages = exact_law_matrix(wide, 64)
-        assert stages == 1400 // 63
-        assert sum(law.values()) + residual == 1
-        assert residual > 0
-        _, _, stages = exact_law_matrix(M_DOUBLING, 64)
-        assert stages == 64
+        assert exact_law_matrix(wide) == ({-31: Q(1, 2), 31: Q(1, 2)}, 0, 1)
+        long_head = StoppingMatrix(30, {0: MatrixRow((0,) * 30 + (1,))})
+        with pytest.raises(BudgetExceeded) as exc:
+            exact_law_matrix(long_head)
+        assert exc.value.budget == "MAX_SITE_STAGES"

@@ -32,7 +32,7 @@ from walkembed import (
     simulate_reference,
 )
 from walkembed import sim
-from walkembed.matrices import CountViolation, count_scan
+from walkembed.matrices import CountViolation, exact_law_matrix
 from walkembed.rational import BudgetExceeded
 from reference import WalkPath, decide, frequency, replay_trials, tv_distance
 
@@ -142,16 +142,24 @@ class TestBackendParity:
     def test_matrix_kernel_matches_state_machine(self, matrix, seed,
                                                  max_steps):
         try:
-            count_scan(matrix, sim.DEFAULT_MAX_STAGE)
+            exact_law_matrix(matrix)
         except CountViolation:
             assume(False)
         self.assert_same_run(PathCountMatrixRule(matrix), 200, seed=seed,
                              max_steps=max_steps)
 
     def test_unread_count_outside_int64(self):
-        # a(1, 0) is never read: odd sites are first reached at stage 1
+        # a(1, 0) is never read: odd sites are first reached at stage 1.
+        # `simulate` rejects it as `exact_law` does, and the kernel, called
+        # directly, clamps it and still matches the state machine
         rule = PathCountMatrixRule(StoppingMatrix(1, {1: MatrixRow((2**70, 1))}))
-        self.assert_same_run(rule, 200, seed=1, max_steps=100)
+        with pytest.raises(CountViolation) as exc:
+            simulate(rule, 200, seed=1, max_steps=100)
+        assert (exc.value.site, exc.value.stage, exc.value.k) == (1, 0, 0)
+        pos, steps, stopped = kernels.run_matrix(1, 200, rule.matrix, 100)
+        ref = simulate_reference(rule, 200, seed=1, max_steps=100)
+        got = sim._report(pos, steps, stopped, 200, 1, "python", 100)
+        assert got == ref
 
     def test_matrix_head_in_chunks(self, monkeypatch):
         # rank arrays of at most max(trials, BLOCK) elements, 5 sites a
