@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classic import (
@@ -105,15 +104,14 @@ def cmd_classify(args) -> int:
         _emit({"member": v.member, "reason": v.reason})
         return OK
     mu = _load_measure(_read(args.measure))
-    out = {}
-    ay = azema_yor_check(mu)
-    out["azemaYor"] = ay.member
-    chw = chw_search(mu, max_depth=args.depth)
-    out["chaconWalsh"] = chw.status.value
-    sm = search_matrix(mu, max_stage=args.depth)
-    out["uiMatrix"] = sm.status
-    out["minimal"] = mu.is_centered()
-    _emit(out)
+    # the classes nest, AY in CW in UI, so a class whose smaller class
+    # certified the target is not searched; an exit-composition rule stops
+    # a bounded walk, so it is UI
+    ay = azema_yor_check(mu).member
+    cw = "member" if ay else chw_search(mu, max_depth=args.depth).status.value
+    ui = "member" if cw == "member" else search_matrix(mu, args.depth).status
+    _emit({"azemaYor": ay, "chaconWalsh": cw, "uiMatrix": ui,
+           "minimal": mu.is_centered()})
     return OK
 
 
@@ -176,10 +174,7 @@ def cmd_exact_law(args) -> int:
 
 def cmd_simulate(args) -> int:
     rule = rule_from_json(_read(args.rule))
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("WALKEMBED_SEED", "0"))
-    rep = simulate(rule, trials=args.trials, seed=seed,
+    rep = simulate(rule, trials=args.trials, seed=args.seed,
                    max_steps=args.max_steps)
     print(rep.to_json())
     return OK
@@ -267,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")
     s.add_argument("rule", help="path to a rule JSON file (- for stdin)")
     s.add_argument("--trials", type=int, default=100_000)
-    s.add_argument("--seed", type=int,
-                   help="stream seed (default: $WALKEMBED_SEED, else 0)")
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-steps", type=int, default=1_000_000)
     s.set_defaults(fn=cmd_simulate)
 

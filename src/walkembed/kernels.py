@@ -39,12 +39,12 @@ at a time, with 256-entry tables of each byte's displacement, the range
 of positions it visits and the step at which it first visits each:
 a cumsum over bytes in place of one over steps.
 
-The matrix kernel runs a zero-tail path-count matrix rule in two phases.
-Through the head it keeps each live trial's rank profile, the row of
-`MatrixRuleState.smaller` over the strip sites the head can reach, as
-int64; after the head every stop count is 0, so the only stop left is the
-exit at +-(N+1), and the live trials run the two-point kernel from the
-states and positions the engine wrote back for them.
+The matrix kernel runs a path-count matrix rule whose tails stop nothing
+in two phases.  Through the head it keeps each live trial's rank profile,
+the row of `MatrixRuleState.smaller` over the strip sites the head can
+reach, as int64; after the head every stop count is 0, so the only stop
+left is the exit at +-(N+1), and the live trials run the two-point kernel
+from the states and positions the engine wrote back for them.
 
 Every value a kernel compares positions with (target sites, pair ends,
 chip ends, threshold levels) is clamped to +-2^62 before it becomes int64:
@@ -600,8 +600,8 @@ def run_minimal(seed, trials, sites, cut_points, max_steps):
 
 
 def run_matrix(seed, trials, matrix, max_steps):
-    """Trials of the rule of a `StoppingMatrix` whose rows all have zero
-    tails and whose head is at most `MAX_MATRIX_HEAD` stages.
+    """Trials of the rule of a `StoppingMatrix` whose rows have tails that
+    stop nothing and whose head is at most `MAX_MATRIX_HEAD` stages.
 
     The head phase runs to step 2 * head_length - 2, the last of a stage
     below head_length, in chunks of trials whose rank arrays hold at most

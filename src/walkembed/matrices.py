@@ -32,6 +32,7 @@ a*d and a new stage multiplies every remainder by 4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -131,7 +132,8 @@ class StoppingMatrix:
 
     @property
     def terminates(self) -> bool:
-        return all(r.tail == "zero" for r in self.rows.values())
+        """Whether every stop is in the heads: no row's tail stops a path."""
+        return not any(r.tail_stops for r in self.rows.values())
 
     # -- JSON: {"N": ..., "rows": [{"site": i, "head": [...], "tail": ...}]}
 
@@ -389,26 +391,6 @@ class SearchResult:
     nodes: int = 0
 
 
-def _site_choices(caps: list[int], floors: list[int] | None = None):
-    """Stop-count assignments with floors[j] <= a_j <= caps[j] (floors 0 by
-    default), greedy first: in decreasing lexicographic order, the last
-    site varying fastest.  A box of per-site bounds keeps that order, so
-    the floors only drop assignments, never reorder the rest."""
-    floors = floors or [0] * len(caps)
-    if any(f > c for f, c in zip(floors, caps)):
-        return
-    cur = list(caps)
-    while True:
-        yield tuple(cur)
-        j = len(cur) - 1
-        while j >= 0 and cur[j] == floors[j]:
-            j -= 1
-        if j < 0:
-            return
-        cur[j] -= 1
-        cur[j + 1:] = caps[j + 1:]
-
-
 def _head_row(stops: tuple[int, ...]) -> MatrixRow:
     """The zero-tail row of per-stage `stops`, trailing zeros dropped."""
     return MatrixRow(stops[:max(n + 1 for n, a in enumerate(stops) if a)])
@@ -436,8 +418,9 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     Nodes are the even-phase choices plus one per call; odd-phase choices
     are not counted.  Two skips leave every count and result as it was.
     With an even boundary, its arrivals are the odd survivors at -N and N,
-    so the deficits floor the odd stops there (`_site_choices`'s floors)
-    and an odd choice that would overdraw a deficit is never enumerated.
+    so the deficits floor the odd stops there and an odd choice that would
+    overdraw a deficit is never enumerated.  Choices run greedy first: in
+    decreasing lexicographic order, the last site varying fastest.
     At the stage cap, a choice that leaves budget unspent is a leaf worth
     two nodes, its own and its child's past the cap.  Only the greedy
     first choice can spend every budget (a_j <= r_j // d at each site), so
@@ -489,16 +472,16 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
                 return None
         odd_caps = [min(k_odd[i], r // d)
                     for i, r in zip(odd_interior, rem[odd_slots])]
-        odd_floors = None
+        odd_floors = [0] * len(odd_caps)
         if bound % 2 == 0:
             # the even boundary arrivals are the odd survivors at +-N, so
             # the deficits floor the stops there
-            odd_floors = [0] * len(odd_caps)
             odd_floors[0] = max(0, k_odd[-N] - lo // unit)
             odd_floors[-1] = max(0, k_odd[N] - hi // unit)
         even_rem = rem[even_slots]
         taken = [0] * len(rem)
-        for odd_choice in _site_choices(odd_caps, odd_floors):
+        for odd_choice in itertools.product(
+                *(range(c, f - 1, -1) for c, f in zip(odd_caps, odd_floors))):
             taken[odd_slots] = odd_choice
             surv_odd = {i: k_odd[i] - a for i, a in zip(odd_interior, odd_choice)}
 
@@ -526,7 +509,8 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
                 nodes += 2 * leaves
                 capped = True
                 continue
-            for even_choice in _site_choices(even_caps):
+            for even_choice in itertools.product(
+                    *(range(c, -1, -1) for c in even_caps)):
                 nodes += 1
                 if nodes > NODE_BUDGET:
                     return None

@@ -6,7 +6,7 @@ that never stopped within the step budget) reported separately and never
 folded into the law.  `simulate_reference` replays the rule's executable
 state machine on the same per-trial streams; it is the reference the
 kernels are tested against, and it runs the matrix rules no kernel takes
-(a doubling or periodic tail, or a head past `kernels.MAX_MATRIX_HEAD`),
+(a tail that stops paths, or a head past `kernels.MAX_MATRIX_HEAD`),
 within `MAX_SITE_STEPS`.  A pair rule is the one-pair law of a
 randomized rule, so both share one branch: `sample_pairs` draws every
 trial's pair.  `exact_law` computes the stopped law of a rule
@@ -158,7 +158,7 @@ def simulate(rule, trials: int, seed: int,
         if matrix.terminates and matrix.head_length <= kernels.MAX_MATRIX_HEAD:
             out = kernels.run_matrix(seed, trials, matrix, max_steps)
         else:
-            # a doubling or periodic tail reads ranks at every step, and a
+            # a tail that stops paths reads ranks at every step, and a
             # longer head past int64: the state machine runs, within
             # MAX_SITE_STEPS
             return simulate_reference(rule, trials, seed, max_steps,

@@ -16,8 +16,9 @@ package because no command runs it:
   gambler's-ruin probabilities, where the package uses the closed form
   `boundary_masses`;
 - `search_matrix_visiting` is `search_matrix` visiting every stage-cap
-  leaf one at a time, where the package counts them, and checking each
-  spent choice's ruin masses, where the package needs no check;
+  leaf one at a time, where the package counts them, checking each spent
+  choice's ruin masses, where the package needs no check, and stepping
+  its choices down with its own `site_choices` counter;
 - `replay_trials` steps a rule's state machine once per trial, for the
   kernels' per-trial outputs to match;
 - `frequency` and `tv_distance` compare a simulation report with a target.
@@ -40,7 +41,6 @@ from walkembed.matrices import (
     StoppingMatrix,
     _arrivals,
     _head_row,
-    _site_choices,
 )
 from walkembed.measures import (
     IntegerMeasure,
@@ -188,6 +188,26 @@ def ruin_masses(k_even: dict[int, int], stage: int, half_width: int
     return lo, hi
 
 
+def site_choices(caps: list[int], floors: list[int] | None = None):
+    """Stop-count assignments with floors[j] <= a_j <= caps[j] (floors 0 by
+    default), in decreasing lexicographic order, the last site varying
+    fastest: a counter stepped down by hand, where `search_matrix` takes
+    `itertools.product` of decreasing ranges."""
+    floors = floors or [0] * len(caps)
+    if any(f > c for f, c in zip(floors, caps)):
+        return
+    cur = list(caps)
+    while True:
+        yield tuple(cur)
+        j = len(cur) - 1
+        while j >= 0 and cur[j] == floors[j]:
+            j -= 1
+        if j < 0:
+            return
+        cur[j] -= 1
+        cur[j + 1:] = caps[j + 1:]
+
+
 def search_matrix_visiting(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     """`search_matrix` enumerating every even choice of the stage cap: each
     one that leaves budget unspent counts its own node and its child's,
@@ -234,7 +254,7 @@ def search_matrix_visiting(mu: IntegerMeasure, max_stage: int) -> SearchResult:
             odd_floors[-1] = max(0, k_odd[N] - hi // unit)
         even_rem = rem[even_slots]
         taken = [0] * len(rem)
-        for odd_choice in _site_choices(odd_caps, odd_floors):
+        for odd_choice in site_choices(odd_caps, odd_floors):
             taken[odd_slots] = odd_choice
             surv_odd = {i: k_odd[i] - a for i, a in zip(odd_interior, odd_choice)}
             k_new = _arrivals(surv_odd, even_sites) if stage else start
@@ -243,7 +263,7 @@ def search_matrix_visiting(mu: IntegerMeasure, max_stage: int) -> SearchResult:
                 lo2, hi2 = lo - unit * k_new[-bound], hi - unit * k_new[bound]
             even_caps = [min(k_new[i], r // d)
                          for i, r in zip(even_interior, even_rem)]
-            for even_choice in _site_choices(even_caps):
+            for even_choice in site_choices(even_caps):
                 nodes += 1
                 if nodes > budget_nodes:
                     return None

@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from fractions import Fraction
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 import walkembed
 from walkembed import classic, cli, matrices, sim
 from walkembed.cli import main
+
+from test_classic import centered_measures
 
 MU_516_JSON = '{"atoms": {"0": "5/16", "-2": "11/32", "2": "11/32"}}'
 MU_29_JSON = '{"atoms": {"-3": "2/9", "0": "4/9", "2": "1/3"}}'
@@ -65,6 +68,64 @@ class TestClassify:
         assert out["chaconWalsh"] == "nonMemberUpToDepth"
         assert out["uiMatrix"] == "member"
         assert out["minimal"] is True
+
+    # every class from the first that holds the target up prints "member"
+    # (the searches alone leave "uiMatrix" unknown on all five)
+    @pytest.mark.parametrize("atoms, depth, first", [
+        ({"-3": "1/4", "1": "3/4"}, "8", "azemaYor"),
+        ({"-1": "4/5", "4": "1/5"}, "8", "azemaYor"),
+        ({"0": "1/6", "-2": "5/12", "2": "5/12"}, "5", "chaconWalsh"),
+        ({"-3": "2/9", "0": "4/9", "2": "1/3"}, "5", "chaconWalsh"),
+        ({"0": "3/4", "-4": "1/8", "4": "1/8"}, "5", "chaconWalsh"),
+    ], ids=["ay-1/4", "ay-4/5", "1/6", "2/9", "3/4"])
+    def test_members_up_the_chain(self, capsys, tmp_path, atoms, depth, first):
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps({"atoms": atoms}))
+        code, out = run(capsys, ["classify", "--measure", str(p),
+                                 "--depth", depth])
+        assert code == 0
+        assert out == {"azemaYor": first == "azemaYor", "chaconWalsh": "member",
+                       "uiMatrix": "member", "minimal": True}
+
+    @pytest.mark.parametrize("atoms, skipped", [
+        ({"-3": "1/4", "1": "3/4"}, ["chw_search", "search_matrix"]),
+        ({"0": "1/6", "-2": "5/12", "2": "5/12"}, ["search_matrix"]),
+    ], ids=["ay", "chw"])
+    def test_certified_class_is_not_searched(self, capsys, tmp_path,
+                                             monkeypatch, atoms, skipped):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched a class already certified")
+
+        for name in skipped:
+            monkeypatch.setattr(cli, name, refuse)
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps({"atoms": atoms}))
+        code, out = run(capsys, ["classify", "--measure", str(p),
+                                 "--depth", "5"])
+        assert (code, out["uiMatrix"]) == (0, "member")
+
+    # no verdict reads lower than its class's own search at the same depth,
+    # nor lower than a class inside it
+    @settings(max_examples=60)
+    @given(mu=centered_measures(), depth=st.integers(0, 4))
+    def test_chain_never_below_own_search(self, mu, depth):
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "mu.json"
+            p.write_text(json.dumps(mu.to_json_dict()))
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["classify", "--measure", str(p),
+                             "--depth", str(depth)])
+        got = json.loads(buf.getvalue())
+        assert code == 0
+        assert got["azemaYor"] is classic.azema_yor_check(mu).member
+        if classic.chw_search(mu, depth).status is classic.ChwStatus.MEMBER:
+            assert got["chaconWalsh"] == "member"
+        if matrices.search_matrix(mu, depth).status == "member":
+            assert got["uiMatrix"] == "member"
+        chain = [got["azemaYor"], got["chaconWalsh"] == "member",
+                 got["uiMatrix"] == "member", got["minimal"]]
+        assert chain == sorted(chain)
 
     # the expansions' periods run to about 5 * 10^8 digits and, for the
     # exponent, 10^6 digits follow a 5 * 10^5-digit preperiod
@@ -375,7 +436,7 @@ class TestSimulate:
         monkeypatch.setattr(sim, "MAX_SITE_STEPS", 10_000)
         r = tmp_path / "rule.json"
         r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
-            "N": 30, "rows": [{"site": 0, "head": [0], "tail": "doubling"}]}}))
+            "N": 30, "rows": [{"site": 0, "head": [0, 1], "tail": "doubling"}]}}))
         code, out = run(capsys, ["simulate", str(r)])
         assert code == 3
         assert out["budget"] == "MAX_SITE_STEPS"
@@ -401,29 +462,13 @@ class TestSimulate:
         assert out["truncated"] == 0
         assert set(out["counts"]) == {"-2", "2"}
 
-    def test_seed_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WALKEMBED_SEED", "123")
+    def test_seed_defaults_to_0(self, capsys, tmp_path):
         r = tmp_path / "rule.json"
         r.write_text('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}}')
         code, out = run(capsys, ["simulate", str(r), "--trials", "10",
                                  "--max-steps", "64"])
         assert code == 0
-        assert out["seed"] == 123
-
-    def test_seed_env_read_per_call(self, capsys, tmp_path, monkeypatch):
-        # the parser is built once per process; the seed default is not
-        r = tmp_path / "rule.json"
-        r.write_text('{"kind": "randomizedPair", "payload": {"u": -1, "v": 1}}')
-        argv = ["simulate", str(r), "--trials", "10", "--max-steps", "64"]
-        seeds = []
-        for env in ("5", "6"):
-            monkeypatch.setenv("WALKEMBED_SEED", env)
-            code, out = run(capsys, argv)
-            assert code == 0
-            seeds.append(out["seed"])
-        monkeypatch.delenv("WALKEMBED_SEED")
-        code, out = run(capsys, argv)
-        assert seeds + [out["seed"]] == [5, 6, 0]
+        assert out["seed"] == 0
 
     # a trial count past sim.MAX_TRIALS is rejected before any array is
     # allocated

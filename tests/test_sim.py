@@ -161,6 +161,17 @@ class TestBackendParity:
         got = sim._report(pos, steps, stopped, 200, 1, "python", 100)
         assert got == ref
 
+    @pytest.mark.parametrize("row", [MatrixRow((0,), "doubling"),
+                                     MatrixRow((0, 2, 0), "periodic", (0,))],
+                             ids=["doubling", "periodic"])
+    def test_tails_that_stop_nothing_run_numpy(self, row):
+        # such a tail adds no stop past the head: the kernel runs the rule
+        rule = PathCountMatrixRule(StoppingMatrix(30, {0: row}))
+        got = self.assert_same_run(rule, 20, seed=3, max_steps=300)
+        heads = StoppingMatrix(30, {0: MatrixRow(row.head)})
+        assert got == simulate(PathCountMatrixRule(heads), 20, seed=3,
+                               max_steps=300)
+
     def test_matrix_head_in_chunks(self, monkeypatch):
         # rank arrays of at most max(trials, BLOCK) elements, 5 sites a
         # trial: one chunk by default, 5 chunks of 60 trials at BLOCK = 16
@@ -591,9 +602,9 @@ class TestSiteStepBudget:
             simulate_reference(rule, 50, seed=3, max_site_steps=spent - 1)
 
     def test_simulate_stops_at_the_budget(self, monkeypatch):
-        # 63 sites a step: the first trial alone passes 630 site-steps
+        # 63 sites a step: 630 site-steps are 10 steps for 100 000 trials
         monkeypatch.setattr(sim, "MAX_SITE_STEPS", 630)
-        wide = StoppingMatrix(30, {0: MatrixRow((0,), "doubling")})
+        wide = StoppingMatrix(30, {0: MatrixRow((0, 1), "doubling")})
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded) as info:
             simulate(PathCountMatrixRule(wide), 100_000, seed=1)
