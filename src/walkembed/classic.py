@@ -194,7 +194,8 @@ def _tangent_tail(state: State, target: State,
     right; returns the chords on success, None if stuck or if more than
     `limit` chords would be needed.
 
-    Let m be the first hull index where the state and the target differ.
+    Let m be the first hull index where the state and the target differ;
+    m > 0, since no chord moves a hull end and both read lo at index 0.
     The tangent chord starts at m - 1 and matches the target at m, so it
     runs along the target's line L through m - 1 and m: its right end b is
     the first index past m where the state meets L.  The state minus L is
@@ -211,8 +212,6 @@ def _tangent_tail(state: State, target: State,
                  None)
         if m is None:
             return tuple(chords)
-        if m == 0:
-            return None  # leftmost hull value should already match
         if len(chords) == limit:
             return None
         # L(k) = tnums[m-1] + (k - m + 1)·rise over td, against nums[k] / d
@@ -291,9 +290,8 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     u_mu = potential(mu)
     lo, hi = u_mu.lo, u_mu.hi
     target_q = tuple(u_mu.values)
+    # by Jensen u_mu(x) = -E|x - X| <= -|x|: the start lies above the target
     start_q = tuple(-Q(abs(k)) for k in range(lo, hi + 1))
-    if any(s < t for s, t in zip(start_q, target_q)):
-        raise MeasureError("target potential exceeds the walk's initial potential")
     target, start = _to_state(target_q), _to_state(start_q)
 
     n = hi - lo + 1

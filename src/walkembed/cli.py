@@ -104,14 +104,19 @@ def cmd_classify(args) -> int:
         _emit({"member": v.member, "reason": v.reason})
         return OK
     mu = _load_measure(_read(args.measure))
+    # every law on Z has a minimal embedding; the UI class, and so AY and
+    # CW inside it, keeps the mean at 0
+    if not mu.is_centered():
+        _emit({"azemaYor": False, "chaconWalsh": "nonMember",
+               "uiMatrix": "nonMember", "minimal": True})
+        return OK
     # the classes nest, AY in CW in UI, so a class whose smaller class
     # certified the target is not searched; an exit-composition rule stops
     # a bounded walk, so it is UI
     ay = azema_yor_check(mu).member
     cw = "member" if ay else chw_search(mu, max_depth=args.depth).status.value
     ui = "member" if cw == "member" else search_matrix(mu, args.depth).status
-    _emit({"azemaYor": ay, "chaconWalsh": cw, "uiMatrix": ui,
-           "minimal": mu.is_centered()})
+    _emit({"azemaYor": ay, "chaconWalsh": cw, "uiMatrix": ui, "minimal": True})
     return OK
 
 

@@ -41,10 +41,11 @@ a cumsum over bytes in place of one over steps.
 
 The matrix kernel runs a path-count matrix rule whose tails stop nothing
 in two phases.  Through the head it keeps each live trial's rank profile,
-the row of `MatrixRuleState.smaller` over the strip sites the head can
-reach, as int64; after the head every stop count is 0, so the only stop
-left is the exit at +-(N+1), and the live trials run the two-point kernel
-from the states and positions the engine wrote back for them.
+`MatrixRuleState.smaller` with its zeros filled in over the strip sites
+the head can reach, as int64; after the head every stop count is 0, so
+the only stop left is the exit at +-(N+1), and the live trials run the
+two-point kernel from the states and positions the engine wrote back for
+them.
 
 Every value a kernel compares positions with (target sites, pair ends,
 chip ends, threshold levels) is clamped to +-2^62 before it becomes int64:

@@ -52,8 +52,6 @@ class IntegerMeasure:
                 raise MeasureError(f"weight at {site} is negative: {w}")
             if w == 0:
                 continue
-            if site in clean:
-                raise MeasureError(f"duplicate site {site}")
             clean[site] = w
         total = sum(clean.values(), Q(0))
         if total != 1:

@@ -135,10 +135,12 @@ class MaxThresholdRule:
 # Among the k[i][n] histories arriving at site i at stage n, the rule stops
 # the a[i][n] lexicographically smallest (reading increments with -1 < +1).
 # The observed path's rank equals the number of alive histories at its site
-# whose increment word is lexicographically smaller.  That whole profile
-# evolves by one linear pass per step: a smaller-and-alive history at site j
-# came from j-1 or j+1, and when the observed path steps up, every history
-# that instead stepped down from the same site becomes smaller.
+# whose increment word is lexicographically smaller.  `smaller` keeps only
+# the positive ranks: a smaller-and-alive history at site j came from j-1
+# or j+1, and when the observed path steps up, every history that instead
+# stepped down from the same site becomes smaller.  The path stops off the
+# strip or on a rank below its site's stop count; then only the matrix's
+# rows stop histories, so only their sites lose rank, and the ends absorb.
 
 
 class MatrixRuleState:
@@ -148,45 +150,34 @@ class MatrixRuleState:
         self.matrix = matrix
         self.position = 0
         self.t = 0
-        self.smaller = {0: 0}
-        self.stopped = self._stop_check(0, 0)
-        self.smaller = self._survive(self.smaller, 0)
+        self.smaller: dict[int, int] = {}
+        self._settle(0)
 
-    def _stop_check(self, pos: int, stage: int) -> bool:
-        bound = self.matrix.half_width + 1
-        if abs(pos) >= bound:
-            return True
-        return self.smaller[pos] < self.matrix.entry(pos, stage)
-
-    def _survive(self, smaller: dict[int, int], stage: int) -> dict[int, int]:
-        N = self.matrix.half_width
-        out = {}
-        for j, s in smaller.items():
-            if abs(j) > N:
-                continue  # absorbed
-            out[j] = max(0, s - self.matrix.entry(j, stage))
-        return out
+    def _settle(self, stage: int) -> None:
+        N, pos, smaller = self.matrix.half_width, self.position, self.smaller
+        self.stopped = (abs(pos) > N
+                        or smaller.get(pos, 0) < self.matrix.entry(pos, stage))
+        smaller.pop(N + 1, None)
+        smaller.pop(-N - 1, None)
+        for i, row in self.matrix.rows.items():
+            if i in smaller:
+                left = smaller.pop(i) - row.entry(stage)
+                if left > 0:
+                    smaller[i] = left
 
     def step(self, eps: int) -> None:
         if self.stopped:
             raise PrefixError("step after the rule has stopped")
-        prev_pos = self.position
         self.t += 1
+        moved: dict[int, int] = {}
+        for j, s in self.smaller.items():
+            moved[j - 1] = moved.get(j - 1, 0) + s
+            moved[j + 1] = moved.get(j + 1, 0) + s
+        if eps == 1:  # the down-step sibling of the observed history
+            moved[self.position - 1] = moved.get(self.position - 1, 0) + 1
         self.position += eps
-        stage = (self.t + 1) // 2
-        bound = self.matrix.half_width + 1
-        parity = self.t % 2  # site parity at this step
-        new_smaller = {}
-        for j in range(-bound, bound + 1):
-            if abs(j) % 2 != parity:
-                continue
-            s = self.smaller.get(j - 1, 0) + self.smaller.get(j + 1, 0)
-            if eps == 1 and j == prev_pos - 1:
-                s += 1  # the down-step sibling of the observed history
-            new_smaller[j] = s
-        self.smaller = new_smaller
-        self.stopped = self._stop_check(self.position, stage)
-        self.smaller = self._survive(self.smaller, stage)
+        self.smaller = moved
+        self._settle((self.t + 1) // 2)
 
 
 @dataclass(frozen=True)

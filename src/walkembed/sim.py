@@ -64,10 +64,10 @@ MAX_KEY_STEPS = 1_000_000
 # tracemalloc at 100k trials), so 10^7 trials stay near 1 GB
 MAX_TRIALS = 10**7
 # work cap of the matrix rules `simulate` leaves to the state machine: a
-# `MatrixRuleState` step updates the 2N + 3 sites of its strip, 0.8-1 us
-# per site.  At 100 000 trials the paper's doubling 3/4 and periodic 1/6
-# certificates take 3.6 and 1.7 * 10^6 site-steps; the cap ends a doubling
-# row on an N = 30 strip in about 8 s
+# `MatrixRuleState` step is charged the 2N + 3 sites of its strip, the most
+# it can touch.  At 100 000 trials the paper's doubling 3/4 and periodic 1/6
+# certificates are charged 3.6 and 1.7 * 10^6 site-steps; the cap ends a
+# doubling row on an N = 30 strip in about 2 s
 MAX_SITE_STEPS = 10**7
 
 
@@ -180,8 +180,8 @@ def simulate_reference(rule, trials: int, seed: int,
     the joint law.  Every kernel of `simulate` must reproduce this replay
     exactly.  With `max_site_steps`, it raises `BudgetExceeded`
     rather than let all trials together spend more site-steps: a step
-    counts the sites it updates, the 2N + 3 of a matrix rule's strip and
-    one for other rules.
+    counts the most sites it can update, the 2N + 3 of a matrix rule's
+    strip and one for other rules.
     """
     import numpy as np
 
@@ -358,8 +358,9 @@ def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
     `width`-bit slots, and the support bitmask marks its nonzero fields,
     the live keys that the key-step cap counts.  A step from odd distances
     is X + (X << width), whose slot 0 is then the mass absorbed at the
-    target if base is 0; a step from even distances is X + (X >> width),
-    after lowering base by one if slot 0 is in use.  Live mass spans at
+    target if base is 0, while its top field moves up, so a lane never
+    empties; a step from even distances is X + (X >> width), after
+    lowering base by one if slot 0 is in use.  Live mass spans at
     most t + 1 fields whatever the distance, so memory follows t, not the
     site.  Field sums stay below 2^t, so `width` = max_steps + 2 keeps
     fields apart and makes X mod (2^width - 1) the lane's total.
@@ -403,7 +404,7 @@ def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
                                       for _, _, b in lanes.values())
         for site in stops:
             stops[site] <<= 1
-        for key, lane in list(lanes.items()):
+        for key, lane in lanes.items():
             base, x, b = lane
             if (t - key[0]) & 1:  # distances 2i + 1 -> 2i and 2i + 2
                 x += x << width
@@ -419,10 +420,7 @@ def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
                     x, b, base = x << width, b << 1, base - 1
                 x += x >> width
                 b |= b >> 1
-            if x:
-                lane[:] = base, x, b
-            else:
-                del lanes[key]
+            lane[:] = base, x, b
         t += 1
         words = settle([(2 * w + up, p + 2 * up - 1)
                         for w, p in words for up in (0, 1)], t)

@@ -12,6 +12,9 @@ package because no command runs it:
 - `decide` replays a recorded `WalkPath` against a rule's state machine
   and reports where it stops, as a `Decision`;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
+- `StripRankState` is that state machine rebuilding its rank at every
+  site of the strip each step, zeros included, where
+  `rules.MatrixRuleState` keeps only the positive ranks;
 - `ruin_masses` shares a strip's survivors out to its ends by exact
   gambler's-ruin probabilities, where the package uses the closed form
   `boundary_masses`;
@@ -169,6 +172,56 @@ def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:
         if state.stopped:
             raise PrefixError(f"rule stops after {i + 1} steps")
     return state.smaller.get(state.position, 0)
+
+
+class StripRankState:
+    """`rules.MatrixRuleState` read straight off the definition: each step
+    rebuilds the rank at every strip site of the step's parity from its two
+    neighbours, zeros included, and subtracts every site's stop count."""
+
+    def __init__(self, matrix: StoppingMatrix):
+        self.matrix = matrix
+        self.position = 0
+        self.t = 0
+        self.smaller = {0: 0}
+        self.stopped = self._stop_check(0, 0)
+        self.smaller = self._survive(self.smaller, 0)
+
+    def _stop_check(self, pos: int, stage: int) -> bool:
+        bound = self.matrix.half_width + 1
+        if abs(pos) >= bound:
+            return True
+        return self.smaller[pos] < self.matrix.entry(pos, stage)
+
+    def _survive(self, smaller: dict[int, int], stage: int) -> dict[int, int]:
+        N = self.matrix.half_width
+        out = {}
+        for j, s in smaller.items():
+            if abs(j) > N:
+                continue  # absorbed
+            out[j] = max(0, s - self.matrix.entry(j, stage))
+        return out
+
+    def step(self, eps: int) -> None:
+        if self.stopped:
+            raise PrefixError("step after the rule has stopped")
+        prev_pos = self.position
+        self.t += 1
+        self.position += eps
+        stage = (self.t + 1) // 2
+        bound = self.matrix.half_width + 1
+        parity = self.t % 2  # site parity at this step
+        new_smaller = {}
+        for j in range(-bound, bound + 1):
+            if abs(j) % 2 != parity:
+                continue
+            s = self.smaller.get(j - 1, 0) + self.smaller.get(j + 1, 0)
+            if eps == 1 and j == prev_pos - 1:
+                s += 1  # the down-step sibling of the observed history
+            new_smaller[j] = s
+        self.smaller = new_smaller
+        self.stopped = self._stop_check(self.position, stage)
+        self.smaller = self._survive(self.smaller, stage)
 
 
 def ruin_masses(k_even: dict[int, int], stage: int, half_width: int

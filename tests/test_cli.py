@@ -69,6 +69,15 @@ class TestClassify:
         assert out["uiMatrix"] == "member"
         assert out["minimal"] is True
 
+    # every law on Z has a minimal embedding, and no UI rule moves the
+    # mean: a target off 0 is in no class but the minimal one
+    def test_measure_not_centred(self, capsys, tmp_path):
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps({"atoms": {"1": "1/2", "2": "1/2"}}))
+        code, out = run(capsys, ["classify", "--measure", str(p)])
+        assert (code, out) == (0, {"azemaYor": False, "chaconWalsh": "nonMember",
+                                   "uiMatrix": "nonMember", "minimal": True})
+
     # every class from the first that holds the target up prints "member",
     # and no larger class is searched (the searches alone leave "uiMatrix"
     # unknown on all five)

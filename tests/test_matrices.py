@@ -59,6 +59,12 @@ class TestMatrixRow:
         for m in (M_DOUBLING, M_516, M_SIXTH):
             assert StoppingMatrix.from_json_dict(m.to_json_dict()) == m
 
+    def test_json_drops_all_zero_row(self):
+        # a row that stops nothing is not written
+        rows = [{"site": 0, "head": [0, 0]}]
+        m = StoppingMatrix.from_json_dict({"N": 1, "rows": rows})
+        assert m.to_json_dict() == {"N": 1, "rows": []}
+
     def test_json_rejects_repeated_site(self):
         # keeping the last of two rows would make the verdict depend on
         # the order of the rows

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walkembed import (
     ChipStep,
@@ -23,7 +23,15 @@ from walkembed import (
     rule_from_json,
     rule_to_json,
 )
-from reference import Decision, WalkPath, alive_class_rank, decide
+from walkembed.rules import MatrixRuleState
+from reference import (
+    Decision,
+    StripRankState,
+    WalkPath,
+    alive_class_rank,
+    decide,
+)
+from test_matrices import tailed_matrices
 
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
@@ -94,10 +102,40 @@ class TestAliveClassRank:
         with pytest.raises(PrefixError):
             alive_class_rank(M_516, WalkPath((-1, 1)))
 
-    def test_step_after_stop_rejected(self):
-        state = MX.new_state()
-        state.step(-1)
-        state.step(1)
+
+class TestStripRanks:
+    @settings(max_examples=300)
+    @given(case=tailed_matrices(),
+           incs=st.lists(st.sampled_from([-1, 1]), max_size=60))
+    # a rank reaches the strip's end at 2 while the path does
+    @example(case=(StoppingMatrix(1, {0: MatrixRow((), "periodic", (0,))}),
+                   None), incs=[1, -1, 1, 1])
+    def test_sparse_ranks_match_strip(self, case, incs):
+        # keeping only positive ranks, and stopping only at row sites,
+        # decides every step as rebuilding every strip site does
+        matrix, _ = case
+        sparse, strip = MatrixRuleState(matrix), StripRankState(matrix)
+        for eps in [0, *incs]:
+            if eps:
+                sparse.step(eps)
+                strip.step(eps)
+            assert sparse.stopped == strip.stopped
+            assert sparse.position == strip.position
+            assert sparse.smaller == {j: s for j, s in strip.smaller.items()
+                                      if s}
+            if sparse.stopped:
+                break
+
+
+class TestStepAfterStop:
+    # a path each rule in ALL_RULES stops
+    @pytest.mark.parametrize("rule, incs", zip(ALL_RULES, [
+        (1, 1), (1,), (1, 1), (-1, 1), (-1, -1),
+    ]), ids=[r.kind for r in ALL_RULES])
+    def test_prefix_error(self, rule, incs):
+        state = rule.new_state()
+        for eps in incs:
+            state.step(eps)
         assert state.stopped
         with pytest.raises(PrefixError):
             state.step(1)

@@ -123,8 +123,9 @@ class TestBackendParity:
         simulate_reference(rule, 10, seed=5, max_steps=64)
         assert calls[1:] == [(rule, 10, 5)]
 
-    # the state machine steps all 63 sites of the strip, about 40 us a
-    # step, so few trials; some are cut at max_steps
+    # the state machine steps every positive rank, up to the 31 sites of
+    # one parity, about 13 us a step, so few trials; some are cut at
+    # max_steps
     def test_empty_strip_matches_state_machine(self):
         rep = self.assert_same_run(PathCountMatrixRule(EMPTY_STRIP), 30,
                                    seed=7, max_steps=2_000)
