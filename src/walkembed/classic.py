@@ -354,6 +354,26 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
                      len(seen))
 
 
+def exit_law(steps) -> dict[int, Fraction]:
+    """Exact law of the walk from 0 after the exits of `steps`, in order.
+    By gambler's ruin a chip (a, b) sends the mass m at each x with
+    a < x < b to a with weight m (b - x) / (b - a), and the rest to b; mass
+    outside (a, b) stays.  No table of sites, so chip ends of any size
+    cost nothing more."""
+    law = {0: Q(1)}
+    for c in steps:
+        nxt: dict[int, Fraction] = {}
+        for x, m in law.items():
+            if c.a < x < c.b:
+                down = m * Q(c.b - x, c.b - c.a)
+                nxt[c.a] = nxt.get(c.a, Q(0)) + down
+                nxt[c.b] = nxt.get(c.b, Q(0)) + m - down
+            else:
+                nxt[x] = nxt.get(x, Q(0)) + m
+        law = nxt
+    return law
+
+
 def replay_chips(steps: list[ChipStep] | tuple[ChipStep, ...]) -> PotentialFunction:
     """Apply a chip sequence to the initial potential -|x|."""
     u = PotentialFunction(0, 0, Q(0), (Q(0),))
@@ -410,18 +430,12 @@ def hall_rule(mu: IntegerMeasure) -> RandomizedRule:
 
 
 def hall_stopped_law(rule: RandomizedRule) -> IntegerMeasure:
-    """Exact stopped law of the pair rule.
-
-    From 0 the walk exits {u, v} at v with probability |u| / (v - u); a pair
-    with v = 0 stops immediately at 0.
-    """
+    """Exact stopped law of the pair rule: the `exit_law` of the chip
+    (u, v) from 0, mixed over the pairs; v = 0 stops at 0 at once."""
     mass: dict[int, Fraction] = {}
     for u, v, w in rule.joint_law:
-        if v == 0:
-            mass[0] = mass.get(0, Q(0)) + w
-        else:
-            mass[v] = mass.get(v, Q(0)) + w * Q(-u, v - u)
-            mass[u] = mass.get(u, Q(0)) + w * Q(v, v - u)
+        for site, p in exit_law((ChipStep(u, v),)).items():
+            mass[site] = mass.get(site, Q(0)) + w * p
     return IntegerMeasure(mass)
 
 

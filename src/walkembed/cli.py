@@ -257,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("exact-law", help="exact stopped law of a rule")
     x.add_argument("rule", help="path to a rule JSON file (- for stdin)")
     x.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE,
-                   help=f"stage cap (default {DEFAULT_MAX_STAGE}); at most "
-                        f"{MAX_STAGE} stages run, fewer once a rule's DP "
-                        f"passes {MAX_KEY_STEPS} key-steps; the residual "
-                        f"covers the rest.  Pair and matrix rules are exact "
-                        f"whatever the cap")
+                   help=f"stage cap of a minimal rule's law (default "
+                        f"{DEFAULT_MAX_STAGE}); at most {MAX_STAGE} stages "
+                        f"run, fewer once it passes {MAX_KEY_STEPS} "
+                        f"key-steps; the residual covers the rest.  Every "
+                        f"other rule's law is exact whatever the cap")
     x.set_defaults(fn=cmd_exact_law)
 
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")

@@ -64,6 +64,8 @@ class MatrixRow:
             raise ValueError("doubling tail needs a nonempty head")
         if self.tail == "periodic" and not self.period:
             raise ValueError("periodic tail needs digits")
+        if self.tail != "periodic" and self.period:
+            raise ValueError(f"a {self.tail} tail takes no period")
 
     def entry(self, n: int) -> int:
         if n < len(self.head):
@@ -155,9 +157,11 @@ class StoppingMatrix:
             raise ValueError('matrix JSON must be an object with an "N" key')
         rows = {}
         try:
+            _known_fields(data, ("N", "rows"))
             for r in data.get("rows", []):
                 if not isinstance(r, dict):
                     raise ValueError(f"matrix row must be an object, got {r!r}")
+                _known_fields(r, ("site", "head", "tail", "period"))
                 site = parse_int(r["site"])
                 if site in rows:
                     raise ValueError(f"matrix lists site {site} twice")
@@ -171,6 +175,13 @@ class StoppingMatrix:
             raise ValueError(f"malformed matrix JSON: missing field {exc}") from exc
         except TypeError as exc:  # a field of the wrong shape
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
+
+
+def _known_fields(obj: dict, names: tuple[str, ...]) -> None:
+    """Reject a field of no meaning: a misspelt one would take its default."""
+    for key in obj:
+        if key not in names:
+            raise ValueError(f"malformed matrix JSON: unknown field {key!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,21 @@ within `MAX_SITE_STEPS`.  A pair rule is the one-pair law of a
 randomized rule, so both share one branch: `sample_pairs` draws every
 trial's pair.  `exact_law` computes the stopped law of a rule
 exactly, with a certified residual: the rational mass not yet stopped at the
-stage cap.  A matrix rule's law is closed form once its counts settle
-(`matrices.exact_law_matrix`), and `simulate` runs that same check before
-it trusts the counts.  For exit-composition and max-threshold rules it
-runs a dynamic program over integer path counts per merged rule state; the
-rule's state machine is the transition function, stepped once per distinct
-state and direction and memoized, and the only division happens at the
-end.  A minimal rule has its own integer solver with the same result: its
-selection words are integers tested against integer cut points, and after
-selection each (target, side) lane of first-passage counts is one packed
-integer that a whole step advances with one shift and one add.
+stage cap.  Pair, exit-composition and max-threshold rules have closed
+forms from gambler's ruin, with residual 0.  So does a matrix rule once its
+counts settle (`matrices.exact_law_matrix`), and `simulate` runs that same
+check before it trusts the counts.  Only a minimal rule's law is truncated:
+its integer solver tests selection words against integer cut points, and
+after selection each (target, side) lane of first-passage counts is one
+packed integer that a whole step advances with one shift and one add.
 
 numpy is imported only where arrays are made: in `sample_pairs`,
 `simulate_reference` and the report reduction, and in the kernels that
-`simulate` runs.  `exact_law` and its dynamic programs never load it.
+`simulate` runs.  `exact_law` never loads it.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from bisect import bisect_right
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .classic import MinimalCertificate, RandomizedRule
+from .classic import MinimalCertificate, RandomizedRule, exit_law
 from .matrices import exact_law_matrix
 from .rational import BudgetExceeded, Q, format_rational
 from .rules import (
@@ -49,15 +45,12 @@ from .rules import (
 )
 
 
-DEFAULT_MAX_STAGE = 64  # stage cap of `exact_law`; matrix rules need none
-MAX_STAGE = 2048  # hard cap of `exact_law`; 4^2048 has 1234 decimal digits
-# work cap of the keyed DP (exit-composition, max-threshold and minimal
-# rules): total key-steps, one merged state advanced by one step, checked
-# at stage boundaries.  A minimal rule counts its live selection words plus
-# its live (target, position) keys, whose count grows with the stages
-# whatever the distance to the target; the cap ends the 5/16 target at
-# stage 579.  No exact-law of the certify benchmark
-# takes 17 000 key-steps
+DEFAULT_MAX_STAGE = 64  # stage cap of a minimal rule's `exact_law`
+MAX_STAGE = 2048  # its hard cap; 4^2048 has 1234 decimal digits
+# work cap of a minimal rule's exact law: total key-steps, one live
+# selection word or (target, position) key advanced by one step, checked
+# at stage boundaries.  The keys grow with the stages whatever the
+# distance to the target; the cap ends the 5/16 target at stage 579
 MAX_KEY_STEPS = 1_000_000
 # trial cap of `simulate`: a run peaks at about 100 bytes per trial (99 in
 # the minimal kernel's selection, 52-85 in the other kernels, measured with
@@ -240,21 +233,17 @@ class ExactLaw:
 
 
 def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
-    """Exact stopped law of a rule up to min(`max_stage`, `MAX_STAGE`)
-    stages (2 steps each); for exit-composition, max-threshold and minimal
-    rules it also stops at the first stage boundary past `MAX_KEY_STEPS`
-    key-steps.
+    """Exact stopped law of a rule.
 
-    The returned residual is the exact probability mass not yet stopped,
-    and `stages` the stages that ran; rules that terminate within the
-    horizon report residual zero.  Pair rules and matrix rules ignore the
-    cap: their laws are closed form, with residual zero, and a matrix
-    rule's `stages` are those of its settle scan (`exact_law_matrix`).
+    A minimal rule's law stops at min(`max_stage`, `MAX_STAGE`) stages (2
+    steps each), or at the first stage boundary past `MAX_KEY_STEPS`
+    key-steps: its residual is the exact mass not yet stopped, and
+    `stages` the stages that ran.  Every other rule ignores the cap: its
+    law is closed form, with residual zero and `stages` 0, save a matrix
+    rule's, the stages of its settle scan (`exact_law_matrix`).
     """
     if max_stage < 0:
         raise ValueError(f"max_stage must be at least 0, got {max_stage}")
-    max_stage = min(max_stage, MAX_STAGE)
-    max_steps = 2 * max_stage
     if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
         # imported per call, so it finds a wrapper set on `classic`
         from .classic import hall_stopped_law
@@ -263,86 +252,45 @@ def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
     if isinstance(rule, PathCountMatrixRule):
         return ExactLaw(*exact_law_matrix(rule.matrix))
     if isinstance(rule, ExitCompositionRule):
-        return _exact_law_generic(rule, max_steps, _chip_state_key)
+        return ExactLaw(exit_law(rule.steps), Q(0), 0)
     if isinstance(rule, MaxThresholdRule):
-        return _exact_law_generic(rule, max_steps, _max_state_key)
+        return ExactLaw(_max_threshold_law(rule.thresholds), Q(0), 0)
     if isinstance(rule, MinimalRule):
-        return _exact_law_minimal(rule.certificate, max_steps)
+        return _exact_law_minimal(rule.certificate,
+                                  2 * min(max_stage, MAX_STAGE))
     raise TypeError(f"cannot evaluate {type(rule).__name__}")
 
 
-def _chip_state_key(state):
-    return (state.idx, state.position)
-
-
-def _max_state_key(state):
-    return (state.position, state.running_max)
-
-
-def _exact_law_generic(rule, max_steps: int, key) -> ExactLaw:
-    """State-merged DP over integer path counts, with memoized transitions.
-
-    `counts[k]` is the number of increment words of the current length t
-    that reach merged state `k`; each carries mass 2^-t.  Stopped mass is
-    kept as integer numerators over 2^t, doubled once per step, so the loop
-    only adds and shifts integers and divides once at the end.
-
-    States with equal keys have equal futures, so the rule's own state
-    machine is stepped once per distinct key and direction: a copy of one
-    representative state takes the step, and the outcome (stopped at a
-    site, or the child's key) is reused on every later visit of that key.
-
-    The loop ends at `max_steps`, when every path has stopped, or at the
-    first stage boundary after `MAX_KEY_STEPS` key-steps (the sum over
-    steps of the number of keys advanced); the residual covers the rest.
-    """
-    init = rule.new_state()
-    if init.stopped:
-        return ExactLaw({init.position: Q(1)}, Q(0), 0)
-    k0 = key(init)
-    counts = {k0: 1}
-    unstepped = {k0: init}  # one representative state per key not yet stepped
-    moves: dict = {}  # key -> [(stopped, site or child key)] for eps -1, +1
-    stops: dict[int, int] = {}  # site -> stopped mass times 2^steps_done
-    steps_done = key_steps = 0
-    while counts and steps_done < max_steps:
-        if steps_done % 2 == 0 and key_steps >= MAX_KEY_STEPS:
-            break
-        steps_done += 1
-        key_steps += len(counts)
-        stops = {site: num << 1 for site, num in stops.items()}
-        nxt: dict = {}
-        for k, c in counts.items():
-            out = moves.get(k)
-            if out is None:
-                rep = unstepped.pop(k)
-                out = moves[k] = []
-                for eps in (-1, 1):
-                    # a shallow copy is safe: `step` rebinds a state's
-                    # fields and only reads the tables it shares
-                    child = copy.copy(rep)
-                    child.step(eps)
-                    if child.stopped:
-                        out.append((True, child.position))
-                    else:
-                        ck = key(child)
-                        if ck not in moves:
-                            unstepped.setdefault(ck, child)
-                        out.append((False, ck))
-            for stopped, dest in out:
-                if stopped:
-                    stops[dest] = stops.get(dest, 0) + c
-                else:
-                    nxt[dest] = nxt.get(dest, 0) + c
-        counts = nxt
-    law = {site: Q(num, 1 << steps_done) for site, num in stops.items()}
-    residual = Q(sum(counts.values()), 1 << steps_done)
-    return ExactLaw(law, residual, (steps_done + 1) // 2)
+def _max_threshold_law(thresholds) -> dict[int, Fraction]:
+    """Exact law of a max-threshold rule: one pass over the running
+    maximum m.  A walk that has just reached m stops there if
+    level(m) <= m.  Else it falls back to the highest site g < m with
+    level(g) <= m, and hits it before m + 1 with probability
+    1 / (m + 1 - g); with no such g it goes on surely.  Site x joins the
+    candidates for g once m >= max(level(x), x + 1), so g never
+    decreases; a site below the table shares the lowest site's level and
+    never beats it.  Past the table level(m) = m, so the pass ends by
+    m = hi + 1."""
+    level = dict(thresholds)
+    joins: dict[int, int] = {}  # m -> the highest site that joins at m
+    for x, lv in thresholds:  # sorted by site: a later x is higher
+        joins[max(lv, x + 1, 0)] = x
+    law: dict[int, Fraction] = {}
+    left, g, m = Q(1), None, 0
+    while level.get(m, m) > m:
+        if m in joins and (g is None or joins[m] > g):
+            g = joins[m]
+        if g is not None:
+            law[g] = law.get(g, Q(0)) + left / (m + 1 - g)
+            left *= Q(m - g, m + 1 - g)
+        m += 1
+    law[m] = law.get(m, Q(0)) + left
+    return law
 
 
 def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
     """Exact law of a minimal rule on integers: bit for bit the `ExactLaw`
-    of the keyed DP over `MinimalState`, with the same key-step count.
+    of a DP over merged `MinimalState`s, with the same key-step count.
 
     Selection: the live word L of length t stands for the dyadic interval
     [L, L+1) / 2^t of U and sits at 2 popcount(L) - t.  Over d, the lcm of

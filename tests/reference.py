@@ -11,6 +11,11 @@ package because no command runs it:
   covers as `weight_set_system`;
 - `decide` replays a recorded `WalkPath` against a rule's state machine
   and reports where it stops, as a `Decision`;
+- `keyed_exact_law` steps a rule's state machine through a DP over integer
+  path counts per merged state (`chip_state_key`, `max_state_key`), up to
+  a step cap with a residual, where the package has closed forms for
+  exit-composition and max-threshold rules and its own integer solver for
+  minimal rules;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
 - `StripRankState` is that state machine rebuilding its rank at every
   site of the strip each step, zeros included, where
@@ -29,13 +34,14 @@ package because no command runs it:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
 
-from walkembed import matrices
+from walkembed import matrices, sim
 from walkembed.classic import RandomizedRule
 from walkembed.kernels import GAMMA, MASK, STREAM, mix64
 from walkembed.matrices import (
@@ -53,7 +59,7 @@ from walkembed.measures import (
 )
 from walkembed.rational import Base4Expansion
 from walkembed.rules import MatrixRuleState, PrefixError, RandomizedPairRule
-from walkembed.sim import SimReport, sample_pairs
+from walkembed.sim import ExactLaw, SimReport, sample_pairs
 from walkembed.uiset import IfsSystem, IntervalUnion
 
 
@@ -157,6 +163,76 @@ def decide(rule, path: WalkPath) -> Decision:
         if state.stopped:
             return Decision(True, t, state.position)
     return Decision(False, None, None)
+
+
+def chip_state_key(state):
+    return (state.idx, state.position)
+
+
+def max_state_key(state):
+    return (state.position, state.running_max)
+
+
+def keyed_exact_law(rule, max_steps: int, key) -> ExactLaw:
+    """Stopped law of `rule` after `max_steps` steps by a state-merged DP
+    over integer path counts, with memoized transitions.
+
+    `counts[k]` is the number of increment words of the current length t
+    that reach merged state `k`; each carries mass 2^-t.  Stopped mass is
+    kept as integer numerators over 2^t, doubled once per step, so the loop
+    only adds and shifts integers and divides once at the end.
+
+    States with equal keys have equal futures, so the rule's own state
+    machine is stepped once per distinct key and direction: a copy of one
+    representative state takes the step, and the outcome (stopped at a
+    site, or the child's key) is reused on every later visit of that key.
+
+    The loop ends at `max_steps`, when every path has stopped, or at the
+    first stage boundary after `sim.MAX_KEY_STEPS` key-steps (the sum over
+    steps of the number of keys advanced); the residual covers the rest.
+    """
+    init = rule.new_state()
+    if init.stopped:
+        return ExactLaw({init.position: Q(1)}, Q(0), 0)
+    k0 = key(init)
+    counts = {k0: 1}
+    unstepped = {k0: init}  # one representative state per key not yet stepped
+    moves: dict = {}  # key -> [(stopped, site or child key)] for eps -1, +1
+    stops: dict[int, int] = {}  # site -> stopped mass times 2^steps_done
+    steps_done = key_steps = 0
+    while counts and steps_done < max_steps:
+        if steps_done % 2 == 0 and key_steps >= sim.MAX_KEY_STEPS:
+            break
+        steps_done += 1
+        key_steps += len(counts)
+        stops = {site: num << 1 for site, num in stops.items()}
+        nxt: dict = {}
+        for k, c in counts.items():
+            out = moves.get(k)
+            if out is None:
+                rep = unstepped.pop(k)
+                out = moves[k] = []
+                for eps in (-1, 1):
+                    # a shallow copy is safe: `step` rebinds a state's
+                    # fields and only reads the tables it shares
+                    child = copy.copy(rep)
+                    child.step(eps)
+                    if child.stopped:
+                        out.append((True, child.position))
+                    else:
+                        ck = key(child)
+                        if ck not in moves:
+                            unstepped.setdefault(ck, child)
+                        out.append((False, ck))
+            for stopped, dest in out:
+                if stopped:
+                    stops[dest] = stops.get(dest, 0) + c
+                else:
+                    nxt[dest] = nxt.get(dest, 0) + c
+        counts = nxt
+    law = {site: Q(num, 1 << steps_done) for site, num in stops.items()}
+    residual = Q(sum(counts.values()), 1 << steps_done)
+    return ExactLaw(law, residual, (steps_done + 1) // 2)
 
 
 def alive_class_rank(matrix: StoppingMatrix, path: WalkPath) -> int:

@@ -6,10 +6,13 @@ criterion.  Statistical tests use fixed seeds and per-atom tolerance
 retry).
 """
 
+import json
 import math
 import time
 from fractions import Fraction as Q
 from itertools import product
+
+import pytest
 
 from walkembed import (
     ChipStep,
@@ -37,6 +40,7 @@ from walkembed import (
     verify_matrix,
     weight_set_system,
 )
+from walkembed.cli import main
 from reference import (
     WalkPath,
     contains,
@@ -255,3 +259,43 @@ def test_criterion_8_property_suites():
     # the centered-triple slice with no side mass collapses to the weight set
     for p in grid:
         assert classify_triple(Q(0), p, Q(0)).member == classify_weight(p).member
+
+
+def cli(capsys, tmp_path, doc, *argv):
+    """Exit code and JSON output of a command run on the document `doc`."""
+    f = tmp_path / "input.json"
+    f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = main([*argv, str(f)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestSeparations:
+    """The paper's strict inclusions, one target each, through the CLI.
+
+    AY is strictly inside CW: the barycenter of {0: 1/6, +-2: 5/12} is
+    10/7 at 0, so no max-threshold rule embeds it, while four chips do.
+    A target in both classes gets the same exact law from either rule."""
+
+    SIXTH = '{"atoms": {"0": "1/6", "-2": "5/12", "2": "5/12"}}'
+    QUARTER = '{"atoms": {"-3": "1/4", "1": "3/4"}}'
+
+    def test_ay_refutes_the_sixth(self, capsys, tmp_path):
+        code, out = cli(capsys, tmp_path, self.SIXTH, "embed", "ay")
+        assert (code, out["witnessSite"], out["witnessValue"]) == (
+            3, 0, "10/7")
+
+    def test_chw_embeds_the_sixth(self, capsys, tmp_path):
+        code, rule = cli(capsys, tmp_path, self.SIXTH, "embed", "chw")
+        assert (code, rule["payload"]) == (
+            0, [[-1, 1], [-2, 0], [-1, 2], [-2, 0]])
+        code, out = cli(capsys, tmp_path, rule, "exact-law")
+        assert (code, out["law"], out["residual"]) == (
+            0, {"-2": "5/12", "0": "1/6", "2": "5/12"}, "0")
+
+    @pytest.mark.parametrize("method", ["ay", "chw"])
+    def test_both_embed_the_quarter(self, capsys, tmp_path, method):
+        code, rule = cli(capsys, tmp_path, self.QUARTER, "embed", method)
+        assert code == 0
+        code, out = cli(capsys, tmp_path, rule, "exact-law")
+        assert (code, out["law"], out["residual"]) == (
+            0, {"-3": "1/4", "1": "3/4"}, "0")

@@ -327,16 +327,13 @@ class TestVerifyAndLaws:
         assert message in capsys.readouterr().err
 
     def test_exact_law_stage_cap(self, capsys, tmp_path):
-        # past the cap the residual covers the rest; every denominator
-        # stays within Python's integer-to-string digit limit
+        # an exit composition's law is closed form: exact, with no stage
+        # run, whatever the cap
         r = tmp_path / "rule.json"
         r.write_text('{"kind": "exitComposition", "payload": [[-5, 5]]}')
         code, out = run(capsys, ["exact-law", str(r), "--max-stage", "8000"])
-        assert code == 0
-        assert out["stages"] == 2048
-        total = sum(map(Fraction, out["law"].values())) + Fraction(out["residual"])
-        assert total == 1
-        assert 0 < Fraction(out["residual"]) < Fraction(1, 10**89)
+        assert (code, out) == (0, {"law": {"-5": "1/2", "5": "1/2"},
+                                   "residual": "0", "stages": 0})
 
     # a matrix rule's law is closed form once its counts settle: exact,
     # with the stages of the settle scan, whatever the cap
@@ -602,6 +599,36 @@ class TestWireFormat:
         argv = ([command, str(f), str(mu)] if command == "verify"
                 else [command, str(f)])
         assert self.assert_rejected(capsys, argv) == f"error: {message}\n"
+
+    # a misspelt field would fall back to its default, and a period on a
+    # row whose tail is not periodic would be dropped on output
+    @pytest.mark.parametrize("command, text, message", [
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0, 1], '
+                   '"tial": "doubling"}]}', "unknown field 'tial'"),
+        ("verify", '{"N": 1, "rows": [], "row": []}', "unknown field 'row'"),
+        ("exact-law", '{"kind": "pathCountMatrix", "payload": {"N": 1, '
+                      '"rows": [{"site": 0, "head": [0, 1], "perod": [1]}]}}',
+         "unknown field 'perod'"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0, 1], '
+                   '"tail": "zero", "period": [3]}]}',
+         "a zero tail takes no period"),
+        ("simulate", '{"kind": "pathCountMatrix", "payload": {"N": 1, '
+                     '"rows": [{"site": 0, "head": [0, 1], "period": [3]}]}}',
+         "a zero tail takes no period"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0, 1], '
+                   '"tail": "doubling", "period": [3]}]}',
+         "a doubling tail takes no period"),
+    ], ids=["row-tail", "matrix-rows", "rule-row-period", "zero-period",
+            "default-tail-period", "doubling-period"])
+    def test_matrix_field_rejected(self, capsys, tmp_path, command, text,
+                                   message):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        mu = tmp_path / "mu.json"
+        mu.write_text(MU_516_JSON)
+        argv = ([command, str(f), str(mu)] if command == "verify"
+                else [command, str(f)])
+        assert message in self.assert_rejected(capsys, argv)
 
     # `json.loads` alone keeps the last of two equal keys, so swapping two
     # "rows" would turn a violation into a valid matrix
@@ -1051,11 +1078,13 @@ STRIP_N = st.integers(-2, 8) | st.integers(2**15, 10**12) | FIELD
 MATRIX_DOCUMENTS = (st.fixed_dictionaries(
     {"N": STRIP_N, "rows": st.lists(ROW, max_size=3)}) | JSON_VALUES)
 # a strip of any width up to the hull budget (N = 32766), with well-formed
-# rows of each tail kind near the origin
+# rows of each tail kind near the origin: a period on periodic rows only
 DIGITS = st.lists(st.integers(0, 3), min_size=1, max_size=3)
 TAILED_ROW = st.fixed_dictionaries(
     {"site": st.integers(-8, 8), "head": DIGITS,
-     "tail": st.sampled_from(TAILS), "period": DIGITS})
+     "tail": st.sampled_from(TAILS), "period": DIGITS}).map(
+    lambda row: row if row["tail"] == "periodic"
+    else {k: v for k, v in row.items() if k != "period"})
 WIDE_MATRIX_DOCUMENTS = st.fixed_dictionaries(
     {"N": st.integers(8, 2**15 - 2), "rows": st.lists(TAILED_ROW, max_size=3)})
 

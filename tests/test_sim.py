@@ -34,7 +34,16 @@ from walkembed import (
 from walkembed import sim
 from walkembed.matrices import CountViolation, exact_law_matrix
 from walkembed.rational import BudgetExceeded
-from reference import WalkPath, decide, frequency, replay_trials, tv_distance
+from reference import (
+    WalkPath,
+    chip_state_key,
+    decide,
+    frequency,
+    keyed_exact_law,
+    max_state_key,
+    replay_trials,
+    tv_distance,
+)
 
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
 M_516 = StoppingMatrix(1, {0: MatrixRow((0, 1, 1))})
@@ -623,14 +632,12 @@ class TestExactLaw:
         el = exact_law(MaxThresholdRule(((-1, 0), (0, 1), (1, 1))))
         assert el.residual == 0
         assert el.law == {-1: Q(1, 2), 1: Q(1, 2)}
-        assert el.stages == 1
+        assert el.stages == 0
 
     def test_chip_law_converges(self):
         target = measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)})
         el = exact_law(ExitCompositionRule((ChipStep(-1, 2), ChipStep(-3, 0))))
-        assert el.residual < Q(1, 2**20)
-        for s in target.support:
-            assert abs(el.law[s] - target.weight(s)) <= el.residual
+        assert (el.law, el.residual) == (target.atoms, 0)
 
     def test_minimal_law_within_residual(self):
         el = exact_law(MinimalRule(minimal_certificate(MU_516)))
@@ -650,8 +657,8 @@ class TestExactLaw:
 
     def test_law_json(self):
         el = exact_law(RandomizedPairRule(-1, 1))
-        text = el.to_json()
-        assert '"residual": "0"' in text or '"residual"' in text
+        assert el.to_json() == ('{"law": {"-1": "1/2", "1": "1/2"}, '
+                                '"residual": "0", "stages": 0}')
         assert el.to_json() == exact_law(RandomizedPairRule(-1, 1)).to_json()
 
 
@@ -733,23 +740,63 @@ class TestLockstepEngine:
         assert (steps[stopped] <= max_steps).all()
 
 
+def assert_within_residual(law, truncated):
+    """Every atom of the exact `law` lies within the residual of the
+    `truncated` one, above it: the mass stopped by the cap stays put."""
+    for site in set(law) | set(truncated.law):
+        gap = law.get(site, 0) - truncated.law.get(site, 0)
+        assert 0 <= gap <= truncated.residual, (site, law, truncated)
+
+
 class TestExactLawOracle:
     """`exact_law` against brute-force enumeration of every increment word
-    of length 2s, s <= 5, replayed through the rule's state machine."""
+    of length 2s, s <= 5, replayed through the rule's state machine.  The
+    closed forms of exit-composition and max-threshold rules ignore the
+    stage cap, so the keyed DP of `reference` meets the enumeration
+    exactly, and the closed form lies within its residual."""
 
     @staticmethod
     def assert_matches_enumeration(rule, stages):
         el = exact_law(rule, max_stage=stages)
         assert (el.law, el.residual) == enumerated_law(rule, stages)
 
+    @staticmethod
+    def assert_closed_form_matches(rule, stages, key):
+        law, residual = enumerated_law(rule, stages)
+        dp = keyed_exact_law(rule, 2 * stages, key)
+        assert (dp.law, dp.residual) == (law, residual)
+        el = exact_law(rule, max_stage=stages)
+        assert (el.residual, el.stages) == (0, 0)
+        assert_within_residual(el.law, dp)
+
     @given(st.lists(chips(), max_size=4), st.integers(0, 5))
     def test_exit_composition(self, steps, stages):
-        self.assert_matches_enumeration(ExitCompositionRule(tuple(steps)),
-                                        stages)
+        self.assert_closed_form_matches(ExitCompositionRule(tuple(steps)),
+                                        stages, chip_state_key)
 
     @given(threshold_tables(), st.integers(0, 5))
     def test_max_threshold(self, table, stages):
-        self.assert_matches_enumeration(MaxThresholdRule(table), stages)
+        self.assert_closed_form_matches(MaxThresholdRule(table), stages,
+                                        max_state_key)
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        st.lists(chips(), max_size=4).map(
+            lambda c: (ExitCompositionRule(tuple(c)), chip_state_key)),
+        threshold_tables().map(lambda t: (MaxThresholdRule(t),
+                                          max_state_key))))
+    # levels above every site until the running maximum passes the table
+    @example((MaxThresholdRule(((-2, 5), (-1, 5), (0, 5), (1, 5), (2, 5))),
+              max_state_key))
+    def test_closed_forms_within_keyed_dp(self, case):
+        # at 400 stages; where every path has stopped, the two are equal
+        rule, key = case
+        dp = keyed_exact_law(rule, 800, key)
+        el = exact_law(rule)
+        assert el.residual == 0
+        assert_within_residual(el.law, dp)
+        if dp.residual == 0:
+            assert el.law == dp.law
 
     # 2/9 and the non-centred target have cut points that are not dyadic,
     # so some words are still selecting their target at every stage
@@ -765,11 +812,14 @@ class TestExactLawOracle:
 
     def test_early_stop_with_huge_stage_cap(self):
         # the DP ends when every path has stopped; a stage cap far beyond
-        # that must cost nothing
-        el = exact_law(MaxThresholdRule(((-1, 0), (0, 1), (1, 1))),
-                       max_stage=10**12)
+        # that must cost nothing, and the closed form reads no cap at all
+        rule = MaxThresholdRule(((-1, 0), (0, 1), (1, 1)))
+        el = keyed_exact_law(rule, 2 * 10**12, max_state_key)
         assert (el.law, el.residual, el.stages) == (
             {-1: Q(1, 2), 1: Q(1, 2)}, 0, 1)
+        el = exact_law(rule, max_stage=10**12)
+        assert (el.law, el.residual, el.stages) == (
+            {-1: Q(1, 2), 1: Q(1, 2)}, 0, 0)
 
     def test_key_step_cap_ends_at_a_stage_boundary(self, monkeypatch):
         # a run stopped by the key-step cap equals an uncapped run to the
@@ -812,7 +862,7 @@ class TestMinimalExactLaw:
 
     @staticmethod
     def keyed_dp(rule, stages):
-        return sim._exact_law_generic(rule, 2 * stages, _old_minimal_key)
+        return keyed_exact_law(rule, 2 * stages, _old_minimal_key)
 
     @given(minimal_targets(), st.integers(0, 40))
     @example(measure({5: Q(1)}), 40)  # selected at once, far from the origin
