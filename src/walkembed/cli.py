@@ -57,13 +57,7 @@ from .rules import (
     rule_from_json,
     rule_to_json,
 )
-from .sim import (
-    DEFAULT_MAX_STAGE,
-    MAX_KEY_STEPS,
-    MAX_STAGE,
-    exact_law,
-    simulate,
-)
+from .sim import exact_law, simulate
 from .uiset import (
     classify_triple,
     classify_weight,
@@ -171,8 +165,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact_law(args) -> int:
+    if args.max_stage < 0:
+        raise ValueError(f"max_stage must be at least 0, got {args.max_stage}")
     rule = rule_from_json(_read(args.rule))
-    el = exact_law(rule, max_stage=args.max_stage)
+    el = exact_law(rule)
     print(el.to_json())
     return OK
 
@@ -256,12 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("exact-law", help="exact stopped law of a rule")
     x.add_argument("rule", help="path to a rule JSON file (- for stdin)")
-    x.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE,
-                   help=f"stage cap of a minimal rule's law (default "
-                        f"{DEFAULT_MAX_STAGE}); at most {MAX_STAGE} stages "
-                        f"run, fewer once it passes {MAX_KEY_STEPS} "
-                        f"key-steps; the residual covers the rest.  Every "
-                        f"other rule's law is exact whatever the cap")
+    x.add_argument("--max-stage", type=int, default=0,
+                   help="changes no output: every rule's law is exact")
     x.set_defaults(fn=cmd_exact_law)
 
     s = sub.add_parser("simulate", help="Monte Carlo run of a rule")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .measures import IntegerMeasure, MeasureError, check_hull
-from .rational import BudgetExceeded, Q, parse_int
+from .rational import BudgetExceeded, Q, known_fields, parse_int
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,12 @@ class StoppingMatrix:
             raise ValueError('matrix JSON must be an object with an "N" key')
         rows = {}
         try:
-            _known_fields(data, ("N", "rows"))
+            known_fields(data, ("N", "rows"), "matrix JSON")
             for r in data.get("rows", []):
                 if not isinstance(r, dict):
                     raise ValueError(f"matrix row must be an object, got {r!r}")
-                _known_fields(r, ("site", "head", "tail", "period"))
+                known_fields(r, ("site", "head", "tail", "period"),
+                             "matrix JSON")
                 site = parse_int(r["site"])
                 if site in rows:
                     raise ValueError(f"matrix lists site {site} twice")
@@ -175,13 +176,6 @@ class StoppingMatrix:
             raise ValueError(f"malformed matrix JSON: missing field {exc}") from exc
         except TypeError as exc:  # a field of the wrong shape
             raise ValueError(f"malformed matrix JSON: {exc}") from exc
-
-
-def _known_fields(obj: dict, names: tuple[str, ...]) -> None:
-    """Reject a field of no meaning: a misspelt one would take its default."""
-    for key in obj:
-        if key not in names:
-            raise ValueError(f"malformed matrix JSON: unknown field {key!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import BudgetExceeded, Q, format_rational, parse_rational
+from .rational import BudgetExceeded, Q, format_rational, known_fields, parse_rational
 
 
 class MeasureError(ValueError):
@@ -94,6 +94,7 @@ class IntegerMeasure:
     def from_json_dict(cls, data: dict) -> "IntegerMeasure":
         if not isinstance(data, dict) or "atoms" not in data:
             raise MeasureError('measure JSON must be an object with an "atoms" key')
+        known_fields(data, ("atoms",), "measure JSON")
         raw = data["atoms"]
         if not isinstance(raw, dict):
             raise MeasureError('"atoms" must map integer strings to rational strings')

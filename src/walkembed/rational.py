@@ -153,3 +153,15 @@ def parse_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"not an integer: {x!r}")
     return x
+
+
+def known_fields(obj, names: tuple[str, ...], what: str) -> dict:
+    """`obj`, a JSON object with no field outside `names`: a field of no
+    meaning is rejected, since a misspelt one would take its default.
+    `what` names the document in the message."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {what}: expected an object, got {obj!r}")
+    for key in obj:
+        if key not in names:
+            raise ValueError(f"malformed {what}: unknown field {key!r}")
+    return obj

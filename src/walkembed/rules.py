@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .classic import ChipStep, MinimalCertificate, RandomizedRule
 from .matrices import StoppingMatrix
-from .rational import Q, format_rational, parse_int, parse_rational
+from .rational import Q, format_rational, known_fields, parse_int, parse_rational
 
 
 class PrefixError(ValueError):
@@ -334,6 +334,7 @@ def rule_from_json(text: str):
     data = parse_json(text)
     if not isinstance(data, dict):
         raise ValueError('rule JSON must be an object with "kind" and "payload"')
+    known_fields(data, ("kind", "payload"), "rule JSON")
     kind = data.get("kind")
     try:
         return _rule_from_payload(kind, data.get("payload"))
@@ -351,10 +352,12 @@ def _int_pair(entry, kind: str, what: str) -> tuple[int, int]:
 
 
 def _rule_from_payload(kind, payload):
+    what = f"{kind} payload"
     if kind == "randomizedRule":
+        entries = [known_fields(e, ("u", "v", "w"), what) for e in payload]
         return RandomizedRule(tuple((parse_int(e["u"]), parse_int(e["v"]),
                                      parse_rational(e["w"]))
-                                    for e in payload))
+                                    for e in entries))
     if kind == "exitComposition":
         return ExitCompositionRule(tuple(
             ChipStep(*_int_pair(e, kind, "chip [a, b]")) for e in payload))
@@ -364,9 +367,11 @@ def _rule_from_payload(kind, payload):
     if kind == "pathCountMatrix":
         return PathCountMatrixRule(StoppingMatrix.from_json_dict(payload))
     if kind == "randomizedPair":
+        known_fields(payload, ("u", "v"), what)
         return RandomizedPairRule(parse_int(payload["u"]),
                                   parse_int(payload["v"]))
     if kind == "minimalTheorem1":
+        known_fields(payload, ("sites", "weights"), what)
         return MinimalRule(MinimalCertificate(
             tuple(parse_int(s) for s in payload["sites"]),
             tuple(parse_rational(w) for w in payload["weights"])))

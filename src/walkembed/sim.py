@@ -10,14 +10,11 @@ kernels are tested against, and it runs the matrix rules no kernel takes
 within `MAX_SITE_STEPS`.  A pair rule is the one-pair law of a
 randomized rule, so both share one branch: `sample_pairs` draws every
 trial's pair.  `exact_law` computes the stopped law of a rule
-exactly, with a certified residual: the rational mass not yet stopped at the
-stage cap.  Pair, exit-composition and max-threshold rules have closed
-forms from gambler's ruin, with residual 0.  So does a matrix rule once its
+exactly, with residual 0.  Pair, exit-composition and max-threshold rules
+have closed forms from gambler's ruin, and a minimal rule stops at its
+certificate's law.  A matrix rule's law is closed form too once its
 counts settle (`matrices.exact_law_matrix`), and `simulate` runs that same
-check before it trusts the counts.  Only a minimal rule's law is truncated:
-its integer solver tests selection words against integer cut points, and
-after selection each (target, side) lane of first-passage counts is one
-packed integer that a whole step advances with one shift and one add.
+check before it trusts the counts.
 
 numpy is imported only where arrays are made: in `sample_pairs`,
 `simulate_reference` and the report reduction, and in the kernels that
@@ -28,12 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .classic import MinimalCertificate, RandomizedRule, exit_law
+from .classic import RandomizedRule, exit_law
 from .matrices import exact_law_matrix
 from .rational import BudgetExceeded, Q, format_rational
 from .rules import (
@@ -45,13 +41,6 @@ from .rules import (
 )
 
 
-DEFAULT_MAX_STAGE = 64  # stage cap of a minimal rule's `exact_law`
-MAX_STAGE = 2048  # its hard cap; 4^2048 has 1234 decimal digits
-# work cap of a minimal rule's exact law: total key-steps, one live
-# selection word or (target, position) key advanced by one step, checked
-# at stage boundaries.  The keys grow with the stages whatever the
-# distance to the target; the cap ends the 5/16 target at stage 579
-MAX_KEY_STEPS = 1_000_000
 # trial cap of `simulate`: a run peaks at about 100 bytes per trial (99 in
 # the minimal kernel's selection, 52-85 in the other kernels, measured with
 # tracemalloc at 100k trials), so 10^7 trials stay near 1 GB
@@ -232,18 +221,18 @@ class ExactLaw:
         )
 
 
-def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
-    """Exact stopped law of a rule.
+def exact_law(rule) -> ExactLaw:
+    """Exact stopped law of a rule, with residual zero and `stages` 0, save
+    a matrix rule's, the stages of its settle scan (`exact_law_matrix`).
 
-    A minimal rule's law stops at min(`max_stage`, `MAX_STAGE`) stages (2
-    steps each), or at the first stage boundary past `MAX_KEY_STEPS`
-    key-steps: its residual is the exact mass not yet stopped, and
-    `stages` the stages that ran.  Every other rule ignores the cap: its
-    law is closed form, with residual zero and `stages` 0, save a matrix
-    rule's, the stages of its settle scan (`exact_law_matrix`).
+    A minimal rule stops at its certificate's law, a site listed twice
+    getting the sum of its weights:
+    - the increments are iid fair bits, so U is uniform; the words that
+      never resolve have U on a cut point, which has probability 0, so atom
+      j is selected with probability c_j - c_{j-1} = w_j;
+    - the simple symmetric walk is recurrent, so from wherever selection
+      leaves it, it visits site_j almost surely.
     """
-    if max_stage < 0:
-        raise ValueError(f"max_stage must be at least 0, got {max_stage}")
     if isinstance(rule, (RandomizedRule, RandomizedPairRule)):
         # imported per call, so it finds a wrapper set on `classic`
         from .classic import hall_stopped_law
@@ -256,8 +245,10 @@ def exact_law(rule, max_stage: int = DEFAULT_MAX_STAGE) -> ExactLaw:
     if isinstance(rule, MaxThresholdRule):
         return ExactLaw(_max_threshold_law(rule.thresholds), Q(0), 0)
     if isinstance(rule, MinimalRule):
-        return _exact_law_minimal(rule.certificate,
-                                  2 * min(max_stage, MAX_STAGE))
+        law: dict[int, Fraction] = {}
+        for site, w in zip(rule.certificate.sites, rule.certificate.weights):
+            law[site] = law.get(site, Q(0)) + w
+        return ExactLaw(law, Q(0), 0)
     raise TypeError(f"cannot evaluate {type(rule).__name__}")
 
 
@@ -286,92 +277,3 @@ def _max_threshold_law(thresholds) -> dict[int, Fraction]:
         m += 1
     law[m] = law.get(m, Q(0)) + left
     return law
-
-
-def _exact_law_minimal(cert: MinimalCertificate, max_steps: int) -> ExactLaw:
-    """Exact law of a minimal rule on integers: bit for bit the `ExactLaw`
-    of a DP over merged `MinimalState`s, with the same key-step count.
-
-    Selection: the live word L of length t stands for the dyadic interval
-    [L, L+1) / 2^t of U and sits at 2 popcount(L) - t.  Over d, the lcm of
-    the cut points' denominators, it selects atom j iff bound[j] 2^t <= L d
-    and (L+1) d <= bound[j+1] 2^t.  Distinct words never merge, and each
-    live word straddles a cut point, so at most m - 1 are live, each with
-    count 1.
-
-    First passage: mass never crosses its target, so each (target, side)
-    lane is indexed by the distance k >= 1.  Every distance in a lane has
-    the parity of t - target, so distance k sits in field k // 2.  A lane
-    is [base, X, support]: X packs fields base, base + 1, ... into
-    `width`-bit slots, and the support bitmask marks its nonzero fields,
-    the live keys that the key-step cap counts.  A step from odd distances
-    is X + (X << width), whose slot 0 is then the mass absorbed at the
-    target if base is 0, while its top field moves up, so a lane never
-    empties; a step from even distances is X + (X >> width), after
-    lowering base by one if slot 0 is in use.  Live mass spans at
-    most t + 1 fields whatever the distance, so memory follows t, not the
-    site.  Field sums stay below 2^t, so `width` = max_steps + 2 keeps
-    fields apart and makes X mod (2^width - 1) the lane's total.
-    """
-    sites = cert.sites
-    d = math.lcm(*(c.denominator for c in cert.cut_points))
-    bounds = [0] + [c.numerator * (d // c.denominator)
-                    for c in cert.cut_points]
-    width = max_steps + 2
-    mask = (1 << width) - 1
-    lanes: dict[tuple[int, bool], list[int]] = {}  # -> [base, X, support]
-    stops: dict[int, int] = {}  # site -> stopped mass times 2^t
-
-    def settle(words, t):
-        """Stop or enqueue the resolved (word, position) pairs of length t;
-        return the rest."""
-        scaled = [b << t for b in bounds]
-        live = []
-        for word, pos in words:
-            j = bisect_right(scaled, word * d) - 1
-            if (word + 1) * d > scaled[j + 1]:
-                live.append((word, pos))
-            elif pos == sites[j]:
-                stops[pos] = stops.get(pos, 0) + 1
-            else:
-                k = abs(pos - sites[j]) // 2
-                key = (sites[j], pos > sites[j])
-                base, x, b = lanes.get(key, (k, 0, 0))
-                if k < base:
-                    x, b, base = x << (base - k) * width, b << base - k, k
-                lanes[key] = [base, x + (1 << (k - base) * width),
-                              b | 1 << k - base]
-        return live
-
-    words = settle([(0, 0)], 0)
-    t = key_steps = 0
-    while (words or lanes) and t < max_steps:
-        if t % 2 == 0 and key_steps >= MAX_KEY_STEPS:
-            break
-        key_steps += len(words) + sum(b.bit_count()
-                                      for _, _, b in lanes.values())
-        for site in stops:
-            stops[site] <<= 1
-        for key, lane in lanes.items():
-            base, x, b = lane
-            if (t - key[0]) & 1:  # distances 2i + 1 -> 2i and 2i + 2
-                x += x << width
-                b |= b << 1
-                if base == 0:
-                    hit = x & mask
-                    if hit:
-                        stops[key[0]] = stops.get(key[0], 0) + hit
-                        x -= hit
-                    b &= ~1
-            else:  # distances 2i -> 2i - 1 and 2i + 1
-                if base and x & mask:
-                    x, b, base = x << width, b << 1, base - 1
-                x += x >> width
-                b |= b >> 1
-            lane[:] = base, x, b
-        t += 1
-        words = settle([(2 * w + up, p + 2 * up - 1)
-                        for w, p in words for up in (0, 1)], t)
-    live = len(words) + sum(x % mask for _, x, _ in lanes.values())
-    law = {site: Q(num, 1 << t) for site, num in stops.items()}
-    return ExactLaw(law, Q(live, 1 << t), (t + 1) // 2)

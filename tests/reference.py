@@ -14,8 +14,7 @@ package because no command runs it:
 - `keyed_exact_law` steps a rule's state machine through a DP over integer
   path counts per merged state (`chip_state_key`, `max_state_key`), up to
   a step cap with a residual, where the package has closed forms for
-  exit-composition and max-threshold rules and its own integer solver for
-  minimal rules;
+  exit-composition, max-threshold and minimal rules;
 - `alive_class_rank` reads a path's rank off the matrix state machine;
 - `StripRankState` is that state machine rebuilding its rank at every
   site of the strip each step, zeros included, where
@@ -41,7 +40,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from walkembed import matrices, sim
+from walkembed import matrices
 from walkembed.classic import RandomizedRule
 from walkembed.kernels import GAMMA, MASK, STREAM, mix64
 from walkembed.matrices import (
@@ -173,6 +172,13 @@ def max_state_key(state):
     return (state.position, state.running_max)
 
 
+# work cap of `keyed_exact_law`: total key-steps, one merged state advanced
+# by one step, checked at stage boundaries.  A minimal rule's keys grow with
+# the stages whatever the distance to the target; the cap ends the 5/16
+# target at stage 579
+MAX_KEY_STEPS = 1_000_000
+
+
 def keyed_exact_law(rule, max_steps: int, key) -> ExactLaw:
     """Stopped law of `rule` after `max_steps` steps by a state-merged DP
     over integer path counts, with memoized transitions.
@@ -188,7 +194,7 @@ def keyed_exact_law(rule, max_steps: int, key) -> ExactLaw:
     site, or the child's key) is reused on every later visit of that key.
 
     The loop ends at `max_steps`, when every path has stopped, or at the
-    first stage boundary after `sim.MAX_KEY_STEPS` key-steps (the sum over
+    first stage boundary after `MAX_KEY_STEPS` key-steps (the sum over
     steps of the number of keys advanced); the residual covers the rest.
     """
     init = rule.new_state()
@@ -201,7 +207,7 @@ def keyed_exact_law(rule, max_steps: int, key) -> ExactLaw:
     stops: dict[int, int] = {}  # site -> stopped mass times 2^steps_done
     steps_done = key_steps = 0
     while counts and steps_done < max_steps:
-        if steps_done % 2 == 0 and key_steps >= sim.MAX_KEY_STEPS:
+        if steps_done % 2 == 0 and key_steps >= MAX_KEY_STEPS:
             break
         steps_done += 1
         key_steps += len(counts)

@@ -272,12 +272,27 @@ def cli(capsys, tmp_path, doc, *argv):
 class TestSeparations:
     """The paper's strict inclusions, one target each, through the CLI.
 
+    Every law on Z has a minimal embedding: {1: 1/2, 2: 1/2} is off mean 0,
+    so no UI rule embeds it, while the minimal rule stops at it exactly.
     AY is strictly inside CW: the barycenter of {0: 1/6, +-2: 5/12} is
     10/7 at 0, so no max-threshold rule embeds it, while four chips do.
     A target in both classes gets the same exact law from either rule."""
 
+    OFF_MEAN = '{"atoms": {"1": "1/2", "2": "1/2"}}'
     SIXTH = '{"atoms": {"0": "1/6", "-2": "5/12", "2": "5/12"}}'
     QUARTER = '{"atoms": {"-3": "1/4", "1": "3/4"}}'
+
+    def test_minimal_embeds_off_mean(self, capsys, tmp_path):
+        code, out = cli(capsys, tmp_path, self.OFF_MEAN,
+                        "classify", "--measure")
+        assert (code, out) == (0, {"azemaYor": False,
+                                   "chaconWalsh": "nonMember",
+                                   "uiMatrix": "nonMember", "minimal": True})
+        code, rule = cli(capsys, tmp_path, self.OFF_MEAN, "embed", "minimal")
+        assert code == 0
+        code, out = cli(capsys, tmp_path, rule, "exact-law")
+        assert (code, out) == (0, {"law": {"1": "1/2", "2": "1/2"},
+                                   "residual": "0", "stages": 0})
 
     def test_ay_refutes_the_sixth(self, capsys, tmp_path):
         code, out = cli(capsys, tmp_path, self.SIXTH, "embed", "ay")

@@ -17,6 +17,7 @@ from walkembed import (
     ExitCompositionRule,
     MatrixRow,
     MaxThresholdRule,
+    MinimalCertificate,
     MinimalRule,
     PathCountMatrixRule,
     RandomizedPairRule,
@@ -34,6 +35,7 @@ from walkembed import (
 from walkembed import sim
 from walkembed.matrices import CountViolation, exact_law_matrix
 from walkembed.rational import BudgetExceeded
+import reference
 from reference import (
     WalkPath,
     chip_state_key,
@@ -751,21 +753,15 @@ def assert_within_residual(law, truncated):
 class TestExactLawOracle:
     """`exact_law` against brute-force enumeration of every increment word
     of length 2s, s <= 5, replayed through the rule's state machine.  The
-    closed forms of exit-composition and max-threshold rules ignore the
-    stage cap, so the keyed DP of `reference` meets the enumeration
-    exactly, and the closed form lies within its residual."""
-
-    @staticmethod
-    def assert_matches_enumeration(rule, stages):
-        el = exact_law(rule, max_stage=stages)
-        assert (el.law, el.residual) == enumerated_law(rule, stages)
+    closed forms read no stage cap, so the keyed DP of `reference` meets
+    the enumeration exactly, and the closed form lies within its residual."""
 
     @staticmethod
     def assert_closed_form_matches(rule, stages, key):
         law, residual = enumerated_law(rule, stages)
         dp = keyed_exact_law(rule, 2 * stages, key)
         assert (dp.law, dp.residual) == (law, residual)
-        el = exact_law(rule, max_stage=stages)
+        el = exact_law(rule)
         assert (el.residual, el.stages) == (0, 0)
         assert_within_residual(el.law, dp)
 
@@ -808,7 +804,7 @@ class TestExactLawOracle:
     def test_minimal(self, mu):
         rule = MinimalRule(minimal_certificate(mu))
         for stages in range(6):
-            self.assert_matches_enumeration(rule, stages)
+            self.assert_closed_form_matches(rule, stages, _old_minimal_key)
 
     def test_early_stop_with_huge_stage_cap(self):
         # the DP ends when every path has stopped; a stage cap far beyond
@@ -817,20 +813,21 @@ class TestExactLawOracle:
         el = keyed_exact_law(rule, 2 * 10**12, max_state_key)
         assert (el.law, el.residual, el.stages) == (
             {-1: Q(1, 2), 1: Q(1, 2)}, 0, 1)
-        el = exact_law(rule, max_stage=10**12)
+        el = exact_law(rule)
         assert (el.law, el.residual, el.stages) == (
             {-1: Q(1, 2), 1: Q(1, 2)}, 0, 0)
 
     def test_key_step_cap_ends_at_a_stage_boundary(self, monkeypatch):
-        # a run stopped by the key-step cap equals an uncapped run to the
-        # stages it reports, so the cap never splits a stage
+        # a keyed DP that the key-step cap ends equals an uncapped run to
+        # the stages it reports, so the cap never splits a stage
         rule = MinimalRule(minimal_certificate(MU_516))
         for cap in range(1, 60, 3):
-            monkeypatch.setattr(sim, "MAX_KEY_STEPS", cap)
-            capped = exact_law(rule, max_stage=100)
+            monkeypatch.setattr(reference, "MAX_KEY_STEPS", cap)
+            capped = keyed_exact_law(rule, 200, _old_minimal_key)
             monkeypatch.undo()
             assert capped.stages < 100
-            assert exact_law(rule, max_stage=capped.stages) == capped
+            assert keyed_exact_law(rule, 2 * capped.stages,
+                                   _old_minimal_key) == capped
 
 
 def _old_minimal_key(state):
@@ -857,22 +854,30 @@ def minimal_targets(draw):
 
 
 class TestMinimalExactLaw:
-    """The integer solver of minimal rules against the keyed DP on the
-    rule's state machine, which it replaced."""
+    """The closed form of minimal rules against the keyed DP on the rule's
+    state machine."""
 
     @staticmethod
     def keyed_dp(rule, stages):
         return keyed_exact_law(rule, 2 * stages, _old_minimal_key)
 
-    @given(minimal_targets(), st.integers(0, 40))
-    @example(measure({5: Q(1)}), 40)  # selected at once, far from the origin
-    @example(measure({0: Q(1)}), 3)  # stopped at time 0
-    @example(measure({-8: Q(1, 3), 8: Q(2, 3)}), 3)  # beyond the horizon
-    def test_same_law_as_keyed_dp(self, mu, stages):
-        rule = MinimalRule(minimal_certificate(mu))
-        el, old = exact_law(rule, max_stage=stages), self.keyed_dp(rule, stages)
-        assert el == old
-        assert el.to_json() == old.to_json()
+    @given(minimal_targets().map(minimal_certificate), st.integers(0, 40))
+    # selected at once, far from the origin
+    @example(minimal_certificate(measure({5: Q(1)})), 40)
+    @example(minimal_certificate(measure({0: Q(1)})), 3)  # stopped at time 0
+    # beyond the horizon
+    @example(minimal_certificate(measure({-8: Q(1, 3), 8: Q(2, 3)})), 3)
+    # a hand-written certificate that lists site 2 twice: its weights add
+    @example(MinimalCertificate((2, -1, 2), (Q(1, 2), Q(1, 4), Q(1, 4))), 40)
+    def test_same_law_as_keyed_dp(self, cert, stages):
+        # the closed form lies within the DP's residual, and equals the
+        # DP's law where every path has stopped
+        el = exact_law(MinimalRule(cert))
+        dp = self.keyed_dp(MinimalRule(cert), stages)
+        assert (el.residual, el.stages) == (0, 0)
+        assert_within_residual(el.law, dp)
+        if dp.residual == 0:
+            assert el.law == dp.law
 
     @pytest.mark.parametrize("mu", [
         MU_516,
@@ -881,40 +886,39 @@ class TestMinimalExactLaw:
     ], ids=["5/16", "2/9", "non-centred"])
     def test_key_step_cap_same_as_keyed_dp(self, monkeypatch, mu):
         # the cap counts live selection words plus live (target, position)
-        # keys, so it ends both solvers at the same stage
+        # keys; a capped DP is the uncapped one at the stages it reports,
+        # and the closed form lies within its residual
         rule = MinimalRule(minimal_certificate(mu))
+        law = exact_law(rule).law
         for cap in range(1, 2000, 97):
-            monkeypatch.setattr(sim, "MAX_KEY_STEPS", cap)
-            assert exact_law(rule, max_stage=60) == self.keyed_dp(rule, 60)
+            monkeypatch.setattr(reference, "MAX_KEY_STEPS", cap)
+            capped = self.keyed_dp(rule, 60)
+            monkeypatch.undo()
+            assert capped == self.keyed_dp(rule, capped.stages)
+            assert_within_residual(law, capped)
 
-    @pytest.mark.parametrize("mu, stages", [
-        (measure({10**9: Q(1)}), 64),
-        (measure({-10**9: Q(1, 3), 10**9: Q(2, 3)}), 64),
-        (measure({-10**6: Q(1, 2), 10**6: Q(1, 2)}), 2048),
+    @pytest.mark.parametrize("mu", [
+        measure({10**9: Q(1)}),
+        measure({-10**9: Q(1, 3), 10**9: Q(2, 3)}),
+        measure({-10**6: Q(1, 2), 10**6: Q(1, 2)}),
     ], ids=["atom-1e9", "atoms-1e9", "centred-1e6"])
-    def test_far_sites_stay_small(self, mu, stages):
-        # packed lanes hold only the fields that mass has reached, so time
-        # and memory follow the stages that run, not the distance to the
-        # target; the last case runs to the key-step cap
-        rule = MinimalRule(minimal_certificate(mu))
-        tracemalloc.start()
-        try:
-            t0 = time.perf_counter()
-            el = exact_law(rule, max_stage=stages)
-            elapsed = time.perf_counter() - t0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 5.0
-        assert peak < 16 << 20
-        assert el == self.keyed_dp(rule, stages)
+    def test_far_sites_stay_small(self, mu):
+        # the closed form reads the certificate, not the walk, so a far
+        # target returns its law at once
+        t0 = time.perf_counter()
+        el = exact_law(MinimalRule(minimal_certificate(mu)))
+        assert time.perf_counter() - t0 < 0.1
+        assert (el.law, el.residual, el.stages) == (mu.atoms, 0, 0)
 
     @pytest.mark.parametrize("mu, stages", [
         (MU_516, 579),
         (measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)}), 500),
     ], ids=["5/16", "2/9"])
     def test_default_cap_stage(self, mu, stages):
-        # the stages at which MAX_KEY_STEPS ended the keyed DP
-        el = exact_law(MinimalRule(minimal_certificate(mu)), max_stage=8000)
-        assert el.stages == stages
-        assert sum(el.law.values()) + el.residual == 1
+        # the stages at which MAX_KEY_STEPS ends the keyed DP; the closed
+        # form lies within the residual it leaves
+        rule = MinimalRule(minimal_certificate(mu))
+        dp = self.keyed_dp(rule, 8000)
+        assert dp.stages == stages
+        assert sum(dp.law.values()) + dp.residual == 1
+        assert_within_residual(exact_law(rule).law, dp)
