@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -185,8 +185,9 @@ class StoppingMatrix:
 #: Work one settle scan may spend, in site-stages: a `CountEngine` stage
 #: costs the strip's 2N + 3 sites.
 MAX_SITE_STAGES = 2_000_000
-#: Stages the settle scan of a matrix whose tails stop paths may run before
-#: the counts must have settled.
+#: Stages the settle scan of a matrix whose tails stop paths may run past
+#: head_length + p, the first stage that can settle (`settle_stage`), so
+#: that long heads and periods do not use up the cap.
 MAX_SCAN = 512
 
 
@@ -272,24 +273,52 @@ def settle_stage(matrix: StoppingMatrix) -> int:
     earlier, and never negative.  Without a tail that stops paths the
     counts settle at the end of the heads, with no `MAX_SCAN` cap.
 
-    Raises `BudgetExceeded` when a tailed scan passes `MAX_SCAN` stages,
-    or any scan passes `MAX_SITE_STAGES`.
+    The lcm p of a few periods can run to millions of stages, so when it
+    passes `MAX_SCAN` and no tail doubles, the counts also settle at the
+    first stage n >= head_length from which one stage stopping the largest
+    tail entry M at every interior site passes a <= k and lowers no
+    interior even count: each later stage starts at or above stage n's
+    counts and stops at most M.
+
+    Raises `BudgetExceeded` when a tailed scan runs `MAX_SCAN` stages past
+    head_length + p, or past head_length + min(p, MAX_SCAN) beside a
+    doubling tail, whose counts gain a bit at every stage; or when any
+    scan passes `MAX_SITE_STAGES`.
     """
+    N = matrix.half_width
     tails = [r for r in matrix.rows.values() if r.tail_stops]
     period = math.lcm(*(len(r.period) for r in tails if r.tail == "periodic"))
-    growth = 2**period if any(r.tail == "doubling" for r in tails) else 1
-    settle = matrix.head_length + (period if tails else 0)
-    sites = 2 * matrix.half_width + 3
+    doubles = any(r.tail == "doubling" for r in tails)
+    head = matrix.head_length
+    settle = head + (period if tails else 0)
+    # the stage MAX_SCAN counts from; each stage of doubling counts costs more
+    cap = min(settle, head + MAX_SCAN) if doubles else settle
+    sites = 2 * N + 3
     engine = CountEngine(matrix)
-    counts = deque(maxlen=period + 1)  # the even counts of stages n - p .. n
+    worst = None  # a stage of the largest tail entry at every site
+    if tails and not doubles and period > MAX_SCAN:
+        top = max(max(r.period) for r in tails)
+        worst = CountEngine(StoppingMatrix(N, {
+            i: MatrixRow((), "periodic", (top,)) for i in range(-N, N + 1)}))
+    counts = []  # the even counts of stages head .. head + MAX_SCAN
     while True:
-        counts.append(engine.k_even)
+        if head <= engine.n <= head + MAX_SCAN:
+            counts.append(engine.k_even)
         if engine.n >= settle and (not tails or all(
-                k >= growth * counts[0][i] for i, k in engine.k_even.items())):
+                k >= counts[engine.n - settle][i] << (period * doubles)
+                for i, k in engine.k_even.items())):
             return engine.n
-        if tails and engine.n == MAX_SCAN:
+        if worst and engine.n >= head:
+            worst.k_even = engine.k_even
+            with suppress(CountViolation):  # that stage fails a <= k
+                worst.advance()
+                if all(worst.k_even[i] >= k
+                       for i, k in engine.k_even.items() if abs(i) <= N):
+                    return engine.n
+        if tails and engine.n == cap + MAX_SCAN:
             raise BudgetExceeded("MAX_SCAN", "counts do not settle within "
-                                 f"MAX_SCAN = {MAX_SCAN} stages")
+                                 f"MAX_SCAN = {MAX_SCAN} stages of stage "
+                                 f"{cap}")
         if engine.n == MAX_SITE_STAGES // sites:
             raise BudgetExceeded("MAX_SITE_STAGES", "past the work budget "
                                  f"MAX_SITE_STAGES = {MAX_SITE_STAGES} "
@@ -336,7 +365,7 @@ def verify_matrix(matrix: StoppingMatrix, mu: IntegerMeasure) -> VerifyResult:
 
     Inconclusive when the check would pass `MAX_SITE_STAGES`, or a strip
     of `measures.MAX_HULL_SITES` sites, or the counts do not settle within
-    `MAX_SCAN` stages.
+    `MAX_SCAN` stages of head_length + p (see `settle_stage`).
     """
     N = matrix.half_width
     bound = N + 1

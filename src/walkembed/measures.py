@@ -176,14 +176,13 @@ def barycenter(mu: IntegerMeasure) -> BarycenterFunction:
     sites = mu.support
     lo, hi = sites[0], sites[-1]
     check_hull(lo, hi)
-    vals: list[Fraction] = []
+    # the tail [k, hi] always holds the atom at hi, so its mass is positive
     tail_mass = Q(0)
     tail_sum = Q(0)
-    out: dict[int, Fraction] = {}
+    vals: list[Fraction] = []
     for k in range(hi, lo - 1, -1):
         w = mu.weight(k)
         tail_mass += w
         tail_sum += k * w
-        out[k] = tail_sum / tail_mass if tail_mass > 0 else Q(k)
-    vals = [out[k] for k in range(lo, hi + 1)]
-    return BarycenterFunction(lo, hi, tuple(vals))
+        vals.append(tail_sum / tail_mass)
+    return BarycenterFunction(lo, hi, tuple(reversed(vals)))

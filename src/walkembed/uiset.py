@@ -24,6 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .matrices import (
+    CountViolation,
+    MatrixRow,
+    StoppingMatrix,
+    boundary_masses,
+    settle_stage,
+)
 from .measures import MeasureError
 from .rational import Base4Expansion, BudgetExceeded, Q, digit_half_weight, to_base4
 
@@ -65,73 +72,45 @@ class TripleVerdict:
     reason: str = ""
 
 
-def _boundary_weights(p_minus: Fraction, p_zero: Fraction,
-                      p_plus: Fraction) -> tuple[Fraction, Fraction]:
-    """Weights at -2 and 2 forced by total mass one and mean zero."""
-    rest = 1 - (p_minus + p_zero + p_plus)
-    if rest < 0:
-        raise MeasureError("interior weights exceed total mass 1")
-    w_hi = (rest + (p_minus - p_plus) / 2) / 2
-    w_lo = rest - w_hi
-    if w_hi < 0 or w_lo < 0:
-        raise MeasureError("no centered completion on {-2, 2} exists")
-    return w_lo, w_hi
-
-
 def classify_triple(p_minus: Fraction, p_zero: Fraction,
                     p_plus: Fraction) -> TripleVerdict:
     """Admissibility of interior weights (p_minus, p_zero, p_plus), where
     the remaining mass sits on {-2, 2} balancing the mean to zero.
 
-    Writes (a_n), (b_n), (c_n) for the canonical base-4 digits of p_zero,
-    p_minus/2 and p_plus/2.  Member iff
-
-        sum 2^{-i}(a_i + b_i + c_i) <= 1, and
-        L_n >= max(b_n, c_n) for all n,   L_0 = 1/2, L_{n+1} = 2 L_n - (a_n+b_n+c_n).
-
-    The stage condition over the infinite periodic digit stream terminates
-    because the pair (stream phase, L_n) either repeats, fails, or L_n
-    grows past the largest possible digit sum and then passes forever.
+    With (a_n), (b_n), (c_n) the canonical base-4 digits of p_zero,
+    p_minus/2 and p_plus/2 (index 0 the integer part), member iff
+    sum 2^{-i}(a_i + b_i + c_i) <= 1 and a <= k at every stage of the N = 1
+    matrix whose rows at -1, 0 and 1 stop b_n, a_n and c_n paths: heads the
+    integer part and preperiod, tails the period.  `matrices.settle_stage`
+    decides the latter; a violation at stage n is "capacity at stage n".
+    The scan's budgets can in principle raise BudgetExceeded, on counts
+    that neither outgrow the digits nor settle over the periods' lcm.
     """
     p_minus, p_zero, p_plus = Q(p_minus), Q(p_zero), Q(p_plus)
     for name, v in (("p_minus", p_minus), ("p_zero", p_zero), ("p_plus", p_plus)):
         if v < 0 or v > 1:
             raise MeasureError(f"{name} out of [0, 1]: {v}")
-    _boundary_weights(p_minus, p_zero, p_plus)  # mass/mean feasibility
+    if p_minus + p_zero + p_plus > 1:
+        raise MeasureError("interior weights exceed total mass 1")
+    interior = {-1: p_minus, 0: p_zero, 1: p_plus}
+    if min(boundary_masses(interior, 1).values()) < 0:
+        raise MeasureError("no centered completion on {-2, 2} exists")
 
     ea = to_base4(p_zero)
     eb = to_base4(p_minus / 2)
     ec = to_base4(p_plus / 2)
     exps = (eb, ea, ec)
 
-    total = digit_half_weight(ea) + digit_half_weight(eb) + digit_half_weight(ec)
-    if total > 1:
+    if sum(map(digit_half_weight, exps)) > 1:
         return TripleVerdict(False, exps, reason="digitSum")
 
-    # Stage condition; digits at index 0 are the integer parts.
-    pre = 1 + max(len(e.preperiod) for e in (ea, eb, ec))
-    period = 1
-    for e in (ea, eb, ec):
-        if e.period:
-            period = math.lcm(period, len(e.period))
-
-    n = 0
-    L: Fraction | int = Q(1, 2)
-    seen: set[tuple[int, Fraction]] = set()
-    while True:
-        a, b, c = ea.digit(n), eb.digit(n), ec.digit(n)
-        if L < max(b, c):
-            return TripleVerdict(False, exps, reason=f"capacity at stage {n}")
-        L = 2 * L - (a + b + c)
-        n += 1
-        if n >= pre:
-            if L >= 9:
-                break  # L can never fall below any digit again
-            phase = (n - pre) % period
-            key = (phase, L)
-            if key in seen:
-                break
-            seen.add(key)
+    rows = {i: MatrixRow((e.integer_part, *e.preperiod),
+                         "periodic" if e.period else "zero", e.period)
+            for i, e in zip((-1, 0, 1), exps)}
+    try:
+        settle_stage(StoppingMatrix(1, rows))
+    except CountViolation as v:
+        return TripleVerdict(False, exps, reason=f"capacity at stage {v.stage}")
     return TripleVerdict(True, exps)
 
 

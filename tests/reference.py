@@ -5,6 +5,9 @@ package because no command runs it:
 
 - `measure_from_potential` inverts `potential` from slope changes;
 - `to_rational` sums a base-4 expansion in closed form;
+- `triple_capacity` decides the triple criterion by the scaled count
+  recursion on the digits, where `classify_triple` runs the matrix
+  settle scan;
 - `affine`, `union`, `contains` and `apply` compute covers on `Fraction`
   endpoints, next to `ifs_approximate`'s integer numerators;
 - `weight_set_system_alt` is a second contraction system with the same
@@ -56,7 +59,7 @@ from walkembed.measures import (
     PotentialFunction,
     check_hull,
 )
-from walkembed.rational import Base4Expansion
+from walkembed.rational import Base4Expansion, digit_half_weight
 from walkembed.rules import MatrixRuleState, PrefixError, RandomizedPairRule
 from walkembed.sim import ExactLaw, SimReport, sample_pairs
 from walkembed.uiset import IfsSystem, IntervalUnion
@@ -95,6 +98,45 @@ def to_rational(e: Base4Expansion) -> Q:
             per = 4 * per + d
         value += Q(per, 4 ** len(e.period) - 1) / 4**m
     return value
+
+
+def triple_capacity(ea: Base4Expansion, eb: Base4Expansion,
+                    ec: Base4Expansion) -> tuple[bool, str]:
+    """(member, reason) of the triple criterion on the digits (a_n), (b_n),
+    (c_n) of p_zero, p_minus/2 and p_plus/2: the digit sum
+    sum 2^{-i}(a_i + b_i + c_i) <= 1, then
+
+        L_n >= max(b_n, c_n) for all n,   L_0 = 1/2, L_{n+1} = 2 L_n - (a_n+b_n+c_n),
+
+    L_n being the paths arriving at each of -1 and 1 at stage n.  The
+    stage condition over the infinite periodic digit stream terminates
+    because the pair (stream phase, L_n) either repeats, fails, or L_n
+    grows past the largest possible digit sum and then passes forever.
+    """
+    if sum(digit_half_weight(e) for e in (ea, eb, ec)) > 1:
+        return False, "digitSum"
+    # digits at index 0 are the integer parts
+    pre = 1 + max(len(e.preperiod) for e in (ea, eb, ec))
+    period = 1
+    for e in (ea, eb, ec):
+        if e.period:
+            period = math.lcm(period, len(e.period))
+    n = 0
+    L: Q | int = Q(1, 2)
+    seen: set[tuple[int, Q]] = set()
+    while True:
+        a, b, c = ea.digit(n), eb.digit(n), ec.digit(n)
+        if L < max(b, c):
+            return False, f"capacity at stage {n}"
+        L = 2 * L - (a + b + c)
+        n += 1
+        if n >= pre:
+            if L >= 9:
+                return True, ""  # L can never fall below any digit again
+            key = ((n - pre) % period, L)
+            if key in seen:
+                return True, ""
+            seen.add(key)
 
 
 def affine(u: IntervalUnion, scale: Q, offset: Q) -> IntervalUnion:

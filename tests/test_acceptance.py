@@ -274,11 +274,15 @@ class TestSeparations:
 
     Every law on Z has a minimal embedding: {1: 1/2, 2: 1/2} is off mean 0,
     so no UI rule embeds it, while the minimal rule stops at it exactly.
+    UI is strictly inside the centred laws: {+-1: 1/4, 0: 1/2} fails the
+    triple criterion's digit sum, while {0: 1/5, +-2: 2/5} is a UI member
+    whose base-4 digits 0.0303... verify as a stop-count matrix.
     AY is strictly inside CW: the barycenter of {0: 1/6, +-2: 5/12} is
     10/7 at 0, so no max-threshold rule embeds it, while four chips do.
     A target in both classes gets the same exact law from either rule."""
 
     OFF_MEAN = '{"atoms": {"1": "1/2", "2": "1/2"}}'
+    FIFTH = '{"atoms": {"0": "1/5", "-2": "2/5", "2": "2/5"}}'
     SIXTH = '{"atoms": {"0": "1/6", "-2": "5/12", "2": "5/12"}}'
     QUARTER = '{"atoms": {"-3": "1/4", "1": "3/4"}}'
 
@@ -293,6 +297,22 @@ class TestSeparations:
         code, out = cli(capsys, tmp_path, rule, "exact-law")
         assert (code, out) == (0, {"law": {"1": "1/2", "2": "1/2"},
                                    "residual": "0", "stages": 0})
+
+    def test_ui_refutes_a_centred_law(self, capsys):
+        assert main(["classify", "--triple", "1/4,1/2,1/4"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"member": False,
+                                                       "reason": "digitSum"}
+
+    def test_ui_embeds_the_fifth(self, capsys, tmp_path):
+        m = tmp_path / "matrix.json"
+        m.write_text('{"N": 1, "rows": [{"site": 0, "head": [0], '
+                     '"tail": "periodic", "period": [0, 3]}]}')
+        code, out = cli(capsys, tmp_path, self.FIFTH, "verify", str(m))
+        assert (code, out) == (0, {"status": "valid", "site": None,
+                                   "stage": None, "detail": ""})
+        assert main(["classify", "--triple", "0,1/5,0"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"member": True,
+                                                       "reason": ""}
 
     def test_ay_refutes_the_sixth(self, capsys, tmp_path):
         code, out = cli(capsys, tmp_path, self.SIXTH, "embed", "ay")

@@ -144,6 +144,14 @@ class TestClassify:
         assert out == {"budget": "DIGIT_BUDGET", "reason": "base-4 expansion "
                        "needs more than DIGIT_BUDGET = 4096 digits"}
 
+    # periods of 515 and 2045 digits, past MAX_SCAN: the counts of the
+    # digit matrix outgrow its largest digit within a few stages
+    @pytest.mark.parametrize("q, period", [(1031, 515), (4091, 2045)])
+    def test_long_period_triple_decides(self, capsys, q, period):
+        assert len(walkembed.to_base4(Fraction(1, q)).period) == period
+        code, out = run(capsys, ["classify", "--triple", f"0,1/{q},0"])
+        assert (code, out) == (0, {"member": True, "reason": ""})
+
     def test_parser_built_once(self, capsys, monkeypatch):
         build, calls = cli.build_parser, []
         monkeypatch.setattr(cli, "_parser", None)
@@ -386,16 +394,48 @@ class TestVerifyAndLaws:
                                    "detail": "encoded weight 5/2 != target 1/2"})
 
     def test_exact_law_unsettled_tail_exits_3(self, capsys, tmp_path):
-        # the doubling tail starts after a 601-stage head, past MAX_SCAN
+        # after 600 zeros, 2^599 + 1 stops at every stage: the counts
+        # 2^600 + 2 - 2^(j+1) fall away from the tail's fixed point and pass
+        # below the stops only at stage 1199, past MAX_SCAN of stage 601
         r = tmp_path / "rule.json"
         r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
-            "N": 2, "rows": [{"site": 0, "head": [0] * 600 + [1],
-                              "tail": "doubling"}]}}))
+            "N": 1, "rows": [{"site": 0, "head": [0] * 600,
+                              "tail": "periodic", "period": [2**599 + 1]}]}}))
         for argv in (["exact-law", str(r)], ["simulate", str(r), "--trials", "10"]):
             code, out = run(capsys, argv)
             assert (code, out) == (3, {
                 "budget": "MAX_SCAN",
-                "reason": "counts do not settle within MAX_SCAN = 512 stages"})
+                "reason": "counts do not settle within MAX_SCAN = 512 "
+                          "stages of stage 601"})
+
+    def test_long_period_certificate_verifies(self, capsys, tmp_path):
+        # the digit matrix of 1/1031 at 0: its 515-digit period could settle
+        # the counts only at stage 516, past MAX_SCAN = 512 stages from 0,
+        # but they outgrow the largest digit at stage 4
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"N": 1, "rows": [{
+            "site": 0, "head": [0], "tail": "periodic",
+            "period": list(walkembed.to_base4(Fraction(1, 1031)).period)}]}))
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"atoms": {
+            "-2": "515/1031", "0": "1/1031", "2": "515/1031"}}))
+        code, out = run(capsys, ["verify", str(m), str(mu)])
+        assert (code, out) == (0, {"status": "valid", "site": None,
+                                   "stage": None, "detail": ""})
+
+    def test_exact_law_long_head_settles(self, capsys, tmp_path):
+        # MAX_SCAN counts from head_length + p: a doubling tail after a
+        # 601-stage head settles at stage 602, with weight 2 * 4^-600 at 0
+        r = tmp_path / "rule.json"
+        r.write_text(json.dumps({"kind": "pathCountMatrix", "payload": {
+            "N": 2, "rows": [{"site": 0, "head": [0] * 600 + [1],
+                              "tail": "doubling"}]}}))
+        code, out = run(capsys, ["exact-law", str(r)])
+        w = Fraction(2, 4**600)
+        assert (code, out) == (0, {"law": {"-3": str((1 - w) / 2),
+                                           "0": str(w),
+                                           "3": str((1 - w) / 2)},
+                                   "residual": "0", "stages": 602})
 
     def test_exact_law_minimal_ignores_stage_cap(self, capsys, tmp_path,
                                                  mu_516):

@@ -440,16 +440,38 @@ class TestVerifyTails:
         (MatrixRow((0, 0, 1), "doubling"), 0, 6),
         (MatrixRow((0,), "periodic", (1, 2)), 1, 2),
         (MatrixRow((), "periodic", (0, 2)), 0, 3),
-    ], ids=["doubling", "periodic-head", "periodic-lag"])
+        (MatrixRow((0,) * 120, "periodic", (2**119 + 1,)), 0, 239),
+    ], ids=["doubling", "periodic-head", "periodic-lag", "periodic-late"])
     def test_violation_past_heads_is_found(self, row, site, stage):
         # the counts grow past the heads, but by less than the settle test
         # asks (c = 2^p, over a lag of p stages from head_length + p on),
-        # and a stop outgrows its arrivals a few stages later
+        # and a stop outgrows its arrivals a few stages later.  Late: after
+        # 120 zeros the counts 2^120 + 2 - 2^(j+1), j stages into the tail,
+        # fall away from its fixed point and pass below the stops 2^119 + 1
+        # at stage 239, within MAX_SCAN of stage 121
         matrix = StoppingMatrix(1, {site: row})
         res = verify_matrix(matrix, measure({-2: Q(1, 2), 2: Q(1, 2)}))
         assert (res.status, res.site, res.stage) == ("violation", site, stage)
         with pytest.raises(AssertionError, match=rf"\({site}, {stage}\)"):
             plain_scan(matrix, stage)
+
+    @pytest.mark.parametrize("rows, site, stage", [
+        ({0: MatrixRow((0,), "periodic", (1,) + (0,) * 514),
+          1: MatrixRow((0,), "periodic", (0,) * 19 + (2**40,))}, 1, 20),
+        ({0: MatrixRow((0,) * 10 + (1100,), "periodic",
+                       (1,) + (0,) * 514)}, 0, 10),
+        ({i: MatrixRow((0,) * 3, "periodic", (2,) * 515)
+          for i in (-1, 0, 1)}, 0, 4),
+    ], ids=["largest-entry", "past-heads", "falling"])
+    def test_long_period_violation_is_found(self, rows, site, stage):
+        # p passes MAX_SCAN, so the scan also tries a stage of the largest
+        # tail entry at every site: 2^40 here, not 1; only once the heads
+        # are past, where the 1100 stops would exceed 1024 arrivals; and it
+        # must leave the counts no lower, where the 4 paths at 0 at stage 3
+        # pass a <= k for one stage of 2 stops everywhere and then fall to 0
+        matrix = StoppingMatrix(1, rows)
+        res = verify_matrix(matrix, measure({-2: Q(1, 2), 2: Q(1, 2)}))
+        assert (res.status, res.site, res.stage) == ("violation", site, stage)
 
     def test_multi_site_periodic_valid(self):
         # period 2 on a strip with two interior even sites (dim 2): stops
@@ -616,13 +638,34 @@ class TestWorkBudget:
         assert verify_matrix(late, measure(atoms)).valid
 
     def test_scan_limit_keeps_its_detail(self, monkeypatch):
-        # a settle scan that stops at MAX_SCAN, not at the budget: the
-        # doubling tail starts after a 101-stage head
+        # a settle scan that stops at MAX_SCAN, not at the budget: after
+        # `head` zeros, 2^(head-1) + 1 stops at every stage, and the counts
+        # pass below the stops only at stage 2 head - 1 (the periodic-late
+        # case of `test_violation_past_heads_is_found`); the cap counts
+        # from head + 1
         monkeypatch.setattr(matrices, "MAX_SCAN", 100)
-        late = StoppingMatrix(2, {0: MatrixRow((0,) * 100 + (1,), "doubling")})
-        res = verify_matrix(late, measure({0: 1}))
+        for head in (120, 150):
+            late = StoppingMatrix(1, {0: MatrixRow(
+                (0,) * head, "periodic", (2 ** (head - 1) + 1,))})
+            res = verify_matrix(late, measure({0: 1}))
+            assert (res.status, res.detail) == (
+                "inconclusive", "counts do not settle within MAX_SCAN = 100 "
+                                f"stages of stage {head + 1}")
+
+    def test_long_period_scan_cap(self, monkeypatch):
+        # beside a doubling tail, whose counts gain a bit at every stage, a
+        # period of lcm 2001 * 1999 past MAX_SCAN leaves MAX_SCAN counting
+        # from head_length + MAX_SCAN: the scan stops 2 MAX_SCAN stages past
+        # the 11-stage heads, not past head_length + p
+        monkeypatch.setattr(matrices, "MAX_SCAN", 50)
+        m = StoppingMatrix(2, {
+            -2: MatrixRow((0,), "periodic", (1,) + (0,) * 2000),
+            0: MatrixRow((0,) * 10 + (1,), "doubling"),
+            2: MatrixRow((0,), "periodic", (1,) + (0,) * 1998)})
+        res = verify_matrix(m, measure({0: 1}))
         assert (res.status, res.detail) == (
-            "inconclusive", "counts do not settle within MAX_SCAN = 100 stages")
+            "inconclusive", "counts do not settle within MAX_SCAN = 50 "
+                            "stages of stage 61")
 
     @pytest.mark.parametrize("bad", [
         StoppingMatrix(30, {0: MatrixRow((0, 3) + (0,) * 30)}),
