@@ -200,8 +200,11 @@ def _tangent_tail(state: State, target: State,
     runs along the target's line L through m - 1 and m: its right end b is
     the first index past m where the state meets L.  The state minus L is
     concave and positive at m, so once it falls below zero no b exists.
-    The chord is L itself, which no concave target rises above, so it is
-    never dead and the state then agrees with the target through m."""
+    The scan always ends by n - 1: no chord moves the last hull index
+    either, so the state equals the target there, on or below L, since
+    from m on the concave target lies on or below L.  The chord is L
+    itself, which no concave target rises above, so it is never dead and
+    the state then agrees with the target through m."""
     chords: list[Chord] = []
     tnums, td = target
     n = len(tnums)
@@ -220,8 +223,6 @@ def _tangent_tail(state: State, target: State,
             gap = nums[b] * td - (base + (b - m + 1) * rise) * d
             if gap <= 0:
                 break
-        else:
-            return None
         if gap:
             return None  # the state crossed L between integers
         state = _chord(state, target, m - 1, b)

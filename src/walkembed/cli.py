@@ -298,6 +298,9 @@ _parser: argparse.ArgumentParser | None = None
 
 def main(argv=None) -> int:
     global _parser
+    # rationals of any size parse and print: lift Python's int-str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if _parser is None:  # built once per process, reused by every call
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv

@@ -58,8 +58,9 @@ steps consumed, and whether the rule actually stopped within `max_steps`
 
 The module imports without numpy, so `import walkembed` and every exact
 command stay numpy-free: the global `np` is bound by `_numpy` in
-`stream_states` and `clamp_sites`, and every entry point seeds its trials
-through `stream_states` before any other array is made.
+`stream_states` and `clamp_sites`, and every entry point (one
+`run_<kind>` per rule kind, which reads the rule's table as given) seeds
+its trials through `stream_states` before any other array is made.
 """
 
 from __future__ import annotations
@@ -253,61 +254,6 @@ def _np_two_point(states, ends, max_steps):
     return _np_lockstep(states, ends, stop0, step, max_steps)[:3]
 
 
-def _np_exit_composition(states, chips_a, chips_b, max_steps):
-    """Each live trial's lane is the index of its chip; a trial that
-    reached an end of its chip moves on to the next chip that holds it,
-    and stops once it has passed the last.
-
-    A down-step can only reach a chip's lower end and an up-step its
-    upper end, so `after[c, 0]` and `after[c, 1]` give the chip that
-    follows c from each end: the first later chip holding that end
-    strictly inside, or m to stop, as `ExitCompositionState` settles."""
-    n, m = states.shape[0], chips_a.shape[0]
-    a, b = chips_a.tolist(), chips_b.tolist()
-
-    def holder(first, x):
-        return next((j for j in range(first, m) if a[j] < x < b[j]), m)
-
-    after = np.array([[holder(c + 1, a[c]), holder(c + 1, b[c])]
-                      for c in range(m)], dtype=np.int64)
-
-    def step(lanes, p, down, t):
-        cur = lanes[0]
-        hit = p == chips_a[cur]
-        hit |= p == chips_b[cur]
-        out = np.flatnonzero(hit)
-        if out.size:
-            # down is +1 on a down-step and -1 on an up-step
-            cur[out] = c = after[cur[out], (1 - down[out]) >> 1]
-            hit[out] = c >= m
-        return hit
-
-    # every trial starts at 0, on the first chip that holds 0; an empty
-    # composition stops every trial there
-    c0 = holder(0, 0)
-    return _np_lockstep(states, [np.full(n, c0)], np.full(n, c0 == m), step,
-                        max_steps)[:3]
-
-
-def _np_max_threshold(states, levels, lo, hi, max_steps):
-    """A trial stops once its running maximum reaches the level of its
-    site; a site below `lo` reads the level of `lo`, and a site above `hi`
-    stops at once, so the table gains a last entry below every maximum."""
-    n = states.shape[0]
-    table = np.append(levels, np.iinfo(np.int64).min)
-
-    def step(lanes, p, down, t):
-        mx = lanes[0]
-        np.maximum(mx, p, out=mx)
-        k = p - lo
-        np.clip(k, 0, hi - lo + 1, out=k)
-        return mx >= table[k]
-
-    stop0 = np.full(n, levels[-lo] <= 0)
-    return _np_lockstep(states, [np.zeros(n, dtype=np.int64)], stop0, step,
-                        max_steps)[:3]
-
-
 @functools.cache
 def _byte_tables():
     """Tables over the 256 values of a packed byte, whose bit j (least
@@ -480,55 +426,6 @@ def _np_first_passage(states, pos, steps, stopped, lanes, max_steps):
     steps[idx] = max_steps
 
 
-def _np_minimal(states, sites, cuts, max_steps):
-    """Selection runs in lockstep, first passage in blocks.
-
-    While some live trial has no target, the live trials step on
-    `_np_lockstep` with lanes `low`, `target` and `resolved`, and the
-    trials still selecting read up-steps as dyadic digits; this ends by
-    step `MAX_DYADIC_BITS`.  Every trial without a target is live and has
-    read t digits, so its dyadic interval is [low, low + 2^-t).  From then
-    on each live trial only waits for the first visit of its target, and
-    `_np_first_passage` walks it there in blocks from the states,
-    positions and targets the selection left.
-    """
-    n = states.shape[0]
-
-    def resolve(lanes, open_, t):
-        low, target, resolved = lanes
-        width = 0.5 ** t
-        force = t >= MAX_DYADIC_BITS
-        base = low[open_]
-        j = np.searchsorted(cuts, base + (width * 0.5 if force else 0.0),
-                            side="right")
-        j = np.minimum(j, len(cuts) - 1)
-        ok = force | (base + width <= cuts[j])
-        hit = open_[ok]
-        resolved[hit] = True
-        target[hit] = sites[j[ok]]
-
-    def step(lanes, p, down, t):
-        low, target, resolved = lanes
-        open_ = np.flatnonzero(~resolved)
-        if open_.size:
-            low[open_[down[open_] < 0]] += 0.5 ** t
-            resolve(lanes, open_, t)
-        hit = p == target
-        hit &= resolved
-        return hit
-
-    lanes = [np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.int64),
-             np.zeros(n, dtype=bool)]
-    resolve(lanes, np.arange(n), 0)
-    stop0 = lanes[2] & (lanes[1] == 0)
-    pos, steps, stopped, live = _np_lockstep(
-        states, lanes, stop0, step, max_steps, until=lambda lanes: lanes[2].all())
-    lanes[:] = live, lanes[1]  # free the dyadic intervals
-    del live
-    _np_first_passage(states, pos, steps, stopped, lanes, max_steps)
-    return pos, steps, stopped
-
-
 def _np_matrix_head(states, table, half_width, head_steps):
     """Step trials through the first `head_steps` steps of a matrix rule.
 
@@ -577,27 +474,116 @@ def run_two_point(seed, ends, draws, max_steps):
 
 
 def run_exit_composition(seed, trials, chips, max_steps):
+    """Each live trial's lane is the index of its chip; a trial that
+    reached an end of its chip moves on to the next chip that holds it,
+    and stops once it has passed the last.
+
+    A down-step can only reach a chip's lower end and an up-step its
+    upper end, so `after[c, 0]` and `after[c, 1]` give the chip that
+    follows c from each end: the first later chip holding that end
+    strictly inside, or m to stop, as `ExitCompositionState` settles."""
     states = stream_states(seed, trials)
-    a = clamp_sites([c.a for c in chips])
-    b = clamp_sites([c.b for c in chips])
-    return _np_exit_composition(states, a, b, max_steps)
+    m = len(chips)
+    chips_a = clamp_sites([c.a for c in chips])
+    chips_b = clamp_sites([c.b for c in chips])
+
+    def holder(first, x):
+        return next((j for j in range(first, m)
+                     if chips[j].a < x < chips[j].b), m)
+
+    after = np.array([[holder(c + 1, chips[c].a), holder(c + 1, chips[c].b)]
+                      for c in range(m)], dtype=np.int64)
+
+    def step(lanes, p, down, t):
+        cur = lanes[0]
+        hit = p == chips_a[cur]
+        hit |= p == chips_b[cur]
+        out = np.flatnonzero(hit)
+        if out.size:
+            # down is +1 on a down-step and -1 on an up-step
+            cur[out] = c = after[cur[out], (1 - down[out]) >> 1]
+            hit[out] = c >= m
+        return hit
+
+    # every trial starts at 0, on the first chip that holds 0; an empty
+    # composition stops every trial there
+    c0 = holder(0, 0)
+    return _np_lockstep(states, [np.full(trials, c0)],
+                        np.full(trials, c0 == m), step, max_steps)[:3]
 
 
 def run_max_threshold(seed, trials, thresholds, max_steps):
+    """A trial stops once its running maximum reaches the level of its
+    site.  `thresholds` is a `MaxThresholdRule`'s table: (site, level)
+    pairs sorted by site, one per site of an interval [lo, hi] holding 0.
+    A site below lo reads the level of lo, and a site above hi stops at
+    once, so the table gains a last entry below every maximum."""
     states = stream_states(seed, trials)
-    table = dict(thresholds)
-    lo, hi = min(table), max(table)
-    if not lo <= 0 <= hi:
-        raise ValueError("threshold table must cover the origin")
-    levels = clamp_sites([table[s] for s in range(lo, hi + 1)])
-    return _np_max_threshold(states, levels, lo, hi, max_steps)
+    lo, hi = thresholds[0][0], thresholds[-1][0]
+    levels = clamp_sites([lv for _, lv in thresholds])
+    table = np.append(levels, np.iinfo(np.int64).min)
+
+    def step(lanes, p, down, t):
+        mx = lanes[0]
+        np.maximum(mx, p, out=mx)
+        k = p - lo
+        np.clip(k, 0, hi - lo + 1, out=k)
+        return mx >= table[k]
+
+    stop0 = np.full(trials, levels[-lo] <= 0)
+    return _np_lockstep(states, [np.zeros(trials, dtype=np.int64)], stop0,
+                        step, max_steps)[:3]
 
 
 def run_minimal(seed, trials, sites, cut_points, max_steps):
+    """Selection runs in lockstep, first passage in blocks.
+
+    While some live trial has no target, the live trials step on
+    `_np_lockstep` with lanes `low`, `target` and `resolved`, and the
+    trials still selecting read up-steps as dyadic digits; this ends by
+    step `MAX_DYADIC_BITS`.  Every trial without a target is live and has
+    read t digits, so its dyadic interval is [low, low + 2^-t).  From then
+    on each live trial only waits for the first visit of its target, and
+    `_np_first_passage` walks it there in blocks from the states,
+    positions and targets the selection left.
+    """
     states = stream_states(seed, trials)
     sites = clamp_sites(sites)
     cuts = np.asarray([float(c) for c in cut_points], dtype=np.float64)
-    return _np_minimal(states, sites, cuts, max_steps)
+
+    def resolve(lanes, open_, t):
+        low, target, resolved = lanes
+        width = 0.5 ** t
+        force = t >= MAX_DYADIC_BITS
+        base = low[open_]
+        j = np.searchsorted(cuts, base + (width * 0.5 if force else 0.0),
+                            side="right")
+        j = np.minimum(j, len(cuts) - 1)
+        ok = force | (base + width <= cuts[j])
+        hit = open_[ok]
+        resolved[hit] = True
+        target[hit] = sites[j[ok]]
+
+    def step(lanes, p, down, t):
+        low, target, resolved = lanes
+        open_ = np.flatnonzero(~resolved)
+        if open_.size:
+            low[open_[down[open_] < 0]] += 0.5 ** t
+            resolve(lanes, open_, t)
+        hit = p == target
+        hit &= resolved
+        return hit
+
+    lanes = [np.zeros(trials, dtype=np.float64),
+             np.zeros(trials, dtype=np.int64), np.zeros(trials, dtype=bool)]
+    resolve(lanes, np.arange(trials), 0)
+    stop0 = lanes[2] & (lanes[1] == 0)
+    pos, steps, stopped, live = _np_lockstep(
+        states, lanes, stop0, step, max_steps, until=lambda lanes: lanes[2].all())
+    lanes[:] = live, lanes[1]  # free the dyadic intervals
+    del live
+    _np_first_passage(states, pos, steps, stopped, lanes, max_steps)
+    return pos, steps, stopped
 
 
 def run_matrix(seed, trials, matrix, max_steps):

@@ -127,8 +127,7 @@ def simulate(rule, trials: int, seed: int,
     elif isinstance(rule, ExitCompositionRule):
         out = kernels.run_exit_composition(seed, trials, rule.steps, max_steps)
     elif isinstance(rule, MaxThresholdRule):
-        out = kernels.run_max_threshold(seed, trials, dict(rule.thresholds),
-                                        max_steps)
+        out = kernels.run_max_threshold(seed, trials, rule.thresholds, max_steps)
     elif isinstance(rule, MinimalRule):
         cert = rule.certificate
         out = kernels.run_minimal(seed, trials, cert.sites, cert.cut_points,

@@ -42,6 +42,21 @@ def run(capsys, argv):
     return code, (json.loads(out) if out else None)
 
 
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Set the interpreter's limit on int <-> str digits (0: none) for the
+    block; Python before 3.10.7 has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 class TestClassify:
     def test_weight_member(self, capsys):
         code, out = run(capsys, ["classify", "--weight", "1/6"])
@@ -437,6 +452,54 @@ class TestVerifyAndLaws:
                                            "3": str((1 - w) / 2)},
                                    "residual": "0", "stages": 602})
 
+    # rationals past the 4300 digits Python converts by default parse and
+    # print in full: after 7200 zeros the row at 0 stops at stage 7200, where
+    # 2^7200 histories of weight 4^-7200 each arrive
+    def _run_past_digit_limit(self, capsys, tmp_path, command, stop):
+        with int_digit_limit(0):
+            payload = {"N": 1, "rows": [{"site": 0,
+                                         "head": [0] * 7200 + [stop]}]}
+            if command == "verify":
+                m, mu = tmp_path / "m.json", tmp_path / "mu.json"
+                m.write_text(json.dumps(payload))
+                mu.write_text('{"atoms": {"0": "1"}}')
+                argv = ["verify", str(m), str(mu)]
+            else:
+                r = tmp_path / "rule.json"
+                r.write_text(json.dumps({"kind": "pathCountMatrix",
+                                         "payload": payload}))
+                argv = ["exact-law", str(r)]
+        # as a new interpreter has it
+        with int_digit_limit(getattr(sys.int_info, "default_max_str_digits",
+                                     0)):
+            return run(capsys, argv)
+
+    def test_verify_prints_weight_past_digit_limit(self, capsys, tmp_path):
+        code, out = self._run_past_digit_limit(capsys, tmp_path, "verify", 1)
+        with int_digit_limit(0):
+            detail = f"encoded weight {Fraction(1, 4**7200)} != target 1"
+        assert (code, out) == (2, {"status": "violation", "site": 0,
+                                   "stage": None, "detail": detail})
+
+    def test_exact_law_prints_law_past_digit_limit(self, capsys, tmp_path):
+        code, out = self._run_past_digit_limit(capsys, tmp_path,
+                                               "exact-law", 1)
+        with int_digit_limit(0):
+            w = Fraction(1, 4**7200)
+            law = {"-2": str((1 - w) / 2), "0": str(w),
+                   "2": str((1 - w) / 2)}
+        assert (code, out) == (0, {"law": law, "residual": "0",
+                                   "stages": 7201})
+
+    def test_verify_parses_count_past_digit_limit(self, capsys, tmp_path):
+        with int_digit_limit(0):
+            stop = 4**7200
+            detail = f"a[0][7200] = {stop} exceeds arrival count {2**7200}"
+        code, out = self._run_past_digit_limit(capsys, tmp_path, "verify",
+                                               stop)
+        assert (code, out) == (2, {"status": "violation", "site": 0,
+                                   "stage": 7200, "detail": detail})
+
     def test_exact_law_minimal_ignores_stage_cap(self, capsys, tmp_path,
                                                  mu_516):
         # a minimal rule's law is its certificate's, whatever --max-stage
@@ -625,18 +688,46 @@ class TestWireFormat:
         ("verify", '{"N": 1, "rows": [{"site": 0, "head": [1]}, '
                    '{"site": 0, "head": [0]}]}',
          "matrix lists site 0 twice"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "tail": "doubling"}]}',
+         "doubling tail needs a nonempty head"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0], '
+                   '"tail": "periodic"}]}', "periodic tail needs digits"),
+        ("verify", '{"N": -1}', "half width must be nonnegative"),
+        ("verify", '{"N": 1, "rows": [{"site": 2, "head": [0]}]}',
+         "row site 2 outside [-1, 1]"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": 5}]}',
+         "malformed matrix JSON: 'int' object is not iterable"),
+        ("verify-target", '{"atoms": {"-5": "1/2", "5": "1/2"}}',
+         "support site -5 outside [-2, 2]"),
+        ("potential", '{"atoms": [1]}',
+         '"atoms" must map integer strings to rational strings'),
+        ("embed-chw", '{"atoms": {"1": "1/2", "2": "1/2"}}',
+         "measure is not centered (mean 3/2)"),
+        ("triple", "2,0,0", "p_minus out of [0, 1]: 2"),
+        ("triple", "0,0,1", "no centered completion on {-2, 2} exists"),
     ], ids=["pair-u", "hall-w", "minimal-weights", "chip-triple",
             "threshold-single", "matrix-N", "matrix-site", "site-spellings",
             "site-underscore", "repeated-key", "repeated-row",
-            "repeated-row-swapped"])
+            "repeated-row-swapped", "doubling-empty-head",
+            "periodic-no-period", "negative-N", "row-off-strip", "head-int",
+            "target-off-strip", "atoms-list", "chw-off-centre",
+            "triple-range", "triple-no-completion"])
     def test_error_names_field(self, capsys, tmp_path, command, text,
                                message):
         f = tmp_path / "input.json"
         f.write_text(text)
         mu = tmp_path / "mu.json"
         mu.write_text(MU_516_JSON)
-        argv = ([command, str(f), str(mu)] if command == "verify"
-                else [command, str(f)])
+        strip = tmp_path / "strip.json"
+        strip.write_text('{"N": 1, "rows": []}')
+        # "verify" checks the input matrix against the 5/16 target,
+        # "verify-target" an empty N = 1 matrix against the input measure;
+        # a triple is its own argument
+        argv = {"verify": ["verify", str(f), str(mu)],
+                "verify-target": ["verify", str(strip), str(f)],
+                "embed-chw": ["embed", "chw", str(f)],
+                "triple": ["classify", "--triple", text]}.get(
+                    command, [command, str(f)])
         assert self.assert_rejected(capsys, argv) == f"error: {message}\n"
 
     # a misspelt field would fall back to its default, and a period on a
@@ -923,15 +1014,20 @@ class TestSetCoverBudget:
         ["classify", "--weight", "1/6", "--depth", "-1"],
         ["embed", "chw", "MU", "--depth", "-1"],
         ["embed", "ui-matrix", "MU", "--depth", "-2"],
+        pytest.param(["classify", "--measure", "MU", "--depth", "x"],
+                     id="not-an-integer"),
     ])
     def test_negative_depth_rejected(self, capsys, mu_516, argv):
+        depth = argv[-1]
         argv = [mu_516 if a == "MU" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --depth: must be >= 0" in captured.err
+        reason = ("must be >= 0" if depth.startswith("-")
+                  else f"invalid int value: {depth!r}")
+        assert f"argument --depth: {reason}" in captured.err
 
 # payload values mix small ints with every other JSON type, and dict keys
 # name the fields the parsers read, so some payloads get deep into them
