@@ -92,8 +92,7 @@ def cmd_classify(args) -> int:
     if args.triple is not None:
         parts = [parse_rational(p) for p in args.triple.split(",")]
         if len(parts) != 3:
-            print("triple must be three comma-separated rationals", file=sys.stderr)
-            return INVALID
+            raise ValueError("triple must be three comma-separated rationals")
         v = classify_triple(*parts)
         _emit({"member": v.member, "reason": v.reason})
         return OK

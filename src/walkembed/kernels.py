@@ -15,12 +15,12 @@ engine, `_np_lockstep`.  It holds only the live trials, in compact
 columns: stream state, position, trial index and the kernel's per-trial
 lanes (pair ends, chip index, running maximum, dyadic interval and
 target, rank profile).  A walk step costs work in the live trials only:
-the finalizer stops after its second multiply, the position moves by the
-sign bit, and the kernel's `step` updates its lanes and returns a stop
-mask.  When some trial stops, every column is compacted with the integer
-index of the trials left; indexing by a boolean mask costs several times
-as much.  Until the first stop the columns are the caller's arrays,
-stepped in place.
+`_np_hash` runs the finalizer up to its second multiply, the position
+moves by the sign bit, and the kernel's `step` updates its lanes and
+returns a stop mask.  When some trial stops, every column is compacted
+with the integer index of the trials left; indexing by a boolean mask
+costs several times as much.  Until the first stop the columns are the
+caller's arrays, stepped in place.
 
 The minimal kernel steps in lockstep only while some live trial is still
 reading selector bits (at most `MAX_DYADIC_BITS` steps).  Once every live
@@ -31,13 +31,15 @@ per iteration.  splitmix64 is counter based, state_j = s + j*GAMMA, so a
 block's increments are the ones lockstep stepping would draw, and the
 results are bit-identical.  A step reads only bit 63 of the finalizer,
 and its last xor-shift, z ^ (z >> 31), leaves bit 63 as it is, so both
-lockstep steps and blocks stop after the second multiply.  A block hashes
-its states in tiles of at most max(trials, BLOCK) elements and keeps only
-the sign bits, eight steps to a byte, so its byte array holds at most
-max(trials, BLOCK) bytes.  It then finds each trial's first visit a byte
-at a time, with 256-entry tables of each byte's displacement, the range
-of positions it visits and the step at which it first visits each:
-a cumsum over bytes in place of one over steps.
+lockstep steps and blocks hash with `_np_hash`, which stops after the
+second multiply; `_np_mix`, the seeding's full finalizer, adds the last
+xor-shift to it.  A block hashes its states in tiles of at most
+max(trials, BLOCK) elements and keeps only the sign bits, eight steps to
+a byte, so its byte array holds at most max(trials, BLOCK) bytes.  It
+then finds each trial's first visit a byte at a time, with 256-entry
+tables of each byte's displacement, the range of positions it visits and
+the step at which it first visits each: a cumsum over bytes in place of
+one over steps.
 
 The matrix kernel runs a path-count matrix rule whose tails stop nothing
 in two phases.  Through the head it keeps each live trial's rank profile,
@@ -147,14 +149,35 @@ def resolve_backend(requested: str | None = None) -> str:
 # stepping
 
 
+@functools.cache
+def _mix_scalars():
+    """The finalizer's shifts and multipliers as uint64 scalars, built once:
+    building them at every call adds about half to the hash of a few
+    trials, a lockstep step's usual load."""
+    return tuple(np.uint64(c) for c in (30, MIX1, 27, MIX2))
+
+
+def _np_hash(x: np.ndarray, z: np.ndarray, tmp) -> np.ndarray:
+    """The splitmix64 finalizer of each element of `x` up to its second
+    multiply, written to `z` (which may be `x`), with `tmp` of the same
+    shape as scratch, or None for a new array.  Its bit 63 is the
+    finalizer's: the last xor-shift, z ^ (z >> 31), leaves that bit as it
+    is."""
+    r30, mix1, r27, mix2 = _mix_scalars()
+    tmp = np.right_shift(x, r30, tmp)
+    np.bitwise_xor(x, tmp, out=z)
+    z *= mix1
+    np.right_shift(z, r27, tmp)
+    z ^= tmp
+    z *= mix2
+    return z
+
+
 def _np_mix(z: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer of each element of `z`, in place, with one
     scratch buffer of its size."""
     tmp = np.empty_like(z)
-    for shift, mul in ((30, MIX1), (27, MIX2)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
-        z ^= tmp
-        z *= np.uint64(mul)
+    _np_hash(z, z, tmp)
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     return z
@@ -193,20 +216,16 @@ def _np_lockstep(states, lanes, stopped, step, max_steps, until=None):
         s, p = s[idx], p[idx]
         for i in range(len(lanes)):
             lanes[i] = lanes[i][idx]
-    gamma, mix1, mix2 = np.uint64(GAMMA), np.uint64(MIX1), np.uint64(MIX2)
-    r30, r27 = np.uint64(30), np.uint64(27)
+    gamma = np.uint64(GAMMA)
     t = 0
     with np.errstate(over="ignore"):
         while p.size and t < max_steps and not (until and until(lanes)):
             t += 1
             s += gamma
-            z = s >> r30
-            z ^= s
-            z *= mix1
-            w = z >> r27
-            z ^= w
-            del w
-            z *= mix2
+            # z before the scratch, which is freed first: in the other
+            # order the benchmark's 100 000-trial walks (mc-short) ran
+            # about 3 % slower
+            z = _np_hash(s, np.empty_like(s), None)
             down = z.view(np.int64)
             down >>= 63
             down |= 1
@@ -285,8 +304,8 @@ def _np_pack_steps(s, nb, bufs):
     spans `cols` steps of as many rows as fit.  The first tile of those
     rows adds a ramp of GAMMA multiples to their states; each further tile
     adds cols*GAMMA to the states of the one before, which stay in their
-    own buffer.  The finalizer stops after its second multiply, since
-    z ^ (z >> 31) has the bit 63 of z.
+    own buffer.  `_np_hash` hashes each tile into the finalizer buffer,
+    whose sign bits are the tile's steps.
     """
     st, z, tmp = bufs
     n = s.size
@@ -295,8 +314,6 @@ def _np_pack_steps(s, nb, bufs):
     ramp = np.arange(1, cols + 1, dtype=np.uint64)
     ramp *= np.uint64(GAMMA)
     stride = np.uint64((cols * GAMMA) & MASK)
-    mix1, mix2 = np.uint64(MIX1), np.uint64(MIX2)
-    r30, r27 = np.uint64(30), np.uint64(27)
     bits = np.empty((n, nb), dtype=np.uint8)
     for r in range(0, n, rows):
         sr = s[r:r + rows]
@@ -307,14 +324,8 @@ def _np_pack_steps(s, nb, bufs):
                 x += stride
             w = min(cols, 8 * nb - c)
             k = sr.size * w
-            y = z[:k]
-            y2 = y.reshape(sr.size, w)
-            np.right_shift(x[:, :w], r30, out=y2)
-            np.bitwise_xor(y2, x[:, :w], out=y2)
-            y *= mix1
-            np.right_shift(y, r27, out=tmp[:k])
-            y ^= tmp[:k]
-            y *= mix2
+            y = _np_hash(x[:, :w], z[:k].reshape(sr.size, w),
+                         tmp[:k].reshape(sr.size, w)).reshape(k)
             up = np.less(y.view(np.int64), 0, out=tmp.view(np.bool_)[:k])
             bits[r:r + rows, c // 8:(c + w) // 8] = np.packbits(
                 up, bitorder="little").reshape(sr.size, w // 8)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .measures import IntegerMeasure, MeasureError, check_hull
-from .rational import BudgetExceeded, Q, known_fields, parse_int
+from .rational import BudgetExceeded, Q, digit_series, known_fields, parse_int
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,13 @@ class MatrixRow:
         return self.period[(n - len(self.head)) % len(self.period)]
 
     def quarter_sum(self) -> Fraction:
-        """Exact sum_n 4^{-n} a_n, tails in closed form: one integer over
-        4^m, m = len(head), and over 4^m (4^p - 1) with a period of p."""
-        m = len(self.head)
-        num = sum(a * 4 ** (m - n) for n, a in enumerate(self.head))
+        """Exact sum_n 4^{-n} a_n: `digit_series` of the head and period,
+        plus a doubling tail in closed form."""
+        total = digit_series(self.head, self.period, 4)
         if self.tail == "doubling":
             # sum_{n >= m} a* 2^(n-m+1) 4^-n, with a* = head[-1], is a* 4^(1-m)
-            num += 4 * self.head[-1]
-        elif self.tail == "periodic":
-            p = len(self.period)
-            block = sum(d * 4 ** (p - j) for j, d in enumerate(self.period))
-            return Q(num * (4**p - 1) + block, 4**m * (4**p - 1))
-        return Q(num, 4**m)
+            total += Q(self.head[-1], 4 ** (len(self.head) - 1))
+        return total
 
     @property
     def is_zero(self) -> bool:

@@ -18,9 +18,10 @@ class MeasureError(ValueError):
     """Raised when input data violates a measure invariant."""
 
 
-#: Sites a tabulated hull or strip may span.  The potential, the barycenter
-#: and a count-engine stage each cost 10-15 us per site, so a table of
-#: 2^16 sites takes about a second.
+#: Sites a tabulated hull or strip may span.  The potential and the
+#: barycenter cost one tail-sum pass over the hull, about 1-1.6 s for 2^16
+#: atoms, and a count-engine stage about 1 us per site while its counts
+#: are small.
 MAX_HULL_SITES = 2**16
 
 
@@ -137,16 +138,37 @@ class PotentialFunction:
         return self.values[k - self.lo]
 
 
-def potential(mu: IntegerMeasure) -> PotentialFunction:
-    """Exact breakpoint representation of u(x) = -sum_n |x - n| mu({n})."""
+def _tails(mu: IntegerMeasure) -> tuple[int, int, list[Fraction], list[Fraction]]:
+    """(lo, hi, T, S) over the support hull [lo, hi], in one pass down from
+    hi: T[k - lo] = mu([k, hi]), the tail mass, and S[k - lo] = sum_{n >= k}
+    n mu({n}), the tail moment.  Raises BudgetExceeded past
+    MAX_HULL_SITES."""
+    atoms = mu._atoms
     sites = mu.support
     lo, hi = sites[0], sites[-1]
     check_hull(lo, hi)
-    vals = tuple(
-        -sum((abs(k - n) * w for n, w in mu.atoms.items()), Q(0))
-        for k in range(lo, hi + 1)
-    )
-    return PotentialFunction(lo, hi, mu.mean(), vals)
+    mass, moment = [Q(0)] * (hi - lo + 1), [Q(0)] * (hi - lo + 1)
+    t = s = Q(0)
+    for k in range(hi, lo - 1, -1):
+        w = atoms.get(k)
+        if w is not None:
+            t += w
+            s += k * w
+        mass[k - lo], moment[k - lo] = t, s
+    return lo, hi, mass, moment
+
+
+def potential(mu: IntegerMeasure) -> PotentialFunction:
+    """Exact breakpoint representation of u(x) = -sum_n |x - n| mu({n}).
+
+    Split at k, the sum is (S - kT) + (k(1 - T) - (mean - S)) with T and
+    S the tail mass and moment of [k, hi], so u(k) = 2kT - 2S - k + mean.
+    """
+    lo, hi, mass, moment = _tails(mu)
+    mean = moment[0]
+    vals = tuple(2 * k * t - 2 * s - k + mean
+                 for k, t, s in zip(range(lo, hi + 1), mass, moment))
+    return PotentialFunction(lo, hi, mean, vals)
 
 
 @dataclass(frozen=True)
@@ -173,16 +195,6 @@ def barycenter(mu: IntegerMeasure) -> BarycenterFunction:
     """Barycenter function of a centered measure, exact at every site."""
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
-    sites = mu.support
-    lo, hi = sites[0], sites[-1]
-    check_hull(lo, hi)
     # the tail [k, hi] always holds the atom at hi, so its mass is positive
-    tail_mass = Q(0)
-    tail_sum = Q(0)
-    vals: list[Fraction] = []
-    for k in range(hi, lo - 1, -1):
-        w = mu.weight(k)
-        tail_mass += w
-        tail_sum += k * w
-        vals.append(tail_sum / tail_mass)
-    return BarycenterFunction(lo, hi, tuple(reversed(vals)))
+    lo, hi, mass, moment = _tails(mu)
+    return BarycenterFunction(lo, hi, tuple(s / t for t, s in zip(mass, moment)))

@@ -3,10 +3,10 @@
 Every probability, atom weight and potential value in the library is a
 `fractions.Fraction`; nothing in this module rounds.  A `Base4Expansion`
 stores the digits of a rational in [0, 1] written in base 4, split into a
-finite preperiod and a (possibly empty) repeating period, and supports
-closed-form evaluation of digit-weighted series.  The tests check
-`to_base4` against `to_rational` in `tests/reference.py`, which sums an
-expansion back to its value.
+finite preperiod and a (possibly empty) repeating period; `digit_series`
+sums any eventually periodic digit sequence at any base in closed form.
+The tests check `to_base4` against `to_rational` in `tests/reference.py`,
+which sums an expansion back to its value.
 """
 
 from __future__ import annotations
@@ -104,21 +104,30 @@ def to_base4(x: Q) -> Base4Expansion:
     return Base4Expansion(integer_part, tuple(digits[:pre]), tuple(digits[pre:]))
 
 
-def digit_half_weight(e: Base4Expansion) -> Q:
-    """Exact value of sum_{i>=0} 2^{-i} a_i for the expansion's digits.
+def digit_series(head, period, base: int) -> Q:
+    """Exact value of sum_{n>=0} base^{-n} d_n, where the digits d_n are
+    `head` and then `period` repeated (none when it is empty).  The digits
+    may be any nonnegative integers.
 
-    The periodic tail is summed in closed form: one period contributes a
-    geometric block with ratio 2^{-len(period)}.  Always finite: digits
-    <= 3 give a value <= 6.
+    Horner's rule sums the m head digits to an integer h over base^(m-1)
+    and one period of p digits to an integer P, one multiply-add per
+    digit, and the repeats add P base^(1-m) / (base^p - 1).
     """
-    total = Q(e.integer_part)
-    for i, d in enumerate(e.preperiod, start=1):
-        total += Q(d, 2**i)
-    if e.period:
-        base = len(e.preperiod) + 1
-        block = sum(Q(d, 2 ** (base + j)) for j, d in enumerate(e.period))
-        total += block / (1 - Q(1, 2 ** len(e.period)))
-    return total
+    period = period or (0,)  # repeated zeros add nothing
+    h = per = 0
+    for d in head:
+        h = h * base + d
+    for d in period:
+        per = per * base + d
+    gap = base ** len(period) - 1
+    return Q((h * gap + per) * base, base ** len(head) * gap)
+
+
+def digit_half_weight(e: Base4Expansion) -> Q:
+    """Exact value of sum_{i>=0} 2^{-i} a_i for the expansion's digits,
+    a_0 being the integer part.  Always finite: digits <= 3 give a value
+    <= 6."""
+    return digit_series((e.integer_part, *e.preperiod), e.period, 2)
 
 
 def format_rational(x: Q) -> str:

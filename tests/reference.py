@@ -4,7 +4,11 @@ Each one is a direct, unoptimized reading of a definition, kept outside the
 package because no command runs it:
 
 - `measure_from_potential` inverts `potential` from slope changes;
+- `potential_by_definition` sums -|k - n| mu({n}) over every atom at
+  every site, where `potential` reads each site off its tail sums;
 - `to_rational` sums a base-4 expansion in closed form;
+- `series_by_digits` sums an eventually periodic digit series term by
+  term, where `digit_series` runs Horner's rule;
 - `triple_capacity` decides the triple criterion by the scaled count
   recursion on the digits, where `classify_triple` runs the matrix
   settle scan;
@@ -85,6 +89,18 @@ def measure_from_potential(u: PotentialFunction) -> IntegerMeasure:
     return mu
 
 
+def potential_by_definition(mu: IntegerMeasure) -> PotentialFunction:
+    """u(k) = -sum_n |k - n| mu({n}) at every site of the support hull,
+    summed atom by atom in integers over the common denominator."""
+    atoms = mu.atoms
+    d = math.lcm(*(w.denominator for w in atoms.values()))
+    scaled = [(n, w.numerator * (d // w.denominator)) for n, w in atoms.items()]
+    lo, hi = min(atoms), max(atoms)
+    vals = tuple(-Q(sum(abs(k - n) * a for n, a in scaled), d)
+                 for k in range(lo, hi + 1))
+    return PotentialFunction(lo, hi, Q(sum(n * a for n, a in scaled), d), vals)
+
+
 def to_rational(e: Base4Expansion) -> Q:
     """Exact value of the expansion (round trip with `to_base4`)."""
     m = len(e.preperiod)
@@ -98,6 +114,17 @@ def to_rational(e: Base4Expansion) -> Q:
             per = 4 * per + d
         value += Q(per, 4 ** len(e.period) - 1) / 4**m
     return value
+
+
+def series_by_digits(head, period, base: int) -> Q:
+    """sum_n base^{-n} d_n, the head term by term and one period term by
+    term times 1 / (1 - base^{-p}) for its repeats."""
+    total = sum((Q(d, base**n) for n, d in enumerate(head)), Q(0))
+    if period:
+        block = sum((Q(d, base ** (len(head) + j))
+                     for j, d in enumerate(period)), Q(0))
+        total += block / (1 - Q(1, base ** len(period)))
+    return total
 
 
 def triple_capacity(ea: Base4Expansion, eb: Base4Expansion,

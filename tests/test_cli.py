@@ -75,6 +75,8 @@ class TestClassify:
 
     def test_triple_malformed(self, capsys):
         assert main(["classify", "--triple", "1/4,1/2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: triple must be three comma-separated rationals\n")
 
     def test_measure_chain(self, capsys, mu_516):
         code, out = run(capsys, ["classify", "--measure", mu_516])
@@ -705,13 +707,22 @@ class TestWireFormat:
          "measure is not centered (mean 3/2)"),
         ("triple", "2,0,0", "p_minus out of [0, 1]: 2"),
         ("triple", "0,0,1", "no centered completion on {-2, 2} exists"),
+        ("exact-law", '{"kind": "randomizedRule", "payload": '
+                      '[{"u": 1, "v": 2, "w": "1"}]}',
+         "pair must satisfy u < 0 <= v, got (1, 2)"),
+        ("exact-law", '{"kind": "randomizedRule", "payload": '
+                      '[{"u": -1, "v": 1, "w": "0"}]}',
+         "weight must be positive, got 0"),
+        ("verify", '{"N": 1, "rows": [{"site": 0, "head": [0], '
+                   '"tail": "sideways"}]}', "unknown tail kind 'sideways'"),
     ], ids=["pair-u", "hall-w", "minimal-weights", "chip-triple",
             "threshold-single", "matrix-N", "matrix-site", "site-spellings",
             "site-underscore", "repeated-key", "repeated-row",
             "repeated-row-swapped", "doubling-empty-head",
             "periodic-no-period", "negative-N", "row-off-strip", "head-int",
             "target-off-strip", "atoms-list", "chw-off-centre",
-            "triple-range", "triple-no-completion"])
+            "triple-range", "triple-no-completion", "hall-pair-order",
+            "hall-zero-weight", "unknown-tail"])
     def test_error_names_field(self, capsys, tmp_path, command, text,
                                message):
         f = tmp_path / "input.json"

@@ -13,7 +13,7 @@ from walkembed import (
     measure,
     potential,
 )
-from reference import measure_from_potential
+from reference import measure_from_potential, potential_by_definition
 
 
 def random_measures():
@@ -96,6 +96,14 @@ class TestPotential:
     @given(random_measures())
     def test_round_trip(self, mu):
         assert measure_from_potential(potential(mu)) == mu
+
+    @given(random_measures())
+    def test_matches_definition(self, mu):
+        assert potential(mu) == potential_by_definition(mu)
+
+    def test_matches_definition_on_wide_hull(self):
+        mu = measure({k: Q(1, 1001) for k in range(-500, 501)})
+        assert potential(mu) == potential_by_definition(mu)
 
     @given(random_measures())
     def test_concave_and_dominated(self, mu):

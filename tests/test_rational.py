@@ -13,8 +13,13 @@ from walkembed import (
     parse_rational,
     to_base4,
 )
-from walkembed.rational import DIGIT_BUDGET, BudgetExceeded, format_ratio
-from reference import to_rational
+from walkembed.rational import (
+    DIGIT_BUDGET,
+    BudgetExceeded,
+    digit_series,
+    format_ratio,
+)
+from reference import series_by_digits, to_rational
 
 
 class TestToBase4:
@@ -119,6 +124,21 @@ class TestHalfWeight:
         shifted = p / 16
         assert digit_half_weight(to_base4(shifted)) == \
             digit_half_weight(to_base4(p)) / 4
+
+
+class TestDigitSeries:
+    @given(st.sampled_from([2, 3, 4]), st.lists(st.integers(0, 50), max_size=12),
+           st.lists(st.integers(0, 50), max_size=6))
+    def test_matches_term_by_term(self, base, head, period):
+        assert digit_series(head, period, base) == \
+            series_by_digits(head, period, base)
+
+    # denominators up to 4000 keep every period within DIGIT_BUDGET
+    @given(st.integers(0, 4000), st.integers(1, 4000))
+    def test_base4_expansion_value(self, a, b):
+        e = to_base4(Q(min(a, b), b))
+        assert digit_series((e.integer_part, *e.preperiod), e.period, 4) == \
+            to_rational(e)
 
 
 class TestFormats:
