@@ -6,10 +6,11 @@ Four constructions, all exact:
   running maximum reaches the barycenter of the current position);
 * Chacon-Walsh chipping: compositions of first exit times realized as
   successive chord operations on the potential, with a bounded-depth
-  membership search; the search and its tangent completion share one
-  chord routine, `_chord`, on integer states (numerators over one
-  denominator, gcd-reduced), while `chip_apply` stays a separate
-  `Fraction` reference that replays and checks the search's witnesses;
+  membership search on integer states.  A chord lowers every site inside
+  it or none, so `_children` writes a child's inside as one progression,
+  reduced by the gcd of its step; the tangent completion builds no
+  state.  `chip_apply` is a separate `Fraction` reference that replays
+  and checks the search's witnesses;
 * Hall-style randomized pair rule (independent pair (U, V), stop on first
   hit of {U, V});
 * the minimal embedder that works for every target law, extracting a
@@ -145,47 +146,64 @@ def _to_state(values) -> State:
     return nums, d
 
 
-def _chord(state: State, target: State, a: int, b: int) -> State | None:
-    """min(state, chord) for the chord over hull indices a < b; None when
-    the chord changes nothing or lowers the state below the target (a dead
-    state: chords only decrease potentials).
+def _children(state: State, target: State, last: Chord):
+    """Yield (a, b, child) for each chord over hull indices a < b that
+    `chw_search` tries from `state` (on or above the target), in (a, b)
+    order; `last` is the chord that first reached `state`, (-1, n) if none.
 
-    Over the common denominator d·(b - a) the chord's numerator at k is
-    c_k = n_a·(b - k) + n_b·(k - a), against n_k·(b - a) for the state."""
+    A tried chord passes a kink, and state - chord is concave and 0 at a
+    and b, so it lowers every site inside (a, b).  Chord - target is
+    convex, linear between the target's kinks, so the chord is dead iff
+    below the target at one.  Over d·w, w = b - a, the inside is the
+    progression n_a·w + j·step, step = n_b - n_a, the rest n_k·w: the gcd
+    is g = gcd(step, d·w) if g | w, else gcd(g, w·O), O the gcd of the n_k
+    outside (a, b).  If g == w, d and the outside numerators stay."""
     nums, d = state
     tnums, td = target
-    w = b - a
-    dw = d * w
-    step = nums[b] - nums[a]
-    c = nums[a] * w
-    new = None
-    for k in range(a + 1, b):
-        c += step
-        if c < nums[k] * w:
-            if c * td < tnums[k] * dw:
-                return None
-            if new is None:
-                new = [n * w for n in nums]
-            new[k] = c
-    if new is None:
-        return None
-    g = gcd(dw, *new)
-    return tuple(n // g for n in new), dw // g
-
-
-def _first_ends(nums: tuple[int, ...]) -> list[int]:
-    """For each hull index a, the least b whose chord from a changes the
-    state: one past the state's first kink right of a, or len(nums) when
-    there is none.  A concave state is linear between kinks, so a chord
-    with no kink strictly inside it lies on the graph."""
     n = len(nums)
-    ends = [n] * n
-    b = n
-    for k in range(n - 2, 0, -1):
-        if 2 * nums[k] != nums[k - 1] + nums[k + 1]:
-            b = k + 1
-        ends[k - 1] = b
-    return ends
+    a1, b1 = last
+    kinks, tkinks = ([k for k in range(1, n - 1)
+                      if 2 * v[k] != v[k - 1] + v[k + 1]]
+                     for v in (nums, tnums))
+    tkinks.append(n)  # ends every scan of the target's kinks
+    prefix = suffix = None
+    for a in range(n - 2):
+        # both lists keep only the kinks right of a
+        if kinks and kinks[0] == a:
+            del kinks[0]
+        if tkinks[0] == a:
+            del tkinks[0]
+        if not kinks:
+            return
+        first, end = kinks[0] + 1, n
+        if a <= a1:  # commuting and containing skips
+            first, end = max(first, a1 + 1), b1
+        na = nums[a]
+        for b in range(first, end):
+            w = b - a
+            dw = d * w
+            step = nums[b] - na
+            c = na * w
+            for k in tkinks:
+                if k >= b or (c + (k - a) * step) * td < tnums[k] * dw:
+                    break
+            if k < b:
+                break  # dead, and so is every wider chord from a
+            g = gcd(step, dw)
+            if w % g:
+                if prefix is None:
+                    prefix = list(accumulate(nums, gcd))
+                    suffix = list(accumulate(reversed(nums), gcd))[::-1]
+                g = gcd(g, w * gcd(prefix[a], suffix[b]))
+            s, lo = step // g, (c + step) // g
+            inner = (tuple(range(lo, lo + (w - 1) * s, s)) if s
+                     else (lo,) * (w - 1))
+            if g == w:
+                yield a, b, (nums[:a + 1] + inner + nums[b:], d)
+            else:
+                out = [x * w // g for x in nums]  # g may exceed w
+                out[a + 1:b] = inner
+                yield a, b, (tuple(out), dw // g)
 
 
 def _tangent_tail(state: State, target: State,
@@ -194,66 +212,62 @@ def _tangent_tail(state: State, target: State,
     right; returns the chords on success, None if stuck or if more than
     `limit` chords would be needed.
 
-    Let m be the first hull index where the state and the target differ;
-    m > 0, since no chord moves a hull end and both read lo at index 0.
-    The tangent chord starts at m - 1 and matches the target at m, so it
-    runs along the target's line L through m - 1 and m: its right end b is
-    the first index past m where the state meets L.  The state minus L is
-    concave and positive at m, so once it falls below zero no b exists.
-    The scan always ends by n - 1: no chord moves the last hull index
-    either, so the state equals the target there, on or below L, since
-    from m on the concave target lies on or below L.  The chord is L
-    itself, which no concave target rises above, so it is never dead and
-    the state then agrees with the target through m."""
+    Let m be the first hull index where the state and the target differ
+    (m > 0: no chord moves a hull end).  The tangent chord runs from m - 1
+    along the target's line L through m - 1 and m, to the first b past m
+    where the state meets L (by n - 1, where the state is the target,
+    below L); if the state crosses L between integers there is none.  It
+    is never dead, and leaves the target through m, L on (m, b] and the
+    state past b, where the next m is found without building a state; the
+    next line is below L past m - 1, so its b lies past this one."""
     chords: list[Chord] = []
+    nums, d = state
     tnums, td = target
     n = len(tnums)
-    m = 0
+    m = b = a = rise = 0
     while True:
-        nums, d = state
-        m = next((i for i in range(m, n) if nums[i] * td != tnums[i] * d),
-                 None)
-        if m is None:
-            return tuple(chords)
+        for m in range(m + 1, b + 1):
+            if tnums[a] + (m - a) * rise != tnums[m]:
+                break
+        else:
+            for m in range(b + 1, n):
+                if nums[m] * td != tnums[m] * d:
+                    break
+            else:
+                return tuple(chords)
         if len(chords) == limit:
             return None
-        # L(k) = tnums[m-1] + (k - m + 1)·rise over td, against nums[k] / d
-        base, rise = tnums[m - 1], tnums[m] - tnums[m - 1]
-        for b in range(m + 1, n):
-            gap = nums[b] * td - (base + (b - m + 1) * rise) * d
+        a, rise = m - 1, tnums[m] - tnums[m - 1]
+        for b in range(max(m, b) + 1, n):
+            gap = nums[b] * td - (tnums[a] + (b - a) * rise) * d
             if gap <= 0:
                 break
         if gap:
             return None  # the state crossed L between integers
-        state = _chord(state, target, m - 1, b)
-        chords.append((m - 1, b))
-        m += 1
+        chords.append((a, b))
 
 
 def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     """Breadth-first search for a chip sequence embedding `mu`.
 
-    States are exact potential vectors on the support hull, reachable from
-    u0(x) = -|x| by integer-endpoint chords, each held as integer
-    numerators over one denominator reduced by their gcd (`State`); the
-    potentials are converted once, on entry, and every chord and target
-    comparison after that is integer arithmetic.  States falling strictly
-    below the target anywhere are dead (chords only decrease potentials)
-    and are pruned.  A state equal to the target is a finite witness;
-    otherwise a deterministic left-to-right tangent completion is
-    attempted, which captures sequences finishing in the Azema-Yor manner.
-    Both take their chords from `_chord`; the witnesses can be checked
-    independently with `replay_chips`, which runs `chip_apply` on
-    `Fraction`s.
+    States are potential vectors on the support hull, reachable from
+    u0(x) = -|x| by integer-endpoint chords, held as integer numerators
+    over one gcd-reduced denominator (`State`), converted once on entry.
+    `_children`, the one chord computation, yields each state's children
+    and prunes dead ones, below the target somewhere (chords only lower
+    potentials): a chord lowers every site inside it or none, and the
+    inside is one progression, so its step gives the child's gcd.  A
+    state equal to the target is a finite witness; otherwise the
+    left-to-right tangent completion `_tangent_tail`, which builds no
+    state, captures sequences finishing in the Azema-Yor manner.
+    `replay_chips` checks witnesses independently, on `Fraction`s.
 
-    Chords run in (a, b) order over hull indices and skip every chord
+    Chords run in (a, b) order over hull indices, and skip every chord
     whose outcome is already known:
 
-    * Kinks.  Every state is concave and linear between its kinks, so a
-      chord from a changes it only when b passes the first kink right of
-      a (`_first_ends`); the b below that are never tried.
+    * Kinks.  A chord (a, b) changes a state only if a kink is inside it.
     * Dead chords.  For fixed a the chord falls as b grows, so the first
-      dead chord from a ends the inner loop: every wider one is dead too.
+      dead chord from a ends the loop: every wider one is dead too.
     * Commuting chords.  Let (a1, b1) be the last chord of the path that
       first reached state P from its parent V.  A chord (a, b) with
       a < a1 and b <= a1 shares at most an end with it, and P agrees with
@@ -262,23 +276,20 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
       and that state, expanded before P, already reached the child.
     * Containing chords.  A chord (a, b) with a <= a1 and b >= b1 lies on
       or below V's own chord over [a1, b1], as V is concave, so it cuts P
-      exactly as it cuts V: P·(a, b) = V·(a, b), a child of V that is
-      already visited.
+      as it cuts V: P·(a, b) = V·(a, b), a visited child of V.
 
     So for a <= a1 only b in [max(first, a1 + 1), b1) is tried.  A
-    skipped chord's child is always in the visited set already, where
-    the plain loop would have passed over it, and a skipped chord that
-    would be dead leaves every wider chord from a dead, so the next one
-    tried ends the loop as before.  No skip changes a visited state, its
-    breadth-first position, its first-discovery path, a witness or a
-    count.
+    skipped child is already visited, and a skipped dead chord leaves
+    every wider one dead, so no skip changes a visited state, its order,
+    its first path, a witness or a count.  On the five-atom target
+    `_children` yields 1 583 children at depth 3 and 12 053 at depth 4,
+    against 2 449 and 21 411 without the commuting and containing skips.
 
     Paths are kept as hull index pairs; `ChipStep`s are built only for
-    the witness returned.  A tangent completion is only worth noting when
-    it is shorter than the best in hand, so it gives up once it would
-    need more than len(best) - depth - 1 chords, and is not tried when
-    that bound is not positive.  The last depth's children are not kept
-    as a frontier, since nothing expands them.
+    the witness returned.  A tangent completion is worth noting only if
+    shorter than the best in hand, so it gives up past len(best) - depth
+    - 1 chords and is not tried when that bound is not positive.  The
+    last depth's children are not kept, since nothing expands them.
 
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
@@ -290,69 +301,57 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
     u_mu = potential(mu)
     lo, hi = u_mu.lo, u_mu.hi
-    target_q = tuple(u_mu.values)
-    # by Jensen u_mu(x) = -E|x - X| <= -|x|: the start lies above the target
-    start_q = tuple(-Q(abs(k)) for k in range(lo, hi + 1))
-    target, start = _to_state(target_q), _to_state(start_q)
-
     n = hi - lo + 1
-
+    # by Jensen u_mu(x) = -E|x - X| <= -|x|: the start lies above the target
+    target = _to_state(u_mu.values)
+    start = _to_state([-Q(abs(k)) for k in range(lo, hi + 1)])
     if start == target:
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
 
     def steps(path: tuple[Chord, ...]) -> tuple[ChipStep, ...]:
         return tuple(ChipStep(a + lo, b + lo) for a, b in path)
 
-    # tangent completions give valid but possibly non-minimal witnesses;
-    # keep the shortest for when plain BFS stops short of the target.
-    # A completion of length L is a path of the BFS's own chords, so the
-    # BFS meets the target by depth L and returns first.  A completion
-    # has at most n - 1 chords, so a limit of n bounds nothing.
+    def verdict(status: ChwStatus, depth: int) -> ChwResult:
+        if best is None:
+            return ChwResult(status, (), depth, len(seen))
+        return ChwResult(ChwStatus.MEMBER, steps(best), depth, len(seen))
+
+    # the shortest tangent witness, for when the BFS stops short: one of
+    # length L is a path of the BFS's own chords, so the BFS meets the
+    # target by depth L first.  It has at most n - 1 chords: n bounds none.
     best = _tangent_tail(start, target, n)
 
     seen = {start}
-    frontier: dict[State, tuple[Chord, ...]] = {start: ()}
+    # each state joins one frontier once, and nothing looks it up there
+    frontier = [(start, ())]
     for depth in range(1, max_depth + 1):
-        nxt: dict[State, tuple[Chord, ...]] = {}
+        nxt = []
         keep = depth < max_depth
-        for state, path in frontier.items():
-            # the start has no last chord: a1 = -1 skips nothing
-            a1, b1 = path[-1] if path else (-1, n)
-            for a, first in enumerate(_first_ends(state[0])):
-                end = n
-                if a <= a1:  # commuting and containing skips
-                    first, end = max(first, a1 + 1), b1
-                for b in range(first, end):
-                    new = _chord(state, target, a, b)
-                    if new is None:
-                        break  # dead, and so is every wider chord from a
-                    if new in seen:
-                        continue
-                    seen.add(new)
-                    new_path = path + ((a, b),)
-                    if new == target:
-                        return ChwResult(ChwStatus.MEMBER, steps(new_path),
-                                         depth, len(seen))
-                    limit = n if best is None else len(best) - depth - 1
-                    if limit > 0:
-                        tail = _tangent_tail(new, target, limit)
-                        if tail is not None:
-                            best = new_path + tail
-                    if keep:
-                        nxt[new] = new_path
-                    if len(seen) > MAX_STATES:
-                        if best is not None:
-                            return ChwResult(ChwStatus.MEMBER, steps(best),
-                                             depth, len(seen))
-                        return ChwResult(ChwStatus.UNKNOWN, (), depth,
-                                         len(seen))
+        for state, path in frontier:
+            # the start has no last chord: (-1, n) skips nothing
+            last = path[-1] if path else (-1, n)
+            for a, b, new in _children(state, target, last):
+                size = len(seen)
+                seen.add(new)
+                if len(seen) == size:
+                    continue
+                new_path = path + ((a, b),)
+                if new == target:
+                    return ChwResult(ChwStatus.MEMBER, steps(new_path),
+                                     depth, len(seen))
+                limit = n if best is None else len(best) - depth - 1
+                if limit > 0:
+                    tail = _tangent_tail(new, target, limit)
+                    if tail is not None:
+                        best = new_path + tail
+                if keep:
+                    nxt.append((new, new_path))
+                if len(seen) > MAX_STATES:
+                    return verdict(ChwStatus.UNKNOWN, depth)
         frontier = nxt
         if not frontier:
             break
-    if best is not None:
-        return ChwResult(ChwStatus.MEMBER, steps(best), max_depth, len(seen))
-    return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
-                     len(seen))
+    return verdict(ChwStatus.NON_MEMBER_UP_TO_DEPTH, max_depth)
 
 
 def exit_law(steps) -> dict[int, Fraction]:

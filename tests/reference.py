@@ -6,6 +6,11 @@ package because no command runs it:
 - `measure_from_potential` inverts `potential` from slope changes;
 - `potential_by_definition` sums -|k - n| mu({n}) over every atom at
   every site, where `potential` reads each site off its tail sums;
+- `reference_chord` takes min(state, chord) site by site on the chip
+  search's integer states and gcd-reduces the whole vector, where
+  `classic._children` writes each child's interior as one progression
+  and reduces it from its step; `reference_tangent_tail` applies each
+  tangent chord with it, where `classic._tangent_tail` builds no state;
 - `to_rational` sums a base-4 expansion in closed form;
 - `series_by_digits` sums an eventually periodic digit series term by
   term, where `digit_series` runs Horner's rule;
@@ -48,7 +53,7 @@ from fractions import Fraction as Q
 import numpy as np
 
 from walkembed import matrices
-from walkembed.classic import RandomizedRule
+from walkembed.classic import Chord, RandomizedRule, State
 from walkembed.kernels import GAMMA, MASK, STREAM, mix64
 from walkembed.matrices import (
     MatrixRow,
@@ -99,6 +104,63 @@ def potential_by_definition(mu: IntegerMeasure) -> PotentialFunction:
     vals = tuple(-Q(sum(abs(k - n) * a for n, a in scaled), d)
                  for k in range(lo, hi + 1))
     return PotentialFunction(lo, hi, Q(sum(n * a for n, a in scaled), d), vals)
+
+
+def reference_chord(state: State, target: State, a: int,
+                    b: int) -> State | None:
+    """min(state, chord) for the chord over hull indices a < b; None when
+    the chord changes nothing or lowers the state below the target (a dead
+    state: chords only decrease potentials).
+
+    Over the common denominator d·(b - a) the chord's numerator at k is
+    c_k = n_a·(b - k) + n_b·(k - a), against n_k·(b - a) for the state."""
+    nums, d = state
+    tnums, td = target
+    w = b - a
+    dw = d * w
+    step = nums[b] - nums[a]
+    c = nums[a] * w
+    new = None
+    for k in range(a + 1, b):
+        c += step
+        if c < nums[k] * w:
+            if c * td < tnums[k] * dw:
+                return None
+            if new is None:
+                new = [n * w for n in nums]
+            new[k] = c
+    if new is None:
+        return None
+    g = math.gcd(dw, *new)
+    return tuple(n // g for n in new), dw // g
+
+
+def reference_tangent_tail(state: State, target: State,
+                           limit: int) -> tuple[Chord, ...] | None:
+    """Chords tangent to the target, left to right, each applied with
+    `reference_chord`: from the first hull index m where the state and the
+    target differ, the first chord from m - 1 that lowers the state onto
+    the target at m.  None when no chord does, or when more than `limit`
+    chords would be needed."""
+    chords = []
+    tnums, td = target
+    n = len(tnums)
+    while state != target:  # both canonical
+        if len(chords) == limit:
+            return None
+        nums, d = state
+        m = next(i for i in range(n) if nums[i] * td != tnums[i] * d)
+        if m == 0:
+            return None
+        for b in range(m + 1, n):
+            new = reference_chord(state, target, m - 1, b)
+            if new is not None and new[0][m] * td == tnums[m] * new[1]:
+                break
+        else:
+            return None
+        state = new
+        chords.append((m - 1, b))
+    return tuple(chords)
 
 
 def to_rational(e: Base4Expansion) -> Q:

@@ -22,8 +22,12 @@ from walkembed import (
     replay_chips,
 )
 from walkembed import classic
-from walkembed.classic import ChwResult, _chord, _to_state
-from reference import measure_from_potential
+from walkembed.classic import ChwResult, _children, _tangent_tail, _to_state
+from reference import (
+    measure_from_potential,
+    reference_chord,
+    reference_tangent_tail,
+)
 
 MU_29 = measure({-3: Q(2, 9), 0: Q(4, 9), 2: Q(1, 3)})
 MU_516 = measure({0: Q(5, 16), -2: Q(11, 32), 2: Q(11, 32)})
@@ -143,8 +147,22 @@ def chord_cases():
     return build()
 
 
+def searched_state(case):
+    """The integer state and target state of a chord case, its chips
+    applied by `reference_chord` where they are live, so the state lies
+    on or above the target as every search state does."""
+    mu, chips = case
+    u_mu = potential(mu)
+    lo = u_mu.lo
+    target = _to_state(u_mu.values)
+    state = _to_state([-Q(abs(k)) for k in range(lo, u_mu.hi + 1)])
+    for c in chips:
+        state = reference_chord(state, target, c.a - lo, c.b - lo) or state
+    return state, target
+
+
 class TestIntegerChord:
-    # `_chord` on integer states against the `Fraction` reference
+    # `reference_chord` on integer states against the `Fraction` reference
     # `chip_apply`, for every hull pair of states reached by chip prefixes
     @settings(max_examples=100)
     @given(chord_cases())
@@ -162,13 +180,55 @@ class TestIntegerChord:
                 after = chip_apply(u, ChipStep(sites[a], sites[b]))
                 ref = [after.value_at(k) for k in sites]
                 lowered = [k for k in range(n) if ref[k] < before[k]]
-                got = _chord(state, tstate, a, b)
+                got = reference_chord(state, tstate, a, b)
                 if not lowered or any(ref[k] < target[k] for k in lowered):
                     assert got is None
                     continue
                 nums, d = got
                 assert [Q(x, d) for x in nums] == ref
                 assert got == _to_state(ref)  # canonical: gcd-reduced
+
+    # with no last chord, `_children` yields for each a every b from the
+    # state's first kink right of a up to a's first dead chord, each child
+    # the reference chord's
+    @settings(max_examples=150)
+    @given(chord_cases())
+    def test_children_match_reference_chord(self, case):
+        state, target = searched_state(case)
+        nums, d = state
+        n = len(nums)
+        kinks = [k for k in range(1, n - 1)
+                 if 2 * nums[k] != nums[k - 1] + nums[k + 1]]
+        want = []
+        for a in range(n):
+            first = min((k + 1 for k in kinks if k > a), default=n)
+            for b in range(first, n):
+                child = reference_chord(state, target, a, b)
+                if child is None:
+                    break
+                want.append((a, b, child))
+        assert list(_children(state, target, (-1, n))) == want
+
+    def test_child_denominator_below_state_denominator(self):
+        # w = 4 but the child's gcd is g = 6: the outside numerators are
+        # scaled by w / g, which w // g would floor to 0
+        state = ((-6, -3, -4, -5, -6, -9), 3)
+        target = ((-320, -317, -329, -361, -418, -480), 160)
+        children = {(a, b): c for a, b, c in _children(state, target,
+                                                       (-1, 6))}
+        assert children[(1, 5)] == ((-4, -2, -3, -4, -5, -6), 2)
+        assert children[(1, 5)] == reference_chord(state, target, 1, 5)
+
+    # the chord-free completion against one that applies every tangent
+    # chord, at every limit
+    @settings(max_examples=150)
+    @given(chord_cases())
+    def test_tangent_tail_matches_reference(self, case):
+        state, target = searched_state(case)
+        n = len(target[0])
+        for limit in range(n + 1):
+            assert (_tangent_tail(state, target, limit)
+                    == reference_tangent_tail(state, target, limit))
 
     def test_state_is_canonical(self):
         assert _to_state([Q(-2, 4), Q(-1), Q(-3, 2)]) == ((-1, -2, -3), 2)
@@ -232,9 +292,8 @@ class TestSearchResults:
 
 def reference_chw_search(mu, max_depth, max_states):
     """The chip search without its skips: every pair a + 2 <= b at every
-    state, and a tangent completion that tries every right end of the
-    chord from m - 1 through `_chord`, keeping the first that matches the
-    target at m."""
+    state through `reference_chord`, and `reference_tangent_tail`, which
+    tries every right end of the chord from m - 1."""
     u_mu = potential(mu)
     lo, n = u_mu.lo, u_mu.hi - u_mu.lo + 1
     target = _to_state(u_mu.values)
@@ -243,23 +302,9 @@ def reference_chw_search(mu, max_depth, max_states):
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
 
     def tangent_tail(state):
-        chips = []
-        tnums, td = target
-        for _ in range(n * n):
-            if state == target:
-                return tuple(chips)
-            nums, d = state
-            m = next(i for i in range(n) if nums[i] * td != tnums[i] * d)
-            if m == 0:
-                return None
-            for b in range(m + 1, n):
-                new = _chord(state, target, m - 1, b)
-                if new is not None and new[0][m] * td == tnums[m] * new[1]:
-                    state = new
-                    chips.append(ChipStep(m - 1 + lo, b + lo))
-                    break
-            else:
-                return None
+        tail = reference_tangent_tail(state, target, n)
+        if tail is not None:
+            return tuple(ChipStep(a + lo, b + lo) for a, b in tail)
         return None
 
     best = tangent_tail(start)
@@ -269,7 +314,7 @@ def reference_chw_search(mu, max_depth, max_states):
         for state, path in frontier.items():
             for a in range(n):
                 for b in range(a + 2, n):
-                    new = _chord(state, target, a, b)
+                    new = reference_chord(state, target, a, b)
                     if new is None or new in seen:
                         continue
                     seen.add(new)
@@ -326,19 +371,21 @@ class TestSearchEquivalence:
         assert (chw_search(FIVE_ATOM, 4)
                 == reference_chw_search(FIVE_ATOM, 4, max_states))
 
-    # the plain kink-skipping search makes 3967 and 33228 chord calls
-    @pytest.mark.parametrize("depth, bound", [(3, 2750), (4, 20_000)])
-    def test_skips_save_chord_calls(self, monkeypatch, depth, bound):
-        calls = 0
+    # the skips yield 1583 and 12053 children at depths 3 and 4, against
+    # 2449 and 21411 with only the kink skip and the break
+    @pytest.mark.parametrize("depth, children", [(3, 1583), (4, 12_053)])
+    def test_skips_save_children(self, monkeypatch, depth, children):
+        count = 0
 
         def counted(*args):
-            nonlocal calls
-            calls += 1
-            return _chord(*args)
+            nonlocal count
+            for child in _children(*args):
+                count += 1
+                yield child
 
-        monkeypatch.setattr(classic, "_chord", counted)
+        monkeypatch.setattr(classic, "_children", counted)
         got = chw_search(FIVE_ATOM, depth)
-        assert calls <= bound
+        assert count == children
         assert got == reference_chw_search(FIVE_ATOM, depth,
                                            classic.MAX_STATES)
 
