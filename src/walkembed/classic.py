@@ -9,8 +9,14 @@ Four constructions, all exact:
   membership search on integer states.  A chord lowers every site inside
   it or none, so `_children` writes a child's inside as one progression,
   reduced by the gcd of its step; the tangent completion builds no
-  state.  `chip_apply` is a separate `Fraction` reference that replays
-  and checks the search's witnesses;
+  state.  Once a witness is in hand, a child is visited but not
+  expanded when its depth plus `_cover`, the fewest linear pieces of the
+  target holding every site where the child differs from it, passes the
+  witness's length: a live chord is a line above the target that meets
+  it on one piece at most, so no chord lowers the cover by more than
+  one.  `states_searched` counts every distinct state visited, those
+  included.  `chip_apply` is a separate `Fraction` reference that
+  replays and checks the search's witnesses;
 * Hall-style randomized pair rule (independent pair (U, V), stop on first
   hit of {U, V});
 * the minimal embedder that works for every target law, extracting a
@@ -19,6 +25,7 @@ Four constructions, all exact:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -146,10 +153,14 @@ def _to_state(values) -> State:
     return nums, d
 
 
-def _children(state: State, target: State, last: Chord):
+def _children(state: State, target: State, tkinks, last: Chord,
+              commute: bool):
     """Yield (a, b, child) for each chord over hull indices a < b that
     `chw_search` tries from `state` (on or above the target), in (a, b)
-    order; `last` is the chord that first reached `state`, (-1, n) if none.
+    order; `tkinks[a]` lists the target's kinks right of a, then n, and
+    `last` is the chord that first reached `state`, (-1, n) if none,
+    whose containing chords are skipped, and its commuting ones too if
+    `commute`.
 
     A tried chord passes a kink, and state - chord is concave and 0 at a
     and b, so it lowers every site inside (a, b).  Chord - target is
@@ -162,29 +173,28 @@ def _children(state: State, target: State, last: Chord):
     tnums, td = target
     n = len(nums)
     a1, b1 = last
-    kinks, tkinks = ([k for k in range(1, n - 1)
-                      if 2 * v[k] != v[k - 1] + v[k + 1]]
-                     for v in (nums, tnums))
-    tkinks.append(n)  # ends every scan of the target's kinks
+    kinks = [k for k in range(1, n - 1)
+             if 2 * nums[k] != nums[k - 1] + nums[k + 1]]
     prefix = suffix = None
     for a in range(n - 2):
-        # both lists keep only the kinks right of a
+        # the list keeps only the kinks right of a
         if kinks and kinks[0] == a:
             del kinks[0]
-        if tkinks[0] == a:
-            del tkinks[0]
         if not kinks:
             return
         first, end = kinks[0] + 1, n
-        if a <= a1:  # commuting and containing skips
-            first, end = max(first, a1 + 1), b1
+        if a <= a1:  # containing skip, and commuting skip if `commute`
+            end = b1
+            if commute:
+                first = max(first, a1 + 1)
         na = nums[a]
+        right = tkinks[a]
         for b in range(first, end):
             w = b - a
             dw = d * w
             step = nums[b] - na
             c = na * w
-            for k in tkinks:
+            for k in right:
                 if k >= b or (c + (k - a) * step) * td < tnums[k] * dw:
                     break
             if k < b:
@@ -204,6 +214,36 @@ def _children(state: State, target: State, last: Chord):
                 out = [x * w // g for x in nums]  # g may exceed w
                 out[a + 1:b] = inner
                 yield a, b, (tuple(out), dw // g)
+
+
+def _kinks_right(target: State) -> list[tuple[int, ...]]:
+    """For each hull index a, the target's kinks right of a, then n: the
+    one list of the target's kinks that `_children` and `_cover` read."""
+    tnums, _ = target
+    n = len(tnums)
+    kinks = [k for k in range(1, n - 1)
+             if 2 * tnums[k] != tnums[k - 1] + tnums[k + 1]]
+    return [tuple(k for k in kinks if k > a) + (n,) for a in range(n)]
+
+
+def _cover(state: State, target: State, tkinks) -> int:
+    """The least number of the target's linear pieces that cover every
+    hull index where `state` differs from `target`, a piece being the
+    closed interval between two consecutive target kinks, the hull ends
+    counted as kinks: at least the chords `state` still needs (see
+    `chw_search`).  Left to right, the first uncovered index k takes the
+    piece that ends at the first kink right of k, which covers as far as
+    any piece holding k does."""
+    nums, d = state
+    tnums, td = target
+    need = 0
+    k, end = 1, len(nums) - 1  # no chord moves a hull end
+    while k < end:
+        if nums[k] * td != tnums[k] * d:
+            need += 1
+            k = tkinks[k][0]
+        k += 1
+    return need
 
 
 def _tangent_tail(state: State, target: State,
@@ -281,21 +321,47 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     So for a <= a1 only b in [max(first, a1 + 1), b1) is tried.  A
     skipped child is already visited, and a skipped dead chord leaves
     every wider one dead, so no skip changes a visited state, its order,
-    its first path, a witness or a count.  On the five-atom target
-    `_children` yields 1 583 children at depth 3 and 12 053 at depth 4,
-    against 2 449 and 21 411 without the commuting and containing skips.
+    its first path, a witness or a count.
+
+    The bound.  Once a witness of length L is in hand, only a shorter one
+    matters.  `_cover(state)`, the least number of the target's linear
+    pieces covering every index where the state differs from the target,
+    is at most the number of chords the state still needs.  A chord that
+    is not dead sets the state on (a, b) to a line l >= target, and
+    l - target is convex, so the indices where l meets the target form
+    one interval on which the target is linear, inside one piece; an
+    index already equal to the target stays equal, since a chord only
+    lowers the state and never below the target.  So each chord lowers
+    the cover by at most one, and the target's cover is 0.  A new child
+    at depth d with d + cover > L is still added to `seen`, but it is
+    neither tangent-completed nor kept; a kept child skips
+    `_tangent_tail` when its cover exceeds the completion's limit.
+    Nothing is cut while no witness is in hand.  L only falls, and a
+    chord lowers the cover by at most one, so every kept state's parent
+    was kept: the kept states, their order and first paths, the target
+    and every completion that could shorten the witness are those of the
+    search without the bound, and so are the status, witness and
+    `depth_searched` of every search that ends within `MAX_STATES`.  A
+    cut child is not expanded, and the commuting skip needs its sibling
+    V·(a, b) expanded, so it applies only while no witness is in hand;
+    the containing skip needs V·(a, b) only visited.  The visited states
+    are then the children of the kept states, found in the same order as
+    by a search with the bound and no skips.  On the five-atom target
+    `_children` yields 740 children at depth 3 and 761 at depth 4, against
+    1 583 and 12 053 without the bound.
 
     Paths are kept as hull index pairs; `ChipStep`s are built only for
     the witness returned.  A tangent completion is worth noting only if
     shorter than the best in hand, so it gives up past len(best) - depth
-    - 1 chords and is not tried when that bound is not positive.  The
-    last depth's children are not kept, since nothing expands them.
+    - 1 chords.  The last depth's children are not kept, since nothing
+    expands them.
 
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
     yields NON_MEMBER_UP_TO_DEPTH, never an unconditional non-membership.
     UNKNOWN is returned only when more than `MAX_STATES` states are seen.
-    `states_searched` counts the distinct states visited, start included.
+    `states_searched` counts the distinct states visited, start and cut
+    children included.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
@@ -307,6 +373,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     start = _to_state([-Q(abs(k)) for k in range(lo, hi + 1)])
     if start == target:
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
+    tkinks = _kinks_right(target)
 
     def steps(path: tuple[Chord, ...]) -> tuple[ChipStep, ...]:
         return tuple(ChipStep(a + lo, b + lo) for a, b in path)
@@ -330,7 +397,8 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
         for state, path in frontier:
             # the start has no last chord: (-1, n) skips nothing
             last = path[-1] if path else (-1, n)
-            for a, b, new in _children(state, target, last):
+            for a, b, new in _children(state, target, tkinks, last,
+                                       best is None):
                 size = len(seen)
                 seen.add(new)
                 if len(seen) == size:
@@ -339,12 +407,17 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
                 if new == target:
                     return ChwResult(ChwStatus.MEMBER, steps(new_path),
                                      depth, len(seen))
-                limit = n if best is None else len(best) - depth - 1
-                if limit > 0:
+                if best is None:  # nothing is cut without a witness
+                    limit, need = n, 1
+                else:
+                    # a completion from here must be shorter than best
+                    limit = len(best) - depth - 1
+                    need = _cover(new, target, tkinks)
+                if need <= limit:
                     tail = _tangent_tail(new, target, limit)
                     if tail is not None:
                         best = new_path + tail
-                if keep:
+                if keep and need <= limit + 1:
                     nxt.append((new, new_path))
                 if len(seen) > MAX_STATES:
                     return verdict(ChwStatus.UNKNOWN, depth)
@@ -358,19 +431,30 @@ def exit_law(steps) -> dict[int, Fraction]:
     """Exact law of the walk from 0 after the exits of `steps`, in order.
     By gambler's ruin a chip (a, b) sends the mass m at each x with
     a < x < b to a with weight m (b - x) / (b - a), and the rest to b; mass
-    outside (a, b) stays.  No table of sites, so chip ends of any size
-    cost nothing more."""
+    outside (a, b) stays.  The support is kept sorted beside the masses,
+    so a chip bisects for the sites inside it and visits no other; a
+    site is visited once, when a chip empties it, and a chip adds at most
+    its two ends, so the chips visit at most 1 + 2·len(steps) sites in
+    all.  No table of sites, so chip ends of any size cost nothing more."""
     law = {0: Q(1)}
+    sites = [0]  # the support of `law`, ascending
     for c in steps:
-        nxt: dict[int, Fraction] = {}
-        for x, m in law.items():
-            if c.a < x < c.b:
-                down = m * Q(c.b - x, c.b - c.a)
-                nxt[c.a] = nxt.get(c.a, Q(0)) + down
-                nxt[c.b] = nxt.get(c.b, Q(0)) + m - down
+        i, j = bisect_right(sites, c.a), bisect_left(sites, c.b)
+        if i == j:
+            continue
+        total = down = Q(0)
+        for x in sites[i:j]:
+            m = law.pop(x)
+            total += m
+            down += m * (c.b - x)
+        del sites[i:j]
+        down /= c.b - c.a
+        for end, m in ((c.a, down), (c.b, total - down)):
+            if end in law:
+                law[end] += m
             else:
-                nxt[x] = nxt.get(x, Q(0)) + m
-        law = nxt
+                law[end] = m
+                insort(sites, end)
     return law
 
 

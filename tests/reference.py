@@ -11,6 +11,12 @@ package because no command runs it:
   `classic._children` writes each child's interior as one progression
   and reduces it from its step; `reference_tangent_tail` applies each
   tangent chord with it, where `classic._tangent_tail` builds no state;
+- `reference_cover` finds the chip search's lower bound as the smallest
+  set of the target's pieces covering the sites where a `Fraction`
+  potential differs from it, where `classic._cover` reads it greedily off
+  integer states; `reference_chw_search` is the chip search trying every
+  chord at every state, with that bound or without it, where
+  `classic.chw_search` skips chords whose children it knows;
 - `to_rational` sums a base-4 expansion in closed form;
 - `series_by_digits` sums an eventually periodic digit series term by
   term, where `digit_series` runs Horner's rule;
@@ -46,6 +52,7 @@ package because no command runs it:
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -53,7 +60,15 @@ from fractions import Fraction as Q
 import numpy as np
 
 from walkembed import matrices
-from walkembed.classic import Chord, RandomizedRule, State
+from walkembed.classic import (
+    ChipStep,
+    Chord,
+    ChwResult,
+    ChwStatus,
+    RandomizedRule,
+    State,
+    _to_state,
+)
 from walkembed.kernels import GAMMA, MASK, STREAM, mix64
 from walkembed.matrices import (
     MatrixRow,
@@ -67,6 +82,7 @@ from walkembed.measures import (
     MeasureError,
     PotentialFunction,
     check_hull,
+    potential,
 )
 from walkembed.rational import Base4Expansion, digit_half_weight
 from walkembed.rules import MatrixRuleState, PrefixError, RandomizedPairRule
@@ -161,6 +177,81 @@ def reference_tangent_tail(state: State, target: State,
         state = new
         chords.append((m - 1, b))
     return tuple(chords)
+
+
+def reference_cover(mu: IntegerMeasure, state: State) -> int:
+    """The chip search's lower bound by brute force: the fewest pieces
+    [s, t] between consecutive support sites of `mu` (the target's kinks,
+    hull ends included) whose union holds every site where the state's
+    `Fraction` potential differs from `potential(mu)`."""
+    u_mu = potential(mu)
+    nums, d = state
+    differ = [u_mu.lo + k for k, x in enumerate(nums)
+              if Q(x, d) != u_mu.values[k]]
+    pieces = list(zip(mu.support, mu.support[1:]))
+    for size in range(len(pieces) + 1):
+        for cover in itertools.combinations(pieces, size):
+            if all(any(s <= x <= t for s, t in cover) for x in differ):
+                return size
+    raise AssertionError("the pieces cover the hull")
+
+
+def reference_chw_search(mu: IntegerMeasure, max_depth: int,
+                         max_states: int, prune: bool = True) -> ChwResult:
+    """The chip search without its skips: every pair a + 2 <= b at every
+    state through `reference_chord`, and `reference_tangent_tail`, which
+    tries every right end of the chord from m - 1.  With `prune`, once a
+    witness is in hand a new state at depth d whose `reference_cover`
+    passes len(witness) - d is counted but not completed or expanded."""
+    u_mu = potential(mu)
+    lo, n = u_mu.lo, u_mu.hi - u_mu.lo + 1
+    target = _to_state(u_mu.values)
+    start = _to_state([-Q(abs(k)) for k in range(lo, u_mu.hi + 1)])
+    if start == target:
+        return ChwResult(ChwStatus.MEMBER, (), 0, 1)
+
+    def tangent_tail(state):
+        tail = reference_tangent_tail(state, target, n)
+        if tail is not None:
+            return tuple(ChipStep(a + lo, b + lo) for a, b in tail)
+        return None
+
+    best = tangent_tail(start)
+    seen, frontier = {start}, {start: ()}
+    for depth in range(1, max_depth + 1):
+        nxt = {}
+        for state, path in frontier.items():
+            for a in range(n):
+                for b in range(a + 2, n):
+                    new = reference_chord(state, target, a, b)
+                    if new is None or new in seen:
+                        continue
+                    seen.add(new)
+                    new_path = path + (ChipStep(a + lo, b + lo),)
+                    if new == target:
+                        return ChwResult(ChwStatus.MEMBER, new_path, depth,
+                                         len(seen))
+                    if not (prune and best is not None and depth
+                            + reference_cover(mu, new) > len(best)):
+                        tail = tangent_tail(new)
+                        if tail is not None and (best is None or
+                                                 len(path) + 1 + len(tail)
+                                                 < len(best)):
+                            best = new_path + tail
+                        nxt[new] = new_path
+                    if len(seen) > max_states:
+                        if best is not None:
+                            return ChwResult(ChwStatus.MEMBER, best, depth,
+                                             len(seen))
+                        return ChwResult(ChwStatus.UNKNOWN, (), depth,
+                                         len(seen))
+        frontier = nxt
+        if not frontier:
+            break
+    if best is not None:
+        return ChwResult(ChwStatus.MEMBER, best, max_depth, len(seen))
+    return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
+                     len(seen))
 
 
 def to_rational(e: Base4Expansion) -> Q:

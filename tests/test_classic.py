@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkembed import (
@@ -22,10 +22,18 @@ from walkembed import (
     replay_chips,
 )
 from walkembed import classic
-from walkembed.classic import ChwResult, _children, _tangent_tail, _to_state
+from walkembed.classic import (
+    _children,
+    _cover,
+    _kinks_right,
+    _tangent_tail,
+    _to_state,
+)
 from reference import (
     measure_from_potential,
     reference_chord,
+    reference_chw_search,
+    reference_cover,
     reference_tangent_tail,
 )
 
@@ -207,15 +215,17 @@ class TestIntegerChord:
                 if child is None:
                     break
                 want.append((a, b, child))
-        assert list(_children(state, target, (-1, n))) == want
+        assert list(_children(state, target, _kinks_right(target),
+                              (-1, n), True)) == want
 
     def test_child_denominator_below_state_denominator(self):
         # w = 4 but the child's gcd is g = 6: the outside numerators are
         # scaled by w / g, which w // g would floor to 0
         state = ((-6, -3, -4, -5, -6, -9), 3)
         target = ((-320, -317, -329, -361, -418, -480), 160)
-        children = {(a, b): c for a, b, c in _children(state, target,
-                                                       (-1, 6))}
+        tkinks = _kinks_right(target)
+        children = {(a, b): c for a, b, c in _children(state, target, tkinks,
+                                                       (-1, 6), True)}
         assert children[(1, 5)] == ((-4, -2, -3, -4, -5, -6), 2)
         assert children[(1, 5)] == reference_chord(state, target, 1, 5)
 
@@ -241,20 +251,20 @@ FIVE_ATOM = measure({-6: Q(1, 8), -2: Q(1, 4), 0: Q(1, 4), 2: Q(1, 4),
 
 class TestSearchResults:
     # (status, steps, depth_searched) as the `Fraction` search gave them,
-    # and the size of its visited set
+    # and the size of the visited set under the cover bound
     FROZEN = [
         (MU_516, 5, "nonMemberUpToDepth", [], 5, 17),
         (MU_29, 5, "member", [(-1, 2), (-3, 0)], 2, 11),
         (measure({0: Q(1, 6), -2: Q(5, 12), 2: Q(5, 12)}), 5, "member",
-         [(-1, 1), (-2, 0), (-1, 2), (-2, 0)], 4, 18),
+         [(-1, 1), (-2, 0), (-1, 2), (-2, 0)], 4, 14),
         (measure({0: Q(3, 4), -4: Q(1, 8), 4: Q(1, 8)}), 5, "member",
          [(-1, 1), (-4, 0), (0, 4)], 3, 11),
         (measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}), 5,
          "nonMemberUpToDepth", [], 5, 1),
         (FIVE_ATOM, 3, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
-         3, 1327),
+         3, 544),
         (FIVE_ATOM, 4, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
-         4, 9720),
+         4, 561),
     ]
 
     @pytest.mark.parametrize("mu, depth, status, steps, searched, states",
@@ -290,63 +300,10 @@ class TestSearchResults:
         assert chw_search(measure({0: 1}), max_depth=8).states_searched == 1
 
 
-def reference_chw_search(mu, max_depth, max_states):
-    """The chip search without its skips: every pair a + 2 <= b at every
-    state through `reference_chord`, and `reference_tangent_tail`, which
-    tries every right end of the chord from m - 1."""
-    u_mu = potential(mu)
-    lo, n = u_mu.lo, u_mu.hi - u_mu.lo + 1
-    target = _to_state(u_mu.values)
-    start = _to_state([-Q(abs(k)) for k in range(lo, u_mu.hi + 1)])
-    if start == target:
-        return ChwResult(ChwStatus.MEMBER, (), 0, 1)
-
-    def tangent_tail(state):
-        tail = reference_tangent_tail(state, target, n)
-        if tail is not None:
-            return tuple(ChipStep(a + lo, b + lo) for a, b in tail)
-        return None
-
-    best = tangent_tail(start)
-    seen, frontier = {start}, {start: ()}
-    for depth in range(1, max_depth + 1):
-        nxt = {}
-        for state, path in frontier.items():
-            for a in range(n):
-                for b in range(a + 2, n):
-                    new = reference_chord(state, target, a, b)
-                    if new is None or new in seen:
-                        continue
-                    seen.add(new)
-                    new_path = path + (ChipStep(a + lo, b + lo),)
-                    if new == target:
-                        return ChwResult(ChwStatus.MEMBER, new_path, depth,
-                                         len(seen))
-                    tail = tangent_tail(new)
-                    if tail is not None and (best is None or
-                                             len(path) + 1 + len(tail)
-                                             < len(best)):
-                        best = new_path + tail
-                    nxt[new] = new_path
-                    if len(seen) > max_states:
-                        if best is not None:
-                            return ChwResult(ChwStatus.MEMBER, best, depth,
-                                             len(seen))
-                        return ChwResult(ChwStatus.UNKNOWN, (), depth,
-                                         len(seen))
-        frontier = nxt
-        if not frontier:
-            break
-    if best is not None:
-        return ChwResult(ChwStatus.MEMBER, best, max_depth, len(seen))
-    return ChwResult(ChwStatus.NON_MEMBER_UP_TO_DEPTH, (), max_depth,
-                     len(seen))
-
-
 class TestSearchEquivalence:
     # the kink, commuting and containing skips, the dead-chord break and
     # the scanned, bounded tangent change no verdict, witness or count of
-    # the plain search
+    # the plain search with the same cover bound
     @settings(max_examples=150)
     @given(centered_measures(), st.integers(1, 5),
            st.sampled_from([1, 5, 40, 300]))
@@ -363,17 +320,20 @@ class TestSearchEquivalence:
         monkeypatch.setattr(classic, "MAX_STATES", 2000)
         assert chw_search(mu, 3) == reference_chw_search(mu, 3, 2000)
 
-    # budgets around the five-atom search's depth-3 total of 1327 states:
-    # a state found in another order would change the cut
-    @pytest.mark.parametrize("max_states", [1, 2, 50, 1327, 1328, 5000])
+    # budgets around the five-atom search's totals, 544 states by depth 3
+    # and 561 by depth 4, and around 1327, its depth-3 total without the
+    # bound: a state found in another order would change the cut
+    @pytest.mark.parametrize("max_states", [1, 2, 50, 544, 545, 561, 562,
+                                            1327, 1328, 5000])
     def test_five_atom_budgets_match_reference(self, monkeypatch, max_states):
         monkeypatch.setattr(classic, "MAX_STATES", max_states)
         assert (chw_search(FIVE_ATOM, 4)
                 == reference_chw_search(FIVE_ATOM, 4, max_states))
 
-    # the skips yield 1583 and 12053 children at depths 3 and 4, against
-    # 2449 and 21411 with only the kink skip and the break
-    @pytest.mark.parametrize("depth, children", [(3, 1583), (4, 12_053)])
+    # the skips and the cover bound yield 740 and 761 children at depths
+    # 3 and 4, against 1583 and 12053 without the bound, and 2449 and
+    # 21411 with only the kink skip and the break
+    @pytest.mark.parametrize("depth, children", [(3, 740), (4, 761)])
     def test_skips_save_children(self, monkeypatch, depth, children):
         count = 0
 
@@ -388,6 +348,56 @@ class TestSearchEquivalence:
         assert count == children
         assert got == reference_chw_search(FIVE_ATOM, depth,
                                            classic.MAX_STATES)
+
+
+class TestCoverBound:
+    # the package's cover, read off the integer state and the target's
+    # kink table, against a brute-force cover on `Fraction` potentials
+    @settings(max_examples=150)
+    @given(chord_cases())
+    def test_cover_matches_reference(self, case):
+        state, target = searched_state(case)
+        assert (_cover(state, target, _kinks_right(target))
+                == reference_cover(case[0], state))
+
+    # admissible: after k chords of a witness of length L the cover is at
+    # most L - k, on every witness of the search without the bound
+    @settings(max_examples=100)
+    @given(centered_measures(), st.integers(1, 4))
+    @example(FIVE_ATOM, 3)  # a 5-chord tangent witness
+    def test_cover_at_most_chords_left(self, mu, depth):
+        res = reference_chw_search(mu, depth, 300, prune=False)
+        if res.status is not ChwStatus.MEMBER:
+            return
+        u_mu = potential(mu)
+        lo = u_mu.lo
+        target = _to_state(u_mu.values)
+        state = _to_state([-Q(abs(k)) for k in range(lo, u_mu.hi + 1)])
+        tkinks = _kinks_right(target)
+        for k, c in enumerate(res.steps):
+            assert reference_cover(mu, state) <= len(res.steps) - k
+            assert _cover(state, target, tkinks) <= len(res.steps) - k
+            state = reference_chord(state, target, c.a - lo, c.b - lo)
+        assert state == target and _cover(state, target, tkinks) == 0
+
+    # wherever the search without the bound ends within its budget, the
+    # bound changes no status, witness or depth, and visits no more states
+    @settings(max_examples=150)
+    @given(centered_measures(), st.integers(1, 5),
+           st.sampled_from([40, 300, 2000]))
+    # searches that the bound cuts: 1327 -> 544 and 18 -> 14 states
+    @example(FIVE_ATOM, 3, 2000)
+    @example(measure({0: Q(1, 6), -2: Q(5, 12), 2: Q(5, 12)}), 5, 300)
+    def test_same_answer_as_unpruned(self, mu, depth, max_states):
+        want = reference_chw_search(mu, depth, max_states, prune=False)
+        if want.states_searched > max_states:
+            return  # the budget cut the search without the bound
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classic, "MAX_STATES", max_states)
+            got = chw_search(mu, max_depth=depth)
+        assert ((got.status, got.steps, got.depth_searched)
+                == (want.status, want.steps, want.depth_searched))
+        assert got.states_searched <= want.states_searched
 
 
 class TestHall:

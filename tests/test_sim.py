@@ -33,6 +33,7 @@ from walkembed import (
     simulate_reference,
 )
 from walkembed import sim
+from walkembed.classic import exit_law
 from walkembed.matrices import CountViolation, exact_law_matrix
 from walkembed.rational import BudgetExceeded
 import reference
@@ -793,6 +794,23 @@ class TestExactLawOracle:
         assert_within_residual(el.law, dp)
         if dp.residual == 0:
             assert el.law == dp.law
+
+    # `exit_law` visits only the sites strictly inside each chip, so chips
+    # that hold no mass, and ends that already hold mass, must add up
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(chips(), max_size=6))
+    @example([ChipStep(2, 4)])  # nothing inside
+    @example([ChipStep(-1, 1), ChipStep(-1, 1)])  # emptied by the first
+    @example([ChipStep(-1, 1), ChipStep(0, 2), ChipStep(-1, 2)])  # both ends
+    @example([ChipStep(-1, 1), ChipStep(-3, 1), ChipStep(-4, 4)])
+    def test_exit_law_within_keyed_dp(self, steps):
+        dp = keyed_exact_law(ExitCompositionRule(tuple(steps)), 800,
+                             chip_state_key)
+        law = exit_law(steps)
+        assert sum(law.values()) == 1 and min(law.values()) > 0
+        assert_within_residual(law, dp)
+        if dp.residual == 0:
+            assert law == dp.law
 
     # 2/9 and the non-centred target have cut points that are not dyadic,
     # so some words are still selecting their target at every stage
