@@ -9,13 +9,18 @@ Four constructions, all exact:
   membership search on integer states.  A chord lowers every site inside
   it or none, so `_children` writes a child's inside as one progression,
   reduced by the gcd of its step; the tangent completion builds no
-  state.  Once a witness is in hand, a child is visited but not
-  expanded when its depth plus `_cover`, the fewest linear pieces of the
-  target holding every site where the child differs from it, passes the
-  witness's length: a live chord is a line above the target that meets
-  it on one piece at most, so no chord lowers the cover by more than
-  one.  `states_searched` counts every distinct state visited, those
-  included.  `chip_apply` is a separate `Fraction` reference that
+  state.  One kink index, `_next_kinks` (the first kink right of each
+  hull index), finds the kinks of a state and of the target.  Once a
+  witness is in hand, a child is visited but cut, not expanded, when its
+  depth plus `_cover`, the fewest linear pieces of the target holding
+  every site where the child differs from it, passes the witness's
+  length: a live chord is a line above the target that meets it on one
+  piece at most, so no chord lowers the cover by more than one.  So the
+  commuting skip holds at every depth: the child it passes over is that
+  of a sibling tried first, and if that sibling was cut, the child would
+  be cut too.  `states_searched` counts every distinct state visited,
+  cut children included, but not a cut child reached only through a cut
+  sibling.  `chip_apply` is a separate `Fraction` reference that
   replays and checks the search's witnesses;
 * Hall-style randomized pair rule (independent pair (U, V), stop on first
   hit of {U, V});
@@ -120,6 +125,11 @@ def chip_apply(u: PotentialFunction, step: ChipStep) -> PotentialFunction:
 
 #: distinct states `chw_search` may visit before it answers UNKNOWN
 MAX_STATES = 200_000
+#: numerators `chw_search` may hold in its visited states, n per state on
+#: an n-site hull, before it answers UNKNOWN: 41 * (MAX_STATES + 1), so a
+#: hull of at most 41 sites meets `MAX_STATES` first, and a wider one
+#: holds no more numerators than such a search may
+MAX_NUMERATORS = 8_200_041
 
 
 class ChwStatus(Enum):
@@ -153,14 +163,27 @@ def _to_state(values) -> State:
     return nums, d
 
 
-def _children(state: State, target: State, tkinks, last: Chord,
-              commute: bool):
+def _next_kinks(nums) -> list[int]:
+    """The kink index of a numerator vector: for each hull index i, the
+    first kink right of i, or n = len(nums), a kink being an index
+    0 < k < n - 1 where the vector is not linear.  It depends only on the
+    ratios of the numerators, so a state and the target each have one,
+    whatever their denominators; from a, following it visits each kink
+    right of a in turn."""
+    n = len(nums)
+    index = [n] * n
+    for k in range(n - 2, 0, -1):
+        linear = 2 * nums[k] == nums[k - 1] + nums[k + 1]
+        index[k - 1] = index[k] if linear else k
+    return index
+
+
+def _children(state: State, target: State, tkinks: list[int], last: Chord):
     """Yield (a, b, child) for each chord over hull indices a < b that
     `chw_search` tries from `state` (on or above the target), in (a, b)
-    order; `tkinks[a]` lists the target's kinks right of a, then n, and
-    `last` is the chord that first reached `state`, (-1, n) if none,
-    whose containing chords are skipped, and its commuting ones too if
-    `commute`.
+    order; `tkinks` is the target's kink index (`_next_kinks`), and `last`
+    is the chord that first reached `state`, (-1, n) if none, whose
+    containing and commuting chords are skipped.
 
     A tried chord passes a kink, and state - chord is concave and 0 at a
     and b, so it lowers every site inside (a, b).  Chord - target is
@@ -173,30 +196,23 @@ def _children(state: State, target: State, tkinks, last: Chord,
     tnums, td = target
     n = len(nums)
     a1, b1 = last
-    kinks = [k for k in range(1, n - 1)
-             if 2 * nums[k] != nums[k - 1] + nums[k + 1]]
+    kinks = _next_kinks(nums)
     prefix = suffix = None
     for a in range(n - 2):
-        # the list keeps only the kinks right of a
-        if kinks and kinks[0] == a:
-            del kinks[0]
-        if not kinks:
-            return
-        first, end = kinks[0] + 1, n
-        if a <= a1:  # containing skip, and commuting skip if `commute`
-            end = b1
-            if commute:
-                first = max(first, a1 + 1)
+        if kinks[a] == n:
+            return  # no kink right of a, nor of any later a
+        first, end = kinks[a] + 1, n
+        if a <= a1:  # the containing and commuting skips
+            first, end = max(first, a1 + 1), b1
         na = nums[a]
-        right = tkinks[a]
         for b in range(first, end):
             w = b - a
             dw = d * w
             step = nums[b] - na
             c = na * w
-            for k in right:
-                if k >= b or (c + (k - a) * step) * td < tnums[k] * dw:
-                    break
+            k = tkinks[a]
+            while k < b and (c + (k - a) * step) * td >= tnums[k] * dw:
+                k = tkinks[k]
             if k < b:
                 break  # dead, and so is every wider chord from a
             g = gcd(step, dw)
@@ -216,24 +232,14 @@ def _children(state: State, target: State, tkinks, last: Chord,
                 yield a, b, (tuple(out), dw // g)
 
 
-def _kinks_right(target: State) -> list[tuple[int, ...]]:
-    """For each hull index a, the target's kinks right of a, then n: the
-    one list of the target's kinks that `_children` and `_cover` read."""
-    tnums, _ = target
-    n = len(tnums)
-    kinks = [k for k in range(1, n - 1)
-             if 2 * tnums[k] != tnums[k - 1] + tnums[k + 1]]
-    return [tuple(k for k in kinks if k > a) + (n,) for a in range(n)]
-
-
-def _cover(state: State, target: State, tkinks) -> int:
+def _cover(state: State, target: State, tkinks: list[int]) -> int:
     """The least number of the target's linear pieces that cover every
     hull index where `state` differs from `target`, a piece being the
     closed interval between two consecutive target kinks, the hull ends
     counted as kinks: at least the chords `state` still needs (see
     `chw_search`).  Left to right, the first uncovered index k takes the
-    piece that ends at the first kink right of k, which covers as far as
-    any piece holding k does."""
+    piece that ends at `tkinks[k]`, the first kink right of k, which
+    covers as far as any piece holding k does."""
     nums, d = state
     tnums, td = target
     need = 0
@@ -241,12 +247,12 @@ def _cover(state: State, target: State, tkinks) -> int:
     while k < end:
         if nums[k] * td != tnums[k] * d:
             need += 1
-            k = tkinks[k][0]
+            k = tkinks[k]
         k += 1
     return need
 
 
-def _tangent_tail(state: State, target: State,
+def _tangent_tail(state: State, target: State, tkinks: list[int],
                   limit: int) -> tuple[Chord, ...] | None:
     """Try to finish an embedding by chords tangent to the target, left to
     right; returns the chords on success, None if stuck or if more than
@@ -257,18 +263,21 @@ def _tangent_tail(state: State, target: State,
     along the target's line L through m - 1 and m, to the first b past m
     where the state meets L (by n - 1, where the state is the target,
     below L); if the state crosses L between integers there is none.  It
-    is never dead, and leaves the target through m, L on (m, b] and the
-    state past b, where the next m is found without building a state; the
-    next line is below L past m - 1, so its b lies past this one."""
+    is never dead, and leaves the state on L over [m - 1, b] and as it
+    was past b, so the next m is found without building a state: the
+    target follows L up to its first kink right of m - 1, `tkinks[m - 1]`,
+    and leaves it at the index after, the next m if it is at most b;
+    otherwise the next m is the first index past b where the state
+    differs.  The next line is below L past m - 1, so its b lies past
+    this one."""
     chords: list[Chord] = []
     nums, d = state
     tnums, td = target
     n = len(tnums)
-    m = b = a = rise = 0
+    a = b = 0  # no chord yet: tkinks[0] >= 1 > b
     while True:
-        for m in range(m + 1, b + 1):
-            if tnums[a] + (m - a) * rise != tnums[m]:
-                break
+        if tkinks[a] < b:
+            m = tkinks[a] + 1
         else:
             for m in range(b + 1, n):
                 if nums[m] * td != tnums[m] * d:
@@ -302,6 +311,11 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     state, captures sequences finishing in the Azema-Yor manner.
     `replay_chips` checks witnesses independently, on `Fraction`s.
 
+    Kinks are found one way, by the kink index `_next_kinks`: for each
+    hull index, the first kink right of it.  `_children` reads the
+    state's, and walks the target's to test a chord at the target's kinks
+    inside it; `_cover` and `_tangent_tail` read the target's, built once.
+
     Chords run in (a, b) order over hull indices, and skip every chord
     whose outcome is already known:
 
@@ -311,17 +325,14 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     * Commuting chords.  Let (a1, b1) be the last chord of the path that
       first reached state P from its parent V.  A chord (a, b) with
       a < a1 and b <= a1 shares at most an end with it, and P agrees with
-      V at a, b, a1 and b1, so P·(a, b) = (V·(a, b))·(a1, b1).  V tried
-      (a, b) before (a1, b1), so its child V·(a, b) was visited before P,
-      and that state, expanded before P, already reached the child.
+      V at a, b, a1 and b1, so P·(a, b) = S·(a1, b1) with S = V·(a, b),
+      which V tried before (a1, b1).
     * Containing chords.  A chord (a, b) with a <= a1 and b >= b1 lies on
       or below V's own chord over [a1, b1], as V is concave, so it cuts P
       as it cuts V: P·(a, b) = V·(a, b), a visited child of V.
 
     So for a <= a1 only b in [max(first, a1 + 1), b1) is tried.  A
-    skipped child is already visited, and a skipped dead chord leaves
-    every wider one dead, so no skip changes a visited state, its order,
-    its first path, a witness or a count.
+    skipped dead chord leaves every wider one dead.
 
     The bound.  Once a witness of length L is in hand, only a shorter one
     matters.  `_cover(state)`, the least number of the target's linear
@@ -334,21 +345,27 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     lowers the state and never below the target.  So each chord lowers
     the cover by at most one, and the target's cover is 0.  A new child
     at depth d with d + cover > L is still added to `seen`, but it is
-    neither tangent-completed nor kept; a kept child skips
+    neither tangent-completed nor kept (it is cut); a kept child skips
     `_tangent_tail` when its cover exceeds the completion's limit.
     Nothing is cut while no witness is in hand.  L only falls, and a
     chord lowers the cover by at most one, so every kept state's parent
-    was kept: the kept states, their order and first paths, the target
-    and every completion that could shorten the witness are those of the
-    search without the bound, and so are the status, witness and
-    `depth_searched` of every search that ends within `MAX_STATES`.  A
-    cut child is not expanded, and the commuting skip needs its sibling
-    V·(a, b) expanded, so it applies only while no witness is in hand;
-    the containing skip needs V·(a, b) only visited.  The visited states
-    are then the children of the kept states, found in the same order as
-    by a search with the bound and no skips.  On the five-atom target
-    `_children` yields 740 children at depth 3 and 761 at depth 4, against
-    1 583 and 12 053 without the bound.
+    was kept.
+
+    The skips hold at every depth.  A child that the containing skip
+    passes over is visited.  One that the commuting skip passes over is
+    S·(a1, b1): if S was kept, it was expanded before P and reached that
+    child; if S was cut, the child, one chord deeper with a cover at most
+    one lower, would be cut too, as L only falls, and it is not the
+    target, which the search meets by depth L.  So the kept states, their
+    order and first paths, the target and every completion that could
+    shorten the witness are those of the search without the skips and
+    the bound, and so are the status, witness and `depth_searched` of
+    every search that ends within its budgets.  `states_searched` counts
+    the start, the kept states and the cut children that `_children`
+    yields: a cut child reached only through a cut sibling is not
+    counted.  On the five-atom target `_children` yields 603 children at
+    depth 3 and 621 at depth 4, against 1 583 and 12 053 without the
+    bound.
 
     Paths are kept as hull index pairs; `ChipStep`s are built only for
     the witness returned.  A tangent completion is worth noting only if
@@ -359,9 +376,9 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     The refutation verdict is explicitly depth-bounded: no termination
     bound exists for chip sequences in general, so exhausting `max_depth`
     yields NON_MEMBER_UP_TO_DEPTH, never an unconditional non-membership.
-    UNKNOWN is returned only when more than `MAX_STATES` states are seen.
-    `states_searched` counts the distinct states visited, start and cut
-    children included.
+    UNKNOWN is returned only when `seen` holds more than `MAX_STATES`
+    states, or more than `MAX_NUMERATORS` numerators (n per state), and
+    no witness is in hand; with one, the search returns it.
     """
     if not mu.is_centered():
         raise MeasureError(f"measure is not centered (mean {mu.mean()})")
@@ -373,7 +390,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     start = _to_state([-Q(abs(k)) for k in range(lo, hi + 1)])
     if start == target:
         return ChwResult(ChwStatus.MEMBER, (), 0, 1)
-    tkinks = _kinks_right(target)
+    tkinks = _next_kinks(target[0])
 
     def steps(path: tuple[Chord, ...]) -> tuple[ChipStep, ...]:
         return tuple(ChipStep(a + lo, b + lo) for a, b in path)
@@ -386,7 +403,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
     # the shortest tangent witness, for when the BFS stops short: one of
     # length L is a path of the BFS's own chords, so the BFS meets the
     # target by depth L first.  It has at most n - 1 chords: n bounds none.
-    best = _tangent_tail(start, target, n)
+    best = _tangent_tail(start, target, tkinks, n)
 
     seen = {start}
     # each state joins one frontier once, and nothing looks it up there
@@ -397,8 +414,7 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
         for state, path in frontier:
             # the start has no last chord: (-1, n) skips nothing
             last = path[-1] if path else (-1, n)
-            for a, b, new in _children(state, target, tkinks, last,
-                                       best is None):
+            for a, b, new in _children(state, target, tkinks, last):
                 size = len(seen)
                 seen.add(new)
                 if len(seen) == size:
@@ -414,12 +430,13 @@ def chw_search(mu: IntegerMeasure, max_depth: int) -> ChwResult:
                     limit = len(best) - depth - 1
                     need = _cover(new, target, tkinks)
                 if need <= limit:
-                    tail = _tangent_tail(new, target, limit)
+                    tail = _tangent_tail(new, target, tkinks, limit)
                     if tail is not None:
                         best = new_path + tail
                 if keep and need <= limit + 1:
                     nxt.append((new, new_path))
-                if len(seen) > MAX_STATES:
+                if (len(seen) > MAX_STATES
+                        or len(seen) * n > MAX_NUMERATORS):
                     return verdict(ChwStatus.UNKNOWN, depth)
         frontier = nxt
         if not frontier:

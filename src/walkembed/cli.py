@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 
+from . import classic
 from .classic import (
     ChwStatus,
     azema_yor_check,
@@ -129,7 +130,10 @@ def cmd_embed(args) -> int:
                    "statesSearched": res.states_searched})
             return UNDECIDED
         if res.status is ChwStatus.UNKNOWN:
-            _emit({"member": "unknown", "budget": "maxStates",
+            # past MAX_STATES, or else past MAX_NUMERATORS with fewer states
+            budget = ("maxStates" if res.states_searched > classic.MAX_STATES
+                      else "maxNumerators")
+            _emit({"member": "unknown", "budget": budget,
                    "statesSearched": res.states_searched})
             return UNDECIDED
         rule = ExitCompositionRule(res.steps)

@@ -408,14 +408,19 @@ def exact_law_matrix(matrix: StoppingMatrix
 
 #: Nodes `search_matrix` may visit before it answers "unknown"
 NODE_BUDGET = 50_000
+#: Stages `search_matrix` may run at any `max_stage`: it recurses once per
+#: stage, and 500 frames leave half of Python's default recursion limit
+#: (1000) to its callers, a test runner's included
+MAX_SEARCH_STAGES = 500
 
 
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "member" | "unknown"
     matrix: StoppingMatrix | None = None
-    # what ended an "unknown": "nodeBudget", "maxStage", or None when every
-    # zero-tail head on the strip dead-ends before the stage cap
+    # what ended an "unknown": "nodeBudget", "maxStage", "maxSearchStages"
+    # (the stage cap was MAX_SEARCH_STAGES, below max_stage), or None when
+    # every zero-tail head on the strip dead-ends before the stage cap
     budget: str | None = None
     nodes: int = 0
 
@@ -432,7 +437,8 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     arrival count and the remaining base-4 budget of its atom allow; on a
     dead end the latest choice is decremented.  Sound but deliberately
     incomplete: success is certified (the result verifies), failure within
-    `max_stage` stages and `NODE_BUDGET` nodes only yields "unknown".
+    the stage cap, the lesser of `max_stage` and `MAX_SEARCH_STAGES`, and
+    `NODE_BUDGET` nodes only yields "unknown".
 
     The state at stage n is integer: the even survivor counts, each
     interior atom's remaining budget and each boundary atom's deficit, the
@@ -471,6 +477,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     budgets = [int(mu.weight(i) * d / 2 ** (i % 2)) for i in interior]
     deficits = int(mu.weight(-bound) * d), int(mu.weight(bound) * d)
 
+    cap = min(max_stage, MAX_SEARCH_STAGES)  # the last stage searched
     nodes = 0
     capped = False  # some branch reached the stage cap with budget unspent
     even_sites = [i for i in range(-bound, bound + 1) if i % 2 == 0]
@@ -490,7 +497,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     def recurse(stage, k_even, rem, lo, hi, path):
         nonlocal nodes, capped
         nodes += 1
-        if nodes > NODE_BUDGET or stage > max_stage:
+        if nodes > NODE_BUDGET or stage > cap:
             return None
 
         # phase 1: odd arrivals (none at stage 0); an odd boundary absorbs now
@@ -522,7 +529,7 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
 
             even_caps = [min(k_new[i], r // d)
                          for i, r in zip(even_interior, even_rem)]
-            if stage == max_stage:  # count the leaves, as the docstring says
+            if stage == cap:  # count the leaves, as the docstring says
                 taken[even_slots] = even_caps
                 if not any(r - a * d for r, a in zip(rem, taken)):
                     nodes += 1
@@ -561,5 +568,6 @@ def search_matrix(mu: IntegerMeasure, max_stage: int) -> SearchResult:
     if found is not None:
         return SearchResult("member", found, nodes=nodes)
     budget = ("nodeBudget" if nodes > NODE_BUDGET
-              else "maxStage" if capped else None)
+              else None if not capped
+              else "maxStage" if cap == max_stage else "maxSearchStages")
     return SearchResult("unknown", budget=budget, nodes=nodes)

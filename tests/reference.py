@@ -15,8 +15,9 @@ package because no command runs it:
   set of the target's pieces covering the sites where a `Fraction`
   potential differs from it, where `classic._cover` reads it greedily off
   integer states; `reference_chw_search` is the chip search trying every
-  chord at every state, with that bound or without it, where
-  `classic.chw_search` skips chords whose children it knows;
+  chord at every state, with that bound and the commuting skip or with
+  neither, where `classic.chw_search` also skips chords whose children
+  it knows;
 - `to_rational` sums a base-4 expansion in closed form;
 - `series_by_digits` sums an eventually periodic digit series term by
   term, where `digit_series` runs Horner's rule;
@@ -202,7 +203,12 @@ def reference_chw_search(mu: IntegerMeasure, max_depth: int,
     state through `reference_chord`, and `reference_tangent_tail`, which
     tries every right end of the chord from m - 1.  With `prune`, once a
     witness is in hand a new state at depth d whose `reference_cover`
-    passes len(witness) - d is counted but not completed or expanded."""
+    passes len(witness) - d is counted but not completed or expanded, and
+    the commuting skip applies: a state first reached by the chord
+    (a1, b1) tries no chord (a, b) with b <= a1.  That skip is the one
+    that changes a count, since the child it passes over may be one that
+    no kept state reaches, the child of a cut sibling; every other skip
+    of `classic.chw_search` passes over visited children only."""
     u_mu = potential(mu)
     lo, n = u_mu.lo, u_mu.hi - u_mu.lo + 1
     target = _to_state(u_mu.values)
@@ -221,8 +227,10 @@ def reference_chw_search(mu: IntegerMeasure, max_depth: int,
     for depth in range(1, max_depth + 1):
         nxt = {}
         for state, path in frontier.items():
+            # the commuting skip: no b <= a1 (only a < a1 - 1 has such b)
+            a1 = path[-1].a - lo if prune and path else -1
             for a in range(n):
-                for b in range(a + 2, n):
+                for b in range(max(a + 2, a1 + 1), n):
                     new = reference_chord(state, target, a, b)
                     if new is None or new in seen:
                         continue

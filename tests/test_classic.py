@@ -25,7 +25,7 @@ from walkembed import classic
 from walkembed.classic import (
     _children,
     _cover,
-    _kinks_right,
+    _next_kinks,
     _tangent_tail,
     _to_state,
 )
@@ -215,17 +215,17 @@ class TestIntegerChord:
                 if child is None:
                     break
                 want.append((a, b, child))
-        assert list(_children(state, target, _kinks_right(target),
-                              (-1, n), True)) == want
+        assert list(_children(state, target, _next_kinks(target[0]),
+                              (-1, n))) == want
 
     def test_child_denominator_below_state_denominator(self):
         # w = 4 but the child's gcd is g = 6: the outside numerators are
         # scaled by w / g, which w // g would floor to 0
         state = ((-6, -3, -4, -5, -6, -9), 3)
         target = ((-320, -317, -329, -361, -418, -480), 160)
-        tkinks = _kinks_right(target)
+        tkinks = _next_kinks(target[0])
         children = {(a, b): c for a, b, c in _children(state, target, tkinks,
-                                                       (-1, 6), True)}
+                                                       (-1, 6))}
         assert children[(1, 5)] == ((-4, -2, -3, -4, -5, -6), 2)
         assert children[(1, 5)] == reference_chord(state, target, 1, 5)
 
@@ -236,9 +236,22 @@ class TestIntegerChord:
     def test_tangent_tail_matches_reference(self, case):
         state, target = searched_state(case)
         n = len(target[0])
+        tkinks = _next_kinks(target[0])
         for limit in range(n + 1):
-            assert (_tangent_tail(state, target, limit)
+            assert (_tangent_tail(state, target, tkinks, limit)
                     == reference_tangent_tail(state, target, limit))
+
+    # the kink index against a brute-force kink list; it reads only the
+    # ratios of the numerators, so a multiple has the same one
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-30, 30), max_size=12), st.integers(1, 9))
+    def test_kink_index_matches_brute_force(self, nums, scale):
+        n = len(nums)
+        kinks = [k for k in range(1, n - 1)
+                 if nums[k - 1] - 2 * nums[k] + nums[k + 1]]
+        want = [min((k for k in kinks if k > i), default=n) for i in range(n)]
+        assert _next_kinks(nums) == want
+        assert _next_kinks([scale * x for x in nums]) == want
 
     def test_state_is_canonical(self):
         assert _to_state([Q(-2, 4), Q(-1), Q(-3, 2)]) == ((-1, -2, -3), 2)
@@ -262,9 +275,9 @@ class TestSearchResults:
         (measure({-1: Q(1, 3), 0: Q(1, 3), 1: Q(1, 3)}), 5,
          "nonMemberUpToDepth", [], 5, 1),
         (FIVE_ATOM, 3, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
-         3, 544),
+         3, 538),
         (FIVE_ATOM, 4, "member", [(-3, 1), (0, 6), (-6, 0), (-2, 1), (0, 2)],
-         4, 561),
+         4, 553),
     ]
 
     @pytest.mark.parametrize("mu, depth, status, steps, searched, states",
@@ -295,15 +308,32 @@ class TestSearchResults:
         assert measure_from_potential(replay_chips(res.steps)) == MU_29
         assert (res.depth_searched, res.states_searched) == (1, 2)
 
+    # the numerator budget counts n per state: MU_516's 5-site hull passes
+    # 15 at its fourth state, and MU_29's 6-site hull passes 6 at its
+    # second, with its start's tangent witness in hand
+    def test_numerator_budget(self, monkeypatch):
+        monkeypatch.setattr(classic, "MAX_NUMERATORS", 15)
+        res = chw_search(MU_516, max_depth=8)
+        assert res.status is ChwStatus.UNKNOWN
+        assert (res.depth_searched, res.states_searched) == (1, 4)
+        monkeypatch.setattr(classic, "MAX_NUMERATORS", 6)
+        res = chw_search(MU_29, max_depth=4)
+        assert res.status is ChwStatus.MEMBER and len(res.steps) == 3
+        assert (res.depth_searched, res.states_searched) == (1, 2)
+
+    def test_numerator_budget_spares_41_sites(self):
+        # a hull of at most 41 sites passes MAX_STATES first
+        assert classic.MAX_NUMERATORS >= 41 * (classic.MAX_STATES + 1)
+
     def test_states_searched_counts_distinct_states(self):
         assert chw_search(BERNOULLI, max_depth=8).states_searched == 2
         assert chw_search(measure({0: 1}), max_depth=8).states_searched == 1
 
 
 class TestSearchEquivalence:
-    # the kink, commuting and containing skips, the dead-chord break and
-    # the scanned, bounded tangent change no verdict, witness or count of
-    # the plain search with the same cover bound
+    # the kink and containing skips, the dead-chord break, the kink index
+    # and the bounded tangent change no verdict, witness or count of the
+    # plain search with the same cover bound and commuting skip
     @settings(max_examples=150)
     @given(centered_measures(), st.integers(1, 5),
            st.sampled_from([1, 5, 40, 300]))
@@ -320,20 +350,23 @@ class TestSearchEquivalence:
         monkeypatch.setattr(classic, "MAX_STATES", 2000)
         assert chw_search(mu, 3) == reference_chw_search(mu, 3, 2000)
 
-    # budgets around the five-atom search's totals, 544 states by depth 3
-    # and 561 by depth 4, and around 1327, its depth-3 total without the
-    # bound: a state found in another order would change the cut
-    @pytest.mark.parametrize("max_states", [1, 2, 50, 544, 545, 561, 562,
-                                            1327, 1328, 5000])
+    # budgets around the five-atom search's totals, 538 states by depth 3
+    # and 553 by depth 4, around 544 and 561, its totals with the
+    # commuting skip off once a witness is in hand, and around 1327, its
+    # depth-3 total without the bound: a state found in another order
+    # would change the cut
+    @pytest.mark.parametrize("max_states", [1, 2, 50, 538, 539, 544, 545,
+                                            553, 554, 561, 562, 1327, 1328,
+                                            5000])
     def test_five_atom_budgets_match_reference(self, monkeypatch, max_states):
         monkeypatch.setattr(classic, "MAX_STATES", max_states)
         assert (chw_search(FIVE_ATOM, 4)
                 == reference_chw_search(FIVE_ATOM, 4, max_states))
 
-    # the skips and the cover bound yield 740 and 761 children at depths
+    # the skips and the cover bound yield 603 and 621 children at depths
     # 3 and 4, against 1583 and 12053 without the bound, and 2449 and
     # 21411 with only the kink skip and the break
-    @pytest.mark.parametrize("depth, children", [(3, 740), (4, 761)])
+    @pytest.mark.parametrize("depth, children", [(3, 603), (4, 621)])
     def test_skips_save_children(self, monkeypatch, depth, children):
         count = 0
 
@@ -357,7 +390,7 @@ class TestCoverBound:
     @given(chord_cases())
     def test_cover_matches_reference(self, case):
         state, target = searched_state(case)
-        assert (_cover(state, target, _kinks_right(target))
+        assert (_cover(state, target, _next_kinks(target[0]))
                 == reference_cover(case[0], state))
 
     # admissible: after k chords of a witness of length L the cover is at
@@ -373,7 +406,7 @@ class TestCoverBound:
         lo = u_mu.lo
         target = _to_state(u_mu.values)
         state = _to_state([-Q(abs(k)) for k in range(lo, u_mu.hi + 1)])
-        tkinks = _kinks_right(target)
+        tkinks = _next_kinks(target[0])
         for k, c in enumerate(res.steps):
             assert reference_cover(mu, state) <= len(res.steps) - k
             assert _cover(state, target, tkinks) <= len(res.steps) - k
@@ -385,7 +418,7 @@ class TestCoverBound:
     @settings(max_examples=150)
     @given(centered_measures(), st.integers(1, 5),
            st.sampled_from([40, 300, 2000]))
-    # searches that the bound cuts: 1327 -> 544 and 18 -> 14 states
+    # searches that the bound cuts: 1327 -> 538 and 18 -> 14 states
     @example(FIVE_ATOM, 3, 2000)
     @example(measure({0: Q(1, 6), -2: Q(5, 12), 2: Q(5, 12)}), 5, 300)
     def test_same_answer_as_unpruned(self, mu, depth, max_states):

@@ -73,6 +73,17 @@ class TestClassify:
         assert code == 0
         assert out["member"] is False
 
+    # the matrix search stops at MAX_SEARCH_STAGES: no RecursionError at
+    # depth 1200, and "unknown" is a verdict word, exit 0
+    def test_measure_past_stage_cap(self, capsys, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text('{"atoms": {"-2": "2/5", "0": "1/5", "2": "2/5"}}')
+        code, out = run(capsys, ["classify", "--measure", str(p),
+                                 "--depth", "1200"])
+        assert code == 0
+        assert out == {"azemaYor": False, "chaconWalsh": "nonMemberUpToDepth",
+                       "uiMatrix": "unknown", "minimal": True}
+
     def test_triple_malformed(self, capsys):
         assert main(["classify", "--triple", "1/4,1/2"]) == 2
         assert capsys.readouterr().err == (
@@ -222,6 +233,32 @@ class TestEmbed:
         assert code == 3
         assert out == {"member": "unknown", "budget": "maxStates",
                        "statesSearched": 4}
+
+    # each hull site of each visited state holds one numerator: the 5-site
+    # hull of 5/16 passes 15 of them at its fourth state, as it passes a
+    # state budget of 3 there
+    def test_chw_payload_names_numerator_budget(self, capsys, mu_516,
+                                                monkeypatch):
+        monkeypatch.setattr(classic, "MAX_NUMERATORS", 15)
+        code, out = run(capsys, ["embed", "chw", mu_516])
+        assert code == 3
+        assert out == {"member": "unknown", "budget": "maxNumerators",
+                       "statesSearched": 4}
+
+    # the matrix search recurses once per stage, so past MAX_SEARCH_STAGES
+    # (500) it answers "unknown" and names that cap, where it ended in a
+    # RecursionError at depth 1200; up to the cap the output is the same
+    @pytest.mark.parametrize("depth, budget", [
+        (500, "maxStage"), (501, "maxSearchStages"),
+        (1200, "maxSearchStages")])
+    def test_ui_matrix_stage_cap(self, capsys, tmp_path, depth, budget):
+        p = tmp_path / "m.json"
+        p.write_text(MU_UNIFORM3_JSON)
+        assert main(["embed", "ui-matrix", str(p), "--depth", str(depth)]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"member": "unknown"}
+        assert json.loads(captured.err) == {"budget": budget,
+                                            "nodesSearched": 2003}
 
     # the node budget pinned by test_matrices.TestSearch runs out on the
     # 236th node; 5/16 needs three stages; p0 = 1/3 dead-ends on every
