@@ -233,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="walkembed", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+    # the subcommand parsers by name, which `main` calls directly
+    p.commands = sub.choices
 
     c = sub.add_parser("classify", help="class membership of weights/measures")
     g = c.add_mutually_exclusive_group(required=True)
@@ -299,6 +301,23 @@ def _join_negative_rationals(argv: list[str]) -> list[str]:
 _parser: argparse.ArgumentParser | None = None
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What `_parser.parse_args` makes of argv, in one argparse pass.  The
+    top level only hands everything after a command name to that
+    command's parser, so a known command's parser reads it alone; the top
+    level parses empty argv, help and unknown commands, and reports
+    leftover arguments in its own words."""
+    argv = _join_negative_rationals(argv)
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     global _parser
     # rationals of any size parse and print: lift Python's int-str limit
@@ -306,8 +325,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     if _parser is None:  # built once per process, reused by every call
         _parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parser.parse_args(_join_negative_rationals(argv))
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except BudgetExceeded as exc:  # a stated budget ran out, not invalid

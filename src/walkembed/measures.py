@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rational import BudgetExceeded, Q, format_rational, known_fields, parse_rational
 
@@ -48,15 +49,17 @@ class IntegerMeasure:
         for site, w in atoms.items():
             if not isinstance(site, int):
                 raise MeasureError(f"support site must be an integer, got {site!r}")
-            w = Q(w)
-            if w < 0:
+            if type(w) is not Fraction:
+                w = Q(w)
+            if w.numerator < 0:
                 raise MeasureError(f"weight at {site} is negative: {w}")
-            if w == 0:
-                continue
-            clean[site] = w
-        total = sum(clean.values(), Q(0))
-        if total != 1:
-            raise MeasureError(f"weights sum to {total}, not 1")
+            if w.numerator:
+                clean[site] = w
+        # the sum over the common denominator, in integers
+        den = lcm(*(w.denominator for w in clean.values()))
+        num = sum(w.numerator * (den // w.denominator) for w in clean.values())
+        if num != den:
+            raise MeasureError(f"weights sum to {Q(num, den)}, not 1")
         self._atoms = dict(sorted(clean.items()))
 
     @property

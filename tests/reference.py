@@ -3,6 +3,8 @@
 Each one is a direct, unoptimized reading of a definition, kept outside the
 package because no command runs it:
 
+- `atoms_by_fraction_sum` checks measure weights by `Fraction` sign and
+  sum, where `IntegerMeasure` checks them over their common denominator;
 - `measure_from_potential` inverts `potential` from slope changes;
 - `potential_by_definition` sums -|k - n| mu({n}) over every atom at
   every site, where `potential` reads each site off its tail sums;
@@ -89,6 +91,25 @@ from walkembed.rational import Base4Expansion, digit_half_weight
 from walkembed.rules import MatrixRuleState, PrefixError, RandomizedPairRule
 from walkembed.sim import ExactLaw, SimReport, sample_pairs
 from walkembed.uiset import IfsSystem, IntervalUnion
+
+
+def atoms_by_fraction_sum(atoms: dict) -> dict[int, Q]:
+    """The atoms of `IntegerMeasure(atoms)`, or its MeasureError: each
+    weight through `Q`, its sign by comparison with 0, and the unit sum
+    by `Fraction` addition."""
+    clean: dict[int, Q] = {}
+    for site, w in atoms.items():
+        if not isinstance(site, int):
+            raise MeasureError(f"support site must be an integer, got {site!r}")
+        w = Q(w)
+        if w < 0:
+            raise MeasureError(f"weight at {site} is negative: {w}")
+        if w != 0:
+            clean[site] = w
+    total = sum(clean.values(), Q(0))
+    if total != 1:
+        raise MeasureError(f"weights sum to {total}, not 1")
+    return dict(sorted(clean.items()))
 
 
 def measure_from_potential(u: PotentialFunction) -> IntegerMeasure:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import signal
 import subprocess
@@ -1155,20 +1156,26 @@ def _alarm(signum, frame):
     raise CallTimeout
 
 
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise CallTimeout in the block once `seconds` of wall time pass."""
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def run_bounded(argv, seconds=5.0):
     """Run the CLI in-process under a wall-clock alarm; return the exit
     code, stderr and elapsed time.  An uncaught exception propagates."""
     err = io.StringIO()
-    old = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     t0 = time.perf_counter()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+    with alarm(seconds), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, err.getvalue(), time.perf_counter() - t0
 
 
@@ -1392,3 +1399,101 @@ class TestHullBudget:
         for method in ("hall", "minimal"):
             assert main(["embed", method, str(p)]) == 0
         capsys.readouterr()
+
+
+class TestHallPairBudget:
+    """`embed hall` builds one pair per atom below 0 and atom at or above
+    it; past MAX_HALL_PAIRS it exits 3 before it builds any."""
+
+    @staticmethod
+    def _uniform(tmp_path, sites):
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps(
+            {"atoms": {str(k): f"1/{len(sites)}" for k in sites}}))
+        return str(p)
+
+    def test_past_budget_exits_3(self, capsys, tmp_path):
+        mu = self._uniform(tmp_path, range(-2000, 2001))
+        with alarm(5.0):
+            code, out = run(capsys, ["embed", "hall", mu])
+        assert code == 3
+        assert out == {"budget": "MAX_HALL_PAIRS",
+                       "reason": "2000 atoms below 0 and 2001 at or above "
+                                 "make 4002000 pairs, more than "
+                                 "MAX_HALL_PAIRS = 250000"}
+
+    def test_at_budget_embeds(self, capsys, tmp_path):
+        side = math.isqrt(classic.MAX_HALL_PAIRS)
+        assert side * side == classic.MAX_HALL_PAIRS
+        sites = [*range(-side, 0), *range(1, side + 1)]
+        code, out = run(capsys, ["embed", "hall", self._uniform(tmp_path, sites)])
+        assert code == 0
+        assert len(out["payload"]) == classic.MAX_HALL_PAIRS
+
+
+def _parse_by_top_level(argv):
+    """The reference parse: argv through the top-level parser, which hands
+    the rest to the command's parser."""
+    return cli.build_parser().parse_args(cli._join_negative_rationals(argv))
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), an argparse exit
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParsePath:
+    """A known command is parsed by its own parser alone, with the same
+    exit code, stdout and stderr as through the top-level parser."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["--he"], ["-h", "classify"],
+        ["nosuch"], ["nosuch", "--weight", "1/6"],
+        ["--", "classify", "--weight", "1/6"],
+        ["classify"], ["classify", "-h"], ["embed", "--help"],
+        ["classify", "--weight", "1/6"],
+        ["classify", "--weight", "1/6", "junk"],
+        ["classify", "--weight", "1/6", "--junk", "x"],
+        ["classify", "--wei", "1/6"],
+        ["classify", "--weight", "1/6", "--triple", "1/4,1/2,1/4"],
+        ["classify", "--weight", "1/6", "--depth", "-1"],
+        ["classify", "--weight", "1/6", "--depth", "x"],
+        ["classify", "--weight", "-1/6"],
+        ["embed", "nosuch", "MU"], ["embed", "ay"],
+        ["embed", "ay", "MU", "extra1", "extra2"],
+        ["embed", "chw", "MU", "--depth", "2"],
+        ["potential", "MU", "--", "x"],
+        ["set", "--point", "-1/2"], ["set", "--point=-1/2"],
+        ["set", "--point", "-1/2", "--depth", "3", "junk"],
+        ["set", "--point", "--depth", "3"],
+        ["exact-law"], ["verify", "MU"],
+        ["simulate", "MU", "--trials", "many"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_matches_top_level(self, monkeypatch, mu_516, argv):
+        argv = [mu_516 if a == "MU" else a for a in argv]
+        outcome = _outcome(argv)
+        monkeypatch.setattr(cli, "_parse", _parse_by_top_level)
+        assert outcome == _outcome(argv)
+
+    def test_known_command_skips_top_level(self, monkeypatch, mu_516):
+        _outcome([])  # builds the parser
+        calls = []
+        parse = cli._parser.parse_known_args
+        monkeypatch.setattr(cli._parser, "parse_known_args",
+                            lambda *a, **k: calls.append(a) or parse(*a, **k))
+        for argv in (["classify", "--weight", "1/6"],
+                     ["classify", "--weight", "1/6", "junk"],
+                     ["embed", "minimal", mu_516], ["set", "--point", "-1/2"]):
+            _outcome(argv)
+        assert calls == []
+        assert _outcome(["nosuch"])[0] == 2
+        assert len(calls) == 1

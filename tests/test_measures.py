@@ -13,7 +13,11 @@ from walkembed import (
     measure,
     potential,
 )
-from reference import measure_from_potential, potential_by_definition
+from reference import (
+    atoms_by_fraction_sum,
+    measure_from_potential,
+    potential_by_definition,
+)
 
 
 def random_measures():
@@ -28,6 +32,24 @@ def random_measures():
         return measure({s: Q(r, total) for s, r in zip(sites, raw)})
 
     return build()
+
+
+@st.composite
+def weight_dicts(draw):
+    """Site -> weight dicts, empty included: int, str and Fraction weights,
+    zeros, negatives, and sums that are 1 about half the time."""
+    sites = draw(st.lists(st.integers(-6, 6), max_size=6, unique=True))
+    raw = [draw(st.just(Q(0)) | st.fractions(-1, 3, max_denominator=12))
+           for _ in sites]
+    total = sum(raw, Q(0))
+    if total and draw(st.booleans()):
+        raw = [w / total for w in raw]
+
+    def spelled(w):  # a Fraction, a "p/q" string, or an int when whole
+        kinds = [Q, str] + ([int] if w.denominator == 1 else [])
+        return draw(st.sampled_from(kinds))(w)
+
+    return {s: spelled(w) for s, w in zip(sites, raw)}
 
 
 class TestIntegerMeasure:
@@ -62,6 +84,20 @@ class TestIntegerMeasure:
         # "01" and "1" would both name site 1, and the later would win
         with pytest.raises(MeasureError, match="canonical"):
             IntegerMeasure.from_json_dict({"atoms": {key: "1/2", "-1": "1/2"}})
+
+    # signs and the unit sum are checked over the common denominator
+    @given(weight_dicts())
+    def test_checks_match_fraction_sum(self, atoms):
+        try:
+            expected = atoms_by_fraction_sum(atoms)
+        except MeasureError as exc:
+            with pytest.raises(MeasureError) as got:
+                IntegerMeasure(atoms)
+            assert str(got.value) == str(exc)
+        else:
+            got = IntegerMeasure(atoms).atoms
+            assert got == expected and list(got) == list(expected)
+            assert all(type(w) is Q for w in got.values())
 
     @given(random_measures())
     def test_weights_sum_to_one(self, mu):
